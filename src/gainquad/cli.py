@@ -28,19 +28,13 @@ from .geometry import (is_generalized_ngon, is_linear_space, is_ovoid,
 from .groups import CyclicGroup, group_from_spec
 from .iso import are_isomorphic, canonical_form, distinguishing_invariant
 from .search import run_search, verify_known
+from .storage import atomic_write
 
 GENERATORS = ("ag2", "w", "payne-dual")
 
 
-def _atomic_write(path, text):
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path, doc):
-    _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _field_from_args(args):
@@ -99,7 +93,6 @@ def _config(args, command):
     return {
         "command": command,
         "seed": args.seed,
-        "threads": args.threads,
         "verbose": args.verbose,
         "argv": [a for a in args.raw_argv],
     }
@@ -275,7 +268,7 @@ def cmd_export(args):
     else:
         raise ValueError(f"unknown format {args.format!r}")
     if args.output:
-        _atomic_write(args.output, text)
+        atomic_write(args.output, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -380,9 +373,6 @@ def build_parser():
                     "functions on incidence graphs of linear spaces.")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized property checks (recorded in reports)")
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker count recorded in reports; scans are "
-                         "deterministic regardless")
     ap.add_argument("-v", "--verbose", action="store_true",
                     help="progress notes on stderr")
     sub = ap.add_subparsers(dest="command", required=True)

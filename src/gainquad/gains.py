@@ -23,7 +23,6 @@ class GainGraph:
         self.base = base
         self.group = group
         self.gains = gains
-        self._detour_cache = {}
 
     def gain(self, b, p):
         """Gain of the edge from line b to point p (indices, not eids)."""

@@ -69,6 +69,8 @@ class IncidenceStructure:
         self._adjacency = None
         self._matrix = None
         self._pair_lines = None
+        self._edge_ids = None
+        self._line_table = None
 
     # -- element ids -----------------------------------------------------
 
@@ -132,6 +134,42 @@ class IncidenceStructure:
                         table.setdefault((pts[i], pts[j]), []).append(b)
             self._pair_lines = {k: tuple(v) for k, v in table.items()}
         return self._pair_lines
+
+    def edge_ids(self):
+        """(lines, points) int32 table: the index of edge (b, p) among all
+        edges in sorted (line, point) order, -1 where p is off b (cached)."""
+        if self._edge_ids is None:
+            inc = np.zeros((self.n_lines, self.n_points), dtype=bool)
+            p, b = np.array(self.incidence).T
+            inc[b, p] = True
+            table = np.full(inc.shape, -1, dtype=np.int32)
+            table[inc] = np.arange(len(self.incidence), dtype=np.int32)
+            self._edge_ids = table
+        return self._edge_ids
+
+    def line_table(self):
+        """(points, points) int32 table of the common line of two distinct
+        points, -1 on the diagonal (cached).
+
+        Raises ValueError unless every two distinct points lie on exactly
+        one common line.
+        """
+        if self._line_table is None:
+            v = self.n_points
+            table = np.full((v, v), -1, dtype=np.int32)
+            count = np.zeros((v, v), dtype=np.int32)
+            for b, pts in enumerate(self.points_of_line):
+                cell = np.ix_(pts, pts)
+                table[cell] = b
+                count[cell] += 1
+            np.fill_diagonal(table, -1)
+            np.fill_diagonal(count, 1)
+            bad = np.argwhere(count != 1)
+            if len(bad):
+                p, q = (int(x) for x in bad[0])
+                raise ValueError(f"points {p},{q} lie on {count[p, q]} common lines")
+            self._line_table = table
+        return self._line_table
 
     def common_line(self, p, q):
         """The unique line through two distinct points; error otherwise."""

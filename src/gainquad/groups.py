@@ -4,9 +4,24 @@ Every shipped instance is a group acting on itself by its own operation,
 which is a regular action (free and transitive).  Elements are hashable
 value types with a total order so that enumeration-heavy callers stay
 deterministic.
+
+Finite groups also number their elements: the code of an element is its
+rank in ``elements()``, and ``compose_codes``/``inverse_codes`` apply the
+group law to whole numpy arrays of codes at once.
 """
 
+import numpy as np
+
 from .fields import GF, Rationals
+
+
+def code_dtype(order):
+    """Narrowest unsigned dtype in which two codes of a group of this
+    order add without wrapping."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if 2 * (order - 1) <= np.iinfo(dtype).max:
+            return dtype
+    return np.uint64
 
 
 class GroupAction:
@@ -39,6 +54,18 @@ class GroupAction:
 
     def elements(self):
         """Group elements in their canonical total order."""
+        raise NotImplementedError
+
+    def code(self, g):
+        """Rank of a finite group element in ``elements()``."""
+        raise NotImplementedError
+
+    def compose_codes(self, a, b):
+        """compose on arrays of codes, elementwise; dtype is kept."""
+        raise NotImplementedError
+
+    def inverse_codes(self, a):
+        """inverse on an array of codes, elementwise; dtype is kept."""
         raise NotImplementedError
 
     def lambdas(self):
@@ -98,6 +125,15 @@ class CyclicGroup(GroupAction):
     def lambdas(self):
         return list(range(self.n))
 
+    def code(self, g):
+        return g
+
+    def compose_codes(self, a, b):
+        return (a + b) % self.n
+
+    def inverse_codes(self, a):
+        return (self.n - a) % self.n
+
     def spec(self):
         return {"kind": "Zn", "modulus": self.n}
 
@@ -144,6 +180,36 @@ class AdditiveGroup(GroupAction):
 
     def lambdas(self):
         return self.field.elements()
+
+    def code(self, g):
+        # elements() is lexicographic in the coefficient tuple, so the
+        # lowest-degree coefficient is the most significant base-p digit.
+        if not self.finite:
+            raise ValueError("only finite groups have element codes")
+        c = 0
+        for x in g:
+            c = c * self.field.p + x
+        return c
+
+    def compose_codes(self, a, b):
+        p, n = self.field.p, self.field.n
+        if p == 2:
+            return a ^ b
+        out = np.zeros_like(a)
+        for i in range(n):
+            w = p ** i
+            out += ((a // w) % p + (b // w) % p) % p * w
+        return out
+
+    def inverse_codes(self, a):
+        p, n = self.field.p, self.field.n
+        if p == 2:
+            return a.copy()
+        out = np.zeros_like(a)
+        for i in range(n):
+            w = p ** i
+            out += (p - (a // w) % p) % p * w
+        return out
 
     def spec(self):
         if isinstance(self.field, Rationals):

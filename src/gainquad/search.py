@@ -5,12 +5,17 @@ The default scan fixes a spanning-tree gauge: tree edges carry the
 identity, so each switching class is visited exactly once (switching a
 gain function never changes the expansion up to isomorphism).  The
 unreduced mode scans every assignment and exists to cross-check that
-reduction; it is feasible only for the smallest spaces.
+reduction; it is feasible only for the smallest spaces.  There each
+surviving assignment is gauge-fixed, and only the first survivor of
+each switching class is expanded and canonicalised.
 
 Scans are deterministic: free edges are ordered, group elements are
 enumerated in their canonical order, and assignment number k maps to the
-mixed-radix digits of k.  A checkpoint stores the next index plus the
-accumulated tallies, so an interrupted scan resumes bit-identically.
+mixed-radix digits of k.  Assignments are evaluated in batches, one row
+of group codes per assignment, by DetourKernel; only survivors of the
+criterion are turned back into gain graphs.  A checkpoint stores the
+next index plus the accumulated tallies, so an interrupted scan resumes
+bit-identically.
 """
 
 import hashlib
@@ -18,10 +23,17 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .construction import bijective_pair_count, expand, gq_criterion, gq_parameters
-from .gains import GainGraph, gains_to_json, spanning_tree_edges
+import numpy as np
+
+from .construction import DetourKernel, expand, gq_criterion, gq_parameters
+from .gains import GainGraph, gains_to_json, spanning_tree_edges, spanning_tree_gauge
 from .geometry import is_linear_space, structure_to_json
 from .iso import canonical_form
+from .storage import atomic_write
+
+# A batch holds at most this many detour values, one byte each for the
+# groups a scan can afford, so its temporaries stay near 128 kB.
+BATCH_VALUES = 1 << 17
 
 
 @dataclass
@@ -65,6 +77,24 @@ def _unrank(index, radix, width):
     return digits[::-1]
 
 
+def _unrank_batch(start, count, radix, width):
+    """Digits of assignments start .. start+count-1, one row each.
+
+    Only start is unranked, in Python integers; the row offsets are then
+    added with carries, so spaces beyond 2^63 assignments stay exact.
+    """
+    digits = np.tile(np.array(_unrank(start, radix, width), dtype=np.int64),
+                     (count, 1))
+    carry = np.arange(count, dtype=np.int64)
+    for j in range(width - 1, -1, -1):
+        if not carry.any():
+            break
+        column = digits[:, j] + carry
+        digits[:, j] = column % radix
+        carry = column // radix
+    return digits
+
+
 def _config_digest(base, group, unreduced, near_miss):
     blob = json.dumps({
         "base": structure_to_json(base),
@@ -81,9 +111,8 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
 
     near_miss=True evaluates every non-incident pair so that failing
     assignments are bucketed by how many pairs were bijective; with
-    near_miss=False the criterion short-circuits at the first bad pair.
-    budget caps the number of assignments examined; a capped report is
-    flagged partial.
+    near_miss=False only survivors are counted.  budget caps the number
+    of assignments examined; a capped report is flagged partial.
     """
     ls = is_linear_space(base)
     if not ls:
@@ -103,6 +132,14 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     radix = len(elems)
     total = radix ** len(free)
     digest = _config_digest(base, group, unreduced, near_miss)
+    kernel = DetourKernel(base, group)
+    # Kernel columns are the edges in sorted order, and digit d stands
+    # for elems[d], whose code is d.
+    free_set = set(free)
+    free_columns = [i for i, e in enumerate(all_edges) if e in free_set]
+    identity = group.code(group.identity())
+    n_pairs = len(kernel.pairs)
+    rows = max(1, BATCH_VALUES // max(1, n_pairs * radix))
 
     start = 0
     scanned = 0
@@ -140,8 +177,37 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
             "representatives": reps,
             "near_miss": {str(k): v for k, v in misses.items()},
         }
-        with open(checkpoint_path, "w") as fh:
-            json.dump(state, fh)
+        atomic_write(checkpoint_path, json.dumps(state, sort_keys=True))
+
+    # Gauge-fixed tables of the survivors already canonicalised (unreduced
+    # mode): equal tables mean switching-equivalent gains, hence
+    # isomorphic expansions and the same certificate.
+    gauged = set()
+
+    def survivor(index, digits):
+        gains = dict(fixed)
+        for e, d in zip(free, digits):
+            gains[e] = elems[d]
+        g = GainGraph(base, group, gains)
+        if unreduced:
+            table = spanning_tree_gauge(g)[0].gains
+            key = tuple(table[e] for e in all_edges)
+            if key in gauged:
+                return
+            gauged.add(key)
+        c = expand(g)
+        cf = canonical_form(c)
+        if cf.certificate not in cert_set:
+            cert_set.add(cf.certificate)
+            certs.append(cf.certificate)
+            s_par, t_par = gq_parameters(c)
+            reps.append({
+                "certificate": cf.certificate,
+                "assignment_index": index,
+                "gains": gains_to_json(g),
+                "order": [s_par, t_par],
+                "structure": structure_to_json(c, tags=c.tags_json()),
+            })
 
     partial = False
     index = start
@@ -149,35 +215,27 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
         if budget is not None and scanned >= budget:
             partial = True
             break
-        digits = _unrank(index, radix, len(free))
-        gains = dict(fixed)
-        for e, d in zip(free, digits):
-            gains[e] = elems[d]
-        g = GainGraph(base, group, gains)
+        # Batches end at budget and checkpoint boundaries, so both fall
+        # exactly where a one-at-a-time scan would put them.
+        stop = min(total, index + rows)
+        if budget is not None:
+            stop = min(stop, index + budget - scanned)
+        if checkpoint_path is not None:
+            stop = min(stop, (index // checkpoint_every + 1) * checkpoint_every)
+        digits = _unrank_batch(index, stop - index, radix, len(free))
+        codes = np.full((len(digits), len(all_edges)), identity, dtype=kernel.dtype)
+        codes[:, free_columns] = digits
+        good = kernel.bijective(codes).sum(axis=1)
+        passed = good == n_pairs
         if near_miss:
-            good, pairs = bijective_pair_count(g)
-            ok = good == pairs
-            if not ok:
-                misses[good] += 1
-        else:
-            ok = bool(gq_criterion(g))
-        if ok:
+            for k, count in enumerate(np.bincount(good[~passed]).tolist()):
+                if count:
+                    misses[k] += count
+        for r in np.flatnonzero(passed).tolist():
             gq_count += 1
-            c = expand(g)
-            cf = canonical_form(c)
-            if cf.certificate not in cert_set:
-                cert_set.add(cf.certificate)
-                certs.append(cf.certificate)
-                s_par, t_par = gq_parameters(c)
-                reps.append({
-                    "certificate": cf.certificate,
-                    "assignment_index": index,
-                    "gains": gains_to_json(g),
-                    "order": [s_par, t_par],
-                    "structure": structure_to_json(c, tags=c.tags_json()),
-                })
-        scanned += 1
-        index += 1
+            survivor(index + r, digits[r].tolist())
+        scanned += len(digits)
+        index = stop
         if checkpoint_path is not None and index % checkpoint_every == 0:
             save_checkpoint(index)
     save_checkpoint(index)

@@ -152,6 +152,17 @@ def test_search_cli(tmp_path):
     assert len(read_json(rep0)["points"]) == 16
 
 
+def test_search_reruns_are_byte_identical(tmp_path):
+    report = tmp_path / "scan.json"
+    argv = ("search", "--base", "ag2:2", "--group", "z:2", "--unreduced",
+            "--report", report)
+    assert run(*argv) == 0
+    first = report.read_bytes()
+    assert run(*argv) == 0
+    assert report.read_bytes() == first
+    assert set(read_json(report)["config"]) == {"command", "seed", "verbose", "argv"}
+
+
 def test_search_budget_exit_code(tmp_path):
     assert run("search", "--base", "ag2:2", "--group", "z:2",
                "--budget", "3", "--report", tmp_path / "r.json") == 3

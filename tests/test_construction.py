@@ -3,14 +3,16 @@ quadrangle criterion."""
 
 import random
 
+import numpy as np
 import pytest
 
-from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, affine_gains,
-                      affine_plane, bijective_pair_count, count_shortest_chains,
-                      detour_formula, detour_gains, distance, expand, gq_criterion,
-                      gq_parameters, identity_gains, is_chain, is_generalized_ngon,
-                      lift_chain, switch, switching_isomorphism, verify_isomorphism,
-                      walk_gain)
+from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, IncidenceStructure,
+                      affine_gains, affine_plane, bijective_pair_count,
+                      count_shortest_chains, detour_formula, detour_gains, distance,
+                      expand, field_from_order, gq_criterion, gq_parameters,
+                      identity_gains, is_chain, is_generalized_ngon, lift_chain,
+                      switch, switching_isomorphism, verify_isomorphism, walk_gain)
+from gainquad.construction import DetourKernel
 from helpers import tiny_base
 
 
@@ -263,6 +265,91 @@ def test_regular_shortcut_agrees_with_sweep(plane2, plane3):
             # and pair by pair, not only in aggregate
             assert (bijective_pair_count(g, regular_shortcut=True)
                     == bijective_pair_count(g, regular_shortcut=False))
+
+
+def _oracle_pairs(g):
+    """((b, p), bijective) for every non-incident pair, line-major, from
+    detour_gains and a set check."""
+    base, group = g.base, g.group
+    out = []
+    for b in range(base.n_lines):
+        for p in range(base.n_points):
+            if (p, b) not in base.incidence_set:
+                values = list(detour_gains(g, b, p).values())
+                out.append(((b, p), len(set(values)) == len(values) == group.order))
+    return out
+
+
+def _near_pencil():
+    return IncidenceStructure(
+        ["1", "2", "3", "4"], ["a", "b", "c", "d"],
+        [(1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (0, 2), (2, 2), (0, 3), (3, 3)])
+
+
+def _shipped_over(plane, group):
+    """The shipped gains of a plane as a table over group, when group is
+    the field's additive group or Z_p over a prime field; else None."""
+    shipped = affine_gains(plane)
+    if group == shipped.group:
+        return shipped.gains
+    if isinstance(group, CyclicGroup) and plane.field.n == 1 and group.n == plane.field.p:
+        return {e: x[0] for e, x in shipped.gains.items()}
+    return None
+
+
+def _kernel_cases():
+    """Gain graphs over every base/group combination: uniform random gains,
+    plus shipped, switched and one-edge-perturbed gains where the shipped
+    gains exist over the group."""
+    rng = random.Random(2718)
+    groups = [CyclicGroup(n) for n in (2, 3, 4, 5)] + [
+        AdditiveGroup(GF(p, n)) for p, n in ((2, 1), (2, 2), (3, 1), (3, 2))]
+    planes = [affine_plane(field_from_order(q)) for q in (2, 3, 4)]
+    for base, plane in [(pl.structure, pl) for pl in planes] + [(_near_pencil(), None)]:
+        for group in groups:
+            els = group.elements()
+            for _ in range(4):
+                yield GainGraph(base, group,
+                                {(b, p): rng.choice(els) for p, b in base.incidence})
+            gains = _shipped_over(plane, group) if plane is not None else None
+            if gains is not None:
+                good = GainGraph(base, group, gains)
+                bent = dict(gains)
+                edge = rng.choice(sorted(bent))
+                bent[edge] = group.compose(bent[edge], els[1])
+                yield good
+                yield switch(good, {e: rng.choice(els) for e in range(base.n_elements)})
+                yield GainGraph(base, group, bent)
+
+
+def test_kernel_matches_scalar_oracle():
+    passing = failing = 0
+    for g in _kernel_cases():
+        oracle = _oracle_pairs(g)
+        kernel = DetourKernel(g.base, g.group)
+        codes = kernel.codes(g)
+        mask = kernel.bijective(codes)
+        assert list(zip(map(tuple, kernel.pairs.tolist()), mask.tolist())) == oracle
+        # a batch of rows gives the same answer row by row
+        batch = kernel.bijective(np.stack([codes, codes[::-1]]))
+        assert batch[0].tolist() == mask.tolist()
+        bad = [bp for bp, ok in oracle if not ok]
+        verdict = gq_criterion(g)
+        assert verdict.ok == (not bad)
+        if bad:
+            assert verdict.witness == bad[0]
+            assert gq_criterion(g, collect_witnesses=True).witness == bad
+            failing += 1
+        else:
+            passing += 1
+        assert bijective_pair_count(g) == (len(oracle) - len(bad), len(oracle))
+    assert passing >= 6 and failing >= 100
+
+
+def test_kernel_rejects_non_linear_space():
+    with pytest.raises(ValueError):
+        DetourKernel(IncidenceStructure([0, 1, 2], [0, 1], [(0, 0), (1, 0), (1, 1), (2, 1)]),
+                     CyclicGroup(2))
 
 
 def test_parameters(expansions_small):

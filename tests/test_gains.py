@@ -1,7 +1,9 @@
 """Group actions, walk gains, switching, and gauge fixing."""
 
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 
 from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, Rationals,
@@ -67,6 +69,24 @@ def test_regular_actions(group):
         assert len(images) == len(els)
         if any(group.act(g, lam) == lam for lam in group.lambdas()):
             assert g == group.identity()
+
+
+CODED_GROUPS = [CyclicGroup(n) for n in (2, 3, 4, 5)] + [
+    AdditiveGroup(GF(p, n)) for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))]
+
+
+@pytest.mark.parametrize("group", CODED_GROUPS, ids=repr)
+def test_codes_follow_the_group_law(group):
+    els = group.elements()
+    assert [group.code(g) for g in els] == list(range(len(els)))
+    pairs = list(product(els, els))
+    a = np.array([group.code(g) for g, _ in pairs], dtype=np.uint8)
+    b = np.array([group.code(h) for _, h in pairs], dtype=np.uint8)
+    composed = group.compose_codes(a, b)
+    inverted = group.inverse_codes(a)
+    assert composed.dtype == inverted.dtype == np.uint8
+    assert composed.tolist() == [group.code(group.compose(g, h)) for g, h in pairs]
+    assert inverted.tolist() == [group.code(group.inverse(g)) for g, _ in pairs]
 
 
 def test_group_spec_roundtrip():

@@ -2,11 +2,17 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from gainquad import (CyclicGroup, GainGraph, affine_gains, canonical_form,
-                      expand, gq_criterion, run_search, switch, verify_known)
+import gainquad.search as search_module
+import gainquad.storage as storage_module
+from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, affine_gains,
+                      affine_plane, canonical_form, detour_gains, expand,
+                      gq_criterion, run_search, spanning_tree_edges, switch,
+                      verify_known)
+from gainquad.search import _config_digest, _unrank, _unrank_batch
 from helpers import tiny_base
 
 
@@ -122,3 +128,146 @@ def test_verify_known_entries():
         entry = verify_known(affine_plane(field_from_order(q)))
         assert entry["passed"]
         assert (entry["s"], entry["t"]) == expected
+
+
+def _scalar_good_pairs(g):
+    """Bijective detour tables counted one pair at a time."""
+    base, group = g.base, g.group
+    good = 0
+    for b in range(base.n_lines):
+        for p in range(base.n_points):
+            if (p, b) not in base.incidence_set:
+                values = list(detour_gains(g, b, p).values())
+                good += len(set(values)) == len(values) == group.order
+    return good
+
+
+def _scalar_scan(base, group, indices):
+    """(near-miss histogram, survivors) of gauge-fixed assignments, one
+    assignment at a time through detour_gains."""
+    all_edges = sorted((b, p) for p, b in base.incidence)
+    tree = set(spanning_tree_edges(base))
+    free = [e for e in all_edges if e not in tree]
+    elems = group.elements()
+    pairs = base.n_points * base.n_lines - len(base.incidence)
+    misses = Counter()
+    survivors = 0
+    for index in indices:
+        gains = {e: group.identity() for e in tree}
+        for e, d in zip(free, _unrank(index, len(elems), len(free))):
+            gains[e] = elems[d]
+        good = _scalar_good_pairs(GainGraph(base, group, gains))
+        if good == pairs:
+            survivors += 1
+        else:
+            misses[good] += 1
+    return dict(misses), survivors
+
+
+def test_budgeted_near_miss_histogram_matches_scalar_loop(plane3):
+    # 700 assignments span more than one batch
+    report = run_search(plane3.structure, CyclicGroup(3), budget=700)
+    misses, survivors = _scalar_scan(plane3.structure, CyclicGroup(3), range(700))
+    assert report.scanned == 700 and report.partial
+    assert report.near_miss == misses
+    assert report.gq_count == survivors
+
+
+def test_unrank_batch_carries_past_int64():
+    radix, width = 4, 45
+    total = radix ** width
+    assert total > 2 ** 63
+    for start in (0, 5, total - 300, 2 ** 63 - 7, radix ** 30 - 2):
+        count = min(300, total - start)
+        rows = _unrank_batch(start, count, radix, width).tolist()
+        assert rows == [_unrank(start + r, radix, width) for r in range(count)]
+
+
+def test_resume_near_the_end_of_a_space_beyond_int64(tmp_path):
+    # AG(2,4) over GF(4): 45 free edges, 4^45 ~ 1.2e27 assignments
+    base = affine_plane(GF(2, 2)).structure
+    group = AdditiveGroup(GF(2, 2))
+    free = len(base.incidence) - (base.n_elements - 1)
+    total = group.order ** free
+    ck = tmp_path / "scan.ck"
+    ck.write_text(json.dumps({
+        "digest": _config_digest(base, group, False, True),
+        "next_index": total - 300, "scanned": 0, "gq_count": 0,
+        "certificates": [], "representatives": [], "near_miss": {}}))
+    report = run_search(base, group, checkpoint_path=str(ck))
+    assert report.total_space == total and report.scanned == 300
+    assert not report.partial
+    misses, survivors = _scalar_scan(base, group, range(total - 300, total))
+    assert report.near_miss == misses
+    assert report.gq_count == survivors
+    assert json.loads(ck.read_text())["next_index"] == total
+
+
+@pytest.mark.parametrize("q, unreduced, budget, cut", [
+    (2, True, None, 1500),
+    # near-miss buckets first seen after the cut come in another order
+    (3, False, 3000, 100),
+])
+def test_resumed_checkpoint_is_byte_identical(tmp_path, q, unreduced, budget, cut):
+    base, group = affine_plane(GF(q)).structure, CyclicGroup(q)
+    oneshot = tmp_path / "oneshot.ck"
+    run_search(base, group, unreduced=unreduced, budget=budget,
+               checkpoint_path=str(oneshot), checkpoint_every=1000)
+    resumed = tmp_path / "resumed.ck"
+    first = run_search(base, group, unreduced=unreduced, budget=cut,
+                       checkpoint_path=str(resumed), checkpoint_every=1000)
+    assert first.partial
+    run_search(base, group, unreduced=unreduced, budget=budget,
+               checkpoint_path=str(resumed), checkpoint_every=1000)
+    assert resumed.read_bytes() == oneshot.read_bytes()
+
+
+def test_checkpoint_survives_a_failed_write(tmp_path, plane2, monkeypatch):
+    group = CyclicGroup(2)
+    ck = tmp_path / "scan.ck"
+    real_replace = storage_module.os.replace
+    calls = []
+
+    def replace_once(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError("simulated crash while writing the checkpoint")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(storage_module.os, "replace", replace_once)
+    with pytest.raises(OSError):
+        run_search(plane2.structure, group, unreduced=True,
+                   checkpoint_path=str(ck), checkpoint_every=1000)
+    assert json.loads(ck.read_text())["next_index"] == 1000
+    monkeypatch.setattr(storage_module.os, "replace", real_replace)
+    resumed = run_search(plane2.structure, group, unreduced=True,
+                         checkpoint_path=str(ck), checkpoint_every=1000)
+    oneshot = run_search(plane2.structure, group, unreduced=True)
+    assert resumed.to_json() == oneshot.to_json()
+
+
+def test_unreduced_canonicalises_once_per_switching_class(plane2, monkeypatch):
+    base, group = plane2.structure, CyclicGroup(2)
+    all_edges = sorted((b, p) for p, b in base.incidence)
+    direct = set()
+    survivors = 0
+    for index in range(2 ** len(all_edges)):
+        digits = _unrank(index, 2, len(all_edges))
+        g = GainGraph(base, group, dict(zip(all_edges, digits)))
+        if gq_criterion(g, regular_shortcut=False):
+            survivors += 1
+            direct.add(canonical_form(expand(g)).certificate)
+    assert survivors == 512
+
+    calls = []
+    real = search_module.canonical_form
+
+    def counting(s, *args, **kwargs):
+        calls.append(s)
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(search_module, "canonical_form", counting)
+    report = run_search(base, group, unreduced=True)
+    assert report.gq_count == 512
+    assert set(report.certificates) == direct
+    assert len(calls) == 1
