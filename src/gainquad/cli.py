@@ -78,15 +78,15 @@ def realize_base(tokens):
 
 def parse_group(spec):
     """Group spec: "z:n", "gf:p[:n]", or "q"."""
-    parts = spec.lower().split(":")
-    if parts[0] in ("z", "zn"):
-        return CyclicGroup(int(parts[1]))
-    if parts[0] == "gf":
-        return group_from_spec({"kind": "GFpn", "p": int(parts[1]),
-                                "n": int(parts[2]) if len(parts) > 2 else 1})
-    if parts[0] == "q":
+    kind, *args = spec.lower().split(":")
+    if kind in ("z", "zn") and len(args) == 1:
+        return CyclicGroup(int(args[0]))
+    if kind == "gf" and len(args) in (1, 2):
+        return group_from_spec({"kind": "GFpn", "p": int(args[0]),
+                                "n": int(args[1]) if len(args) > 1 else 1})
+    if kind == "q" and not args:
         return group_from_spec({"kind": "Q"})
-    raise ValueError(f"unknown group spec {spec!r}")
+    raise ValueError(f"unknown group spec {spec!r}: expected z:n, gf:p[:n] or q")
 
 
 def _config(args, command):
@@ -420,7 +420,8 @@ def build_parser():
     p.add_argument("--unreduced", action="store_true",
                    help="scan every assignment instead of one per switching class")
     p.add_argument("--fast", action="store_true",
-                   help="stop at the first bad pair; skip near-miss tallies")
+                   help="skip the near-miss histogram (every pair of every "
+                        "assignment is still evaluated)")
     p.add_argument("--checkpoint")
     p.add_argument("--report")
     p.set_defaults(func=cmd_search)

@@ -10,6 +10,8 @@ instances, always in lowest terms with positive denominator.
 from fractions import Fraction
 from itertools import product
 
+from .storage import is_int
+
 MAX_ORDER = 1 << 16
 
 # Fixed moduli for the extension fields we ship by default.  Coefficients
@@ -179,16 +181,18 @@ class GF:
             e >>= 1
         return result
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # -- encoding ------------------------------------------------------------
 
     def encode(self, a):
         return list(a)
 
     def decode(self, d):
-        return self.element(d)
+        """The element whose JSON form is d: n coefficients in 0..p-1."""
+        if (not isinstance(d, (list, tuple)) or len(d) != self.n
+                or not all(is_int(c) and 0 <= c < self.p for c in d)):
+            raise ValueError(f"an element of {self!r} is a list of {self.n} "
+                             f"integers in 0..{self.p - 1}, not {d!r}")
+        return tuple(d)
 
     def render(self, a):
         return str(self.to_int(a))
@@ -240,13 +244,15 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
-    def div(self, a, b):
-        return a * self.inv(b)
-
     def encode(self, a):
         return [a.numerator, a.denominator]
 
     def decode(self, d):
+        """The rational whose JSON form is d: [numerator, denominator]."""
+        if (not isinstance(d, (list, tuple)) or len(d) != 2
+                or not all(is_int(x) for x in d) or d[1] == 0):
+            raise ValueError("a rational is [numerator, nonzero denominator] "
+                             f"in integers, not {d!r}")
         return Fraction(d[0], d[1])
 
     def render(self, a):

@@ -8,6 +8,8 @@ gains multiply right-to-left so that they compose with a left action.
 
 from collections import deque
 
+from .storage import is_int
+
 
 class GainGraph:
     """An incidence structure plus one gain per edge, keyed (line, point)."""
@@ -87,6 +89,33 @@ def identity_gains(base, group):
     return GainGraph(base, group, {(b, p): e for p, b in base.incidence})
 
 
+def _tree_walk(base):
+    """Breadth-first walk of the incidence graph from line 0, neighbors in
+    ascending eid order.
+
+    Yields (parent eid, child eid, b, p) for each tree edge, (b, p) being
+    its (line, point) indices.  Raises on a disconnected graph once the
+    walk ends.
+    """
+    adj = base.adjacency()
+    n_points = base.n_points
+    root = base.line_eid(0)
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                if u >= n_points:
+                    yield u, v, u - n_points, v
+                else:
+                    yield u, v, v - n_points, u
+                queue.append(v)
+    if len(seen) != base.n_elements:
+        raise ValueError("incidence graph is disconnected")
+
+
 def spanning_tree_edges(base):
     """Deterministic BFS spanning tree of the incidence graph.
 
@@ -94,25 +123,7 @@ def spanning_tree_edges(base):
     ascending eid order.  Returns edges as (line, point) index pairs.
     Raises on a disconnected graph.
     """
-    if base.n_lines == 0:
-        raise ValueError("no line vertex to root the tree at")
-    adj = base.adjacency()
-    root = base.line_eid(0)
-    seen = {root}
-    tree = []
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                ku, iu = base.eid_index(u)
-                kv, iv = base.eid_index(v)
-                tree.append((iu, iv) if ku == "line" else (iv, iu))
-                queue.append(v)
-    if len(seen) != base.n_elements:
-        raise ValueError("incidence graph is disconnected")
-    return sorted(tree)
+    return sorted((b, p) for _, _, b, p in _tree_walk(base))
 
 
 def spanning_tree_gauge(g):
@@ -122,26 +133,11 @@ def spanning_tree_gauge(g):
     is switching-equivalent to the input by construction.
     """
     base, group = g.base, g.group
-    adj = base.adjacency()
-    root = base.line_eid(0)
-    f = {root: group.identity()}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in f:
-                ku, iu = base.eid_index(u)
-                kv, iv = base.eid_index(v)
-                if ku == "line":
-                    # new gain f(p) phi f(b)^-1 = id  =>  f(p) = f(b) phi^-1
-                    phi = g.gain(iu, iv)
-                    f[v] = group.compose(f[u], group.inverse(phi))
-                else:
-                    phi = g.gain(iv, iu)
-                    f[v] = group.compose(f[u], phi)
-                queue.append(v)
-    if len(f) != base.n_elements:
-        raise ValueError("incidence graph is disconnected")
+    f = {base.line_eid(0): group.identity()}
+    for u, v, b, p in _tree_walk(base):
+        # new gain f(p) phi f(b)^-1 = id  =>  f(p) = f(b) phi^-1, f(b) = f(p) phi
+        phi = g.gain(b, p)
+        f[v] = group.compose(f[u], group.inverse(phi) if v == p else phi)
     return switch(g, f), f
 
 
@@ -160,9 +156,15 @@ def gains_to_json(g):
 def gains_from_json(base, doc, group=None):
     from .groups import group_from_spec
 
+    if not isinstance(doc, dict) or not isinstance(doc.get("gains"), list):
+        raise ValueError("a gains document is an object with a 'gains' list")
     if group is None:
-        group = group_from_spec(doc["group"])
+        group = group_from_spec(doc.get("group"))
     gains = {}
-    for p, b, enc in doc["gains"]:
-        gains[(int(b), int(p))] = group.decode(enc)
+    for entry in doc["gains"]:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and is_int(entry[0]) and is_int(entry[1])):
+            raise ValueError(f"a gain entry is [point, line, element], not {entry!r}")
+        p, b, enc = entry
+        gains[(b, p)] = group.decode(enc)
     return GainGraph(base, group, gains)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .storage import is_int
+
 
 class Verdict(tuple):
     """A boolean check result carrying a witness when it fails."""
@@ -68,9 +70,8 @@ class IncidenceStructure:
         self.points_of_line = tuple(tuple(x) for x in points_of)
         self._adjacency = None
         self._matrix = None
-        self._pair_lines = None
         self._edge_ids = None
-        self._line_table = None
+        self._common = None
 
     # -- element ids -----------------------------------------------------
 
@@ -91,20 +92,11 @@ class IncidenceStructure:
             return "point", e
         return "line", e - self.n_points
 
-    def eid_label(self, e):
-        kind, i = self.eid_index(e)
-        return self.point_labels[i] if kind == "point" else self.line_labels[i]
-
     def neighbors(self, e):
         kind, i = self.eid_index(e)
         if kind == "point":
             return tuple(self.line_eid(b) for b in self.lines_of_point[i])
         return tuple(self.points_of_line[i])
-
-    def degree(self, e):
-        kind, i = self.eid_index(e)
-        return len(self.lines_of_point[i] if kind == "point"
-                   else self.points_of_line[i])
 
     def adjacency(self):
         """adjacency[eid] -> tuple of neighbor eids, ascending."""
@@ -124,17 +116,6 @@ class IncidenceStructure:
             self._matrix = a
         return self._matrix
 
-    def pair_lines(self):
-        """Map each unordered point pair to the tuple of its common lines."""
-        if self._pair_lines is None:
-            table = {}
-            for b, pts in enumerate(self.points_of_line):
-                for i in range(len(pts)):
-                    for j in range(i + 1, len(pts)):
-                        table.setdefault((pts[i], pts[j]), []).append(b)
-            self._pair_lines = {k: tuple(v) for k, v in table.items()}
-        return self._pair_lines
-
     def edge_ids(self):
         """(lines, points) int32 table: the index of edge (b, p) among all
         edges in sorted (line, point) order, -1 where p is off b (cached)."""
@@ -147,6 +128,27 @@ class IncidenceStructure:
             self._edge_ids = table
         return self._edge_ids
 
+    def _common_lines(self):
+        """(line, count, bad), cached.  line and count are (points, points)
+        int32 tables of the line through two distinct points (-1 on the
+        diagonal; meaningful where count is 1) and of their number of
+        common lines (0 on the diagonal).  bad is the first pair p < q
+        whose count is not 1, or None."""
+        if self._common is None:
+            v = self.n_points
+            line = np.full((v, v), -1, dtype=np.int32)
+            count = np.zeros((v, v), dtype=np.int32)
+            for b, pts in enumerate(self.points_of_line):
+                cell = np.ix_(pts, pts)
+                line[cell] = b
+                count[cell] += 1
+            np.fill_diagonal(line, -1)
+            np.fill_diagonal(count, 0)
+            bad = np.argwhere(np.triu(count != 1, 1))
+            self._common = (line, count,
+                           tuple(int(x) for x in bad[0]) if len(bad) else None)
+        return self._common
+
     def line_table(self):
         """(points, points) int32 table of the common line of two distinct
         points, -1 on the diagonal (cached).
@@ -154,49 +156,24 @@ class IncidenceStructure:
         Raises ValueError unless every two distinct points lie on exactly
         one common line.
         """
-        if self._line_table is None:
-            v = self.n_points
-            table = np.full((v, v), -1, dtype=np.int32)
-            count = np.zeros((v, v), dtype=np.int32)
-            for b, pts in enumerate(self.points_of_line):
-                cell = np.ix_(pts, pts)
-                table[cell] = b
-                count[cell] += 1
-            np.fill_diagonal(table, -1)
-            np.fill_diagonal(count, 1)
-            bad = np.argwhere(count != 1)
-            if len(bad):
-                p, q = (int(x) for x in bad[0])
-                raise ValueError(f"points {p},{q} lie on {count[p, q]} common lines")
-            self._line_table = table
-        return self._line_table
+        line, count, bad = self._common_lines()
+        if bad is not None:
+            p, q = bad
+            raise ValueError(f"points {p},{q} lie on {count[p, q]} common lines")
+        return line
 
     def common_line(self, p, q):
         """The unique line through two distinct points; error otherwise."""
-        key = (p, q) if p < q else (q, p)
-        lines = self.pair_lines().get(key, ())
-        if len(lines) != 1:
-            raise ValueError(f"points {p},{q} lie on {len(lines)} common lines")
-        return lines[0]
+        line, count, _ = self._common_lines()
+        v = self.n_points
+        n = int(count[p, q]) if 0 <= p < v and 0 <= q < v else 0
+        if n != 1:
+            raise ValueError(f"points {p},{q} lie on {n} common lines")
+        return int(line[p, q])
 
     def __repr__(self):
         return (f"IncidenceStructure({self.n_points} points, "
                 f"{self.n_lines} lines, {len(self.incidence)} incidences)")
-
-
-@dataclass(frozen=True)
-class IncidenceGraph:
-    """Bipartite view: vertices are eids, edges oriented line -> point."""
-
-    n_vertices: int
-    n_points: int
-    edges: tuple
-    adjacency: tuple
-
-
-def incidence_graph(s):
-    edges = tuple(sorted((s.line_eid(b), p) for p, b in s.incidence))
-    return IncidenceGraph(s.n_elements, s.n_points, edges, s.adjacency())
 
 
 # -- chains and distances --------------------------------------------------
@@ -330,14 +307,13 @@ def is_linear_space(s):
     for b, pts in enumerate(s.points_of_line):
         if len(pts) < 2:
             return Verdict(False, ("short-line", b))
-    table = s.pair_lines()
-    for p in range(s.n_points):
-        for q in range(p + 1, s.n_points):
-            lines = table.get((p, q), ())
-            if len(lines) == 0:
-                return Verdict(False, ("points-on-no-common-line", p, q))
-            if len(lines) > 1:
-                return Verdict(False, ("points-on-multiple-lines", p, q, lines))
+    _, count, bad = s._common_lines()
+    if bad is not None:
+        p, q = bad
+        if count[p, q] == 0:
+            return Verdict(False, ("points-on-no-common-line", p, q))
+        lines = tuple(sorted(set(s.lines_of_point[p]) & set(s.lines_of_point[q])))
+        return Verdict(False, ("points-on-multiple-lines", p, q, lines))
     if len(s.incidence) == s.n_points * s.n_lines:
         return Verdict(False, ("no-non-incident-pair",))
     return Verdict(True)
@@ -439,6 +415,21 @@ def structure_to_json(s, tags=None):
 
 
 def structure_from_json(doc):
-    """Returns (structure, tags-or-None)."""
+    """Returns (structure, tags-or-None); ValueError on a malformed doc."""
+    if not isinstance(doc, dict) or not all(
+            isinstance(doc.get(k), list) for k in ("points", "lines", "incidence")):
+        raise ValueError("a structure is an object with 'points', 'lines' "
+                         "and 'incidence' lists")
+    for pair in doc["incidence"]:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(is_int(x) for x in pair)):
+            raise ValueError(f"an incidence is a [point, line] pair of "
+                             f"integers, not {pair!r}")
     s = IncidenceStructure(doc["points"], doc["lines"], doc["incidence"])
-    return s, doc.get("tags")
+    tags = doc.get("tags")
+    if tags is not None and not (isinstance(tags, dict) and all(
+            isinstance(tags.get(k), list) and len(tags[k]) == n
+            and all(isinstance(t, list) and t for t in tags[k])
+            for k, n in (("points", s.n_points), ("lines", s.n_lines)))):
+        raise ValueError("tags need one nonempty list per point and per line")
+    return s, tags

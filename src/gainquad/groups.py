@@ -13,6 +13,7 @@ group law to whole numpy arrays of codes at once.
 import numpy as np
 
 from .fields import GF, Rationals
+from .storage import is_int
 
 
 def code_dtype(order):
@@ -28,9 +29,7 @@ class GroupAction:
     """A group G together with a left action on a set of labels.
 
     Subclasses provide identity/compose/inverse, act, and enumeration of
-    both the group and the label set.  ``conjugate(h, g)`` returns
-    h g h^-1; it is exposed for completeness and has no consumer beyond
-    its own property test.
+    both the group and the label set.
     """
 
     regular = False
@@ -45,9 +44,6 @@ class GroupAction:
 
     def inverse(self, g):
         raise NotImplementedError
-
-    def conjugate(self, h, g):
-        return self.compose(h, self.compose(g, self.inverse(h)))
 
     def act(self, g, lam):
         raise NotImplementedError
@@ -141,7 +137,10 @@ class CyclicGroup(GroupAction):
         return g
 
     def decode(self, d):
-        return int(d) % self.n
+        if not (is_int(d) and 0 <= d < self.n):
+            raise ValueError(f"an element of Z{self.n} is an integer in "
+                             f"0..{self.n - 1}, not {d!r}")
+        return d
 
 
 class AdditiveGroup(GroupAction):
@@ -227,6 +226,8 @@ class AdditiveGroup(GroupAction):
 
 
 def group_from_spec(spec):
+    if not isinstance(spec, dict):
+        raise ValueError(f"a group spec is a JSON object, not {spec!r}")
     kind = spec.get("kind")
     if kind == "Zn":
         return CyclicGroup(int(spec["modulus"]))

@@ -6,15 +6,19 @@ never interchanged; duality is an explicit catalog operation).  Colors
 are assigned by sorting signatures, so the refined partition does not
 depend on the input labeling.
 
-canonical_form backtracks over individualizations of the first smallest
+One search routine serves both entry points, in the individualize-
+refine scheme of McKay & Piperno, "Practical graph isomorphism II"
+(2014).  It backtracks over individualizations of the first smallest
 non-singleton cell and keeps the minimal (invariant path, bit matrix)
 leaf.  Leaves that tie the current best yield automorphisms, and sibling
 branches in the same orbit of the discovered group are skipped; that
 pruning is what makes the very symmetric quadrangles tractable.
 
-are_isomorphic compares canonical forms and reads the witness off the
-two canonical orderings.  The witness is always revalidated against the
-incidence condition before it is returned.
+canonical_form runs the search to its end.  are_isomorphic runs it to
+the end on the first structure, then on the second with the first's
+minimal key as a target, and reads the witness off the two orderings.
+The witness is always revalidated against the incidence condition
+before it is returned.
 """
 
 import hashlib
@@ -162,26 +166,48 @@ class _Backjump(Exception):
         self.depth = depth
 
 
-def _canonical_search(s, deadline=None):
-    """Full minimization: returns the best leaf's path, matrix, and order."""
+class _Stop(Exception):
+    """End a targeted search with its answer: the matching leaf's vertex
+    order, or None."""
+
+    def __init__(self, order):
+        self.order = order
+
+
+def _search(s, target=None, deadline=None):
+    """Individualize-refine search for the minimal (path, matrix) leaf.
+
+    Without a target, returns the best leaf as a dict with its path,
+    matrix ("cert"), vertex order and individualized base.  With a
+    target, the other structure's minimal (path, matrix) key, returns
+    the vertex order of the first leaf equal to it, or None when s's own
+    minimum differs: the search is the same minimization (own ties, own
+    backjumps), but any node or leaf provably below the target answers
+    no, since leaf keys are relabeling-invariant.
+    """
     ref = _Refiner(s)
     n = s.n_elements
     best = {"path": None, "cert": None, "order": None, "base": None}
     autos = set()
+    stage = "canonical labeling" if target is None else "isomorphism search"
 
     def rec(colors, path, fixed):
         if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("canonical labeling budget exceeded")
+            raise TimeoutError(f"{stage} budget exceeded")
         path = path + (ref.invariant(colors),)
+        if target is not None and path < target[0][:len(path)]:
+            raise _Stop(None)  # everything below here sorts under the target
         if best["path"] is not None and path > best["path"][:len(path)]:
             return
-        target = ref.target_cell(colors)
-        if target is None:
+        cell = ref.target_cell(colors)
+        if cell is None:
             order = [0] * n
             for v, c in enumerate(colors):
                 order[c] = v
             cert = _matrix_bytes(s, order)
             key = (path, cert)
+            if target is not None and key <= target:
+                raise _Stop(order if key == target else None)
             if best["path"] is None or key < (best["path"], best["cert"]):
                 best.update(path=path, cert=cert, order=order, base=fixed)
             elif key == (best["path"], best["cert"]):
@@ -198,94 +224,7 @@ def _canonical_search(s, deadline=None):
                     raise _Backjump(diverge)
             return
         explored = []
-        for v in (int(x) for x in np.flatnonzero(colors == target)):
-            gens = [g for g in autos if all(g[w] == w for w in fixed)]
-            if _orbit_hits(v, explored, gens):
-                continue
-            explored.append(v)
-            try:
-                rec(ref.individualize(colors, v), path, fixed + (v,))
-            except _Backjump as bj:
-                if bj.depth < len(fixed):
-                    raise
-                continue
-
-    rec(ref.refine(ref.initial_colors()), (), ())
-    return best
-
-
-def _form_from_order(s, order, matrix):
-    point_order = tuple(v for v in order if v < s.n_points)
-    line_order = tuple(v - s.n_points for v in order if v >= s.n_points)
-    header = f"{s.n_points}x{s.n_lines}:".encode()
-    cert = hashlib.sha256(header + matrix).hexdigest()
-    return CanonicalForm(s.n_points, s.n_lines, point_order, line_order,
-                         matrix, cert)
-
-
-def canonical_form(s, deadline=None):
-    best = _canonical_search(s, deadline=deadline)
-    return _form_from_order(s, best["order"], best["cert"])
-
-
-class _Found(Exception):
-    def __init__(self, order):
-        self.order = order
-
-
-class _Differ(Exception):
-    pass
-
-
-def _seeded_match(s, target_path, target_cert, deadline=None):
-    """Search s for a leaf matching a known minimal (path, matrix) key.
-
-    Returns the matching vertex order, or None when s's own minimum
-    differs from the target.  This is the canonical minimization of s
-    (own ties, own backjumps) with two target short-circuits: the first
-    leaf equal to the target answers yes, and any node or leaf provably
-    below the target answers no, since the target is the other
-    structure's minimum and leaf keys are relabeling-invariant.
-    """
-    ref = _Refiner(s)
-    n = s.n_elements
-    best = {"path": None, "cert": None, "order": None, "base": None}
-    autos = set()
-    target_key = (target_path, target_cert)
-
-    def rec(colors, path, fixed):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("isomorphism search budget exceeded")
-        path = path + (ref.invariant(colors),)
-        if path < target_path[:len(path)]:
-            raise _Differ  # everything below here sorts under the target
-        if best["path"] is not None and path > best["path"][:len(path)]:
-            return
-        target = ref.target_cell(colors)
-        if target is None:
-            order = [0] * n
-            for v, c in enumerate(colors):
-                order[c] = v
-            cert = _matrix_bytes(s, order)
-            key = (path, cert)
-            if key == target_key:
-                raise _Found(order)
-            if key < target_key:
-                raise _Differ
-            if best["path"] is None or key < (best["path"], best["cert"]):
-                best.update(path=path, cert=cert, order=order, base=fixed)
-            elif key == (best["path"], best["cert"]):
-                perm = [0] * n
-                for i in range(n):
-                    perm[best["order"][i]] = order[i]
-                autos.add(tuple(perm))
-                diverge = next((i for i in range(len(fixed))
-                                if fixed[i] != best["base"][i]), None)
-                if diverge is not None:
-                    raise _Backjump(diverge)
-            return
-        explored = []
-        for v in (int(x) for x in np.flatnonzero(colors == target)):
+        for v in (int(x) for x in np.flatnonzero(colors == cell)):
             gens = [g for g in autos if all(g[w] == w for w in fixed)]
             if _orbit_hits(v, explored, gens):
                 continue
@@ -299,11 +238,23 @@ def _seeded_match(s, target_path, target_cert, deadline=None):
 
     try:
         rec(ref.refine(ref.initial_colors()), (), ())
-    except _Found as hit:
-        return hit.order
-    except _Differ:
-        return None
-    return None
+    except _Stop as stop:
+        return stop.order
+    return best if target is None else None
+
+
+def _form_from_order(s, order, matrix):
+    point_order = tuple(v for v in order if v < s.n_points)
+    line_order = tuple(v - s.n_points for v in order if v >= s.n_points)
+    header = f"{s.n_points}x{s.n_lines}:".encode()
+    cert = hashlib.sha256(header + matrix).hexdigest()
+    return CanonicalForm(s.n_points, s.n_lines, point_order, line_order,
+                         matrix, cert)
+
+
+def canonical_form(s, deadline=None):
+    best = _search(s, deadline=deadline)
+    return _form_from_order(s, best["order"], best["cert"])
 
 
 def distinguishing_invariant(s1, s2):
@@ -340,8 +291,8 @@ def are_isomorphic(s1, s2, deadline=None):
     if (s1.n_points != s2.n_points or s1.n_lines != s2.n_lines
             or len(s1.incidence) != len(s2.incidence)):
         return None
-    best = _canonical_search(s1, deadline=deadline)
-    order2 = _seeded_match(s2, best["path"], best["cert"], deadline=deadline)
+    best = _search(s1, deadline=deadline)
+    order2 = _search(s2, (best["path"], best["cert"]), deadline=deadline)
     if order2 is None:
         return None
     cf1 = _form_from_order(s1, best["order"], best["cert"])

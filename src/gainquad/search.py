@@ -29,7 +29,7 @@ from .construction import DetourKernel, expand, gq_criterion, gq_parameters
 from .gains import GainGraph, gains_to_json, spanning_tree_edges, spanning_tree_gauge
 from .geometry import is_linear_space, structure_to_json
 from .iso import canonical_form
-from .storage import atomic_write
+from .storage import atomic_write, is_int
 
 # A batch holds at most this many detour values, one byte each for the
 # groups a scan can afford, so its temporaries stay near 128 kB.
@@ -105,6 +105,33 @@ def _config_digest(base, group, unreduced, near_miss):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _read_checkpoint(path, digest, total):
+    """The saved state of this search, or None when path does not exist.
+
+    Raises ValueError unless the file is a well-formed checkpoint written
+    by this same search.
+    """
+    try:
+        with open(path) as fh:
+            state = json.load(fh)
+    except FileNotFoundError:
+        return None
+    if not isinstance(state, dict):
+        raise ValueError(f"checkpoint {path} is not a JSON object")
+    if state.get("digest") != digest:
+        raise ValueError("checkpoint does not match this search")
+    counts = [state.get(k) for k in ("next_index", "scanned", "gq_count")]
+    misses = state.get("near_miss")
+    if (not all(is_int(c) and c >= 0 for c in counts)
+            or state["next_index"] > total
+            or not isinstance(state.get("certificates"), list)
+            or not isinstance(state.get("representatives"), list)
+            or not isinstance(misses, dict)
+            or not all(k.isdigit() and is_int(v) for k, v in misses.items())):
+        raise ValueError(f"checkpoint {path} is malformed")
+    return state
+
+
 def run_search(base, group, budget=None, unreduced=False, near_miss=True,
                checkpoint_path=None, checkpoint_every=2048):
     """Scan gain assignments on a connected finite linear space.
@@ -119,6 +146,8 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
         raise ValueError(f"search base is not a linear space: {ls.witness}")
     if not group.finite:
         raise ValueError("search needs a finite group")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, not {budget}")
 
     all_edges = sorted((b, p) for p, b in base.incidence)
     tree = set(spanning_tree_edges(base))
@@ -149,14 +178,8 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     reps = []
     misses = Counter()
     if checkpoint_path is not None:
-        try:
-            with open(checkpoint_path) as fh:
-                state = json.load(fh)
-        except FileNotFoundError:
-            state = None
+        state = _read_checkpoint(checkpoint_path, digest, total)
         if state is not None:
-            if state.get("digest") != digest:
-                raise ValueError("checkpoint does not match this search")
             start = state["next_index"]
             scanned = state["scanned"]
             gq_count = state["gq_count"]

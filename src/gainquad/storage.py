@@ -1,6 +1,12 @@
-"""Crash-safe file output shared by the CLI and the search checkpoint."""
+"""Crash-safe file output shared by the CLI and the search checkpoint,
+and the integer check that JSON input is validated with."""
 
 import os
+
+
+def is_int(x):
+    """True for a plain integer; bools and floats are refused."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def atomic_write(path, text):

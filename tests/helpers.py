@@ -64,6 +64,29 @@ def random_structure(rng, max_points=6, max_lines=6):
             return IncidenceStructure(list(range(v)), list(range(nb)), pairs)
 
 
+# -- linear-space oracle -----------------------------------------------------
+
+
+def naive_linear_space(s):
+    """(ok, witness) of the linear-space axioms by a loop over point pairs,
+    in the order and with the witnesses that is_linear_space reports."""
+    for b, pts in enumerate(s.points_of_line):
+        if len(pts) < 2:
+            return False, ("short-line", b)
+    for p in range(s.n_points):
+        for q in range(p + 1, s.n_points):
+            lines = tuple(b for b, pts in enumerate(s.points_of_line)
+                          if p in pts and q in pts)
+            if not lines:
+                return False, ("points-on-no-common-line", p, q)
+            if len(lines) > 1:
+                return False, ("points-on-multiple-lines", p, q, lines)
+    if all((p, b) in s.incidence_set
+           for p in range(s.n_points) for b in range(s.n_lines)):
+        return False, ("no-non-incident-pair",)
+    return True, None
+
+
 # -- chain oracle -------------------------------------------------------------
 
 

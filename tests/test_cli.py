@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from gainquad import GF, affine_plane
 from gainquad.cli import main
 
 
@@ -166,6 +169,64 @@ def test_search_reruns_are_byte_identical(tmp_path):
 def test_search_budget_exit_code(tmp_path):
     assert run("search", "--base", "ag2:2", "--group", "z:2",
                "--budget", "3", "--report", tmp_path / "r.json") == 3
+
+
+def test_verify_reruns_are_byte_identical(tmp_path):
+    # two lines through points 0 and 1, so the report carries a witness
+    base = tmp_path / "s.json"
+    base.write_text(json.dumps({"points": [0, 1, 2], "lines": [0, 1, 2],
+                                "incidence": [[0, 0], [1, 0], [0, 1], [1, 1],
+                                              [1, 2], [2, 2]]}))
+    report = tmp_path / "r.json"
+    argv = ("verify", base, "--as", "linear-space", "--report", report)
+    assert run(*argv) == 1
+    first = report.read_bytes()
+    assert read_json(report)["witness"] == ["points-on-multiple-lines", 0, 1, [0, 1]]
+    assert run(*argv) == 1
+    assert report.read_bytes() == first
+
+
+def _ag22_gains(group, element):
+    """A gains document on AG(2,2) whose every edge carries element."""
+    edges = [[p, b, element] for b in range(6) for p in range(4)
+             if (p, b) in affine_plane(GF(2)).structure.incidence_set]
+    return {"group": group, "gains": edges}
+
+
+_BAD_INPUT = {
+    "incidence-not-a-list": ({"s.json": {"points": [0], "lines": [0], "incidence": 5}},
+                             ["verify", "s.json", "--as", "gq"]),
+    "non-integer-incidence": ({"s.json": {"points": [0, 1], "lines": [0],
+                                          "incidence": [[0, 0], [1.5, 0]]}},
+                              ["verify", "s.json", "--as", "gq"]),
+    "tags-not-per-element": ({"s.json": {"points": [0, 1], "lines": [0],
+                                         "incidence": [[0, 0], [1, 0]],
+                                         "tags": {"points": [["x"], ["x"]], "lines": 3}}},
+                             ["export", "s.json", "--format", "dot"]),
+    "rational-zero-denominator": ({"g.json": _ag22_gains({"kind": "Q"}, [1, 0])},
+                                  ["build", "ag2", "2", "--gains", "g.json"]),
+    "cyclic-gain-as-list": ({"g.json": _ag22_gains({"kind": "Zn", "modulus": 2}, [1])},
+                            ["build", "ag2", "2", "--gains", "g.json"]),
+    "gf2-gain-out-of-range": ({"g.json": _ag22_gains({"kind": "GFpn", "p": 2, "n": 1}, [7])},
+                              ["build", "ag2", "2", "--gains", "g.json"]),
+    "checkpoint-not-an-object": ({"ck.json": [1, 2]},
+                                 ["search", "--base", "ag2:2", "--group", "z:2",
+                                  "--checkpoint", "ck.json"]),
+    "group-without-modulus": ({}, ["search", "--base", "ag2:2", "--group", "z"]),
+    "negative-budget": ({}, ["search", "--base", "ag2:2", "--group", "z:2",
+                             "--budget", "-5"]),
+}
+
+
+@pytest.mark.parametrize("files, argv", list(_BAD_INPUT.values()), ids=list(_BAD_INPUT))
+def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_unknown_file_is_usage_error():

@@ -10,6 +10,20 @@ from helpers import all_elements, oracle_add, oracle_mul
 SHIPPED_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
 
+def test_decode_is_strict_and_element_lenient():
+    F = GF(3, 2)
+    assert F.decode([2, 1]) == (2, 1)
+    for bad in ([3, 0], [-1, 0], [1], [1, 0, 0], 5, [1.0, 0], [True, 0], "21"):
+        with pytest.raises(ValueError):
+            F.decode(bad)
+    assert F.element(7) == (1, 2) and F.element([4, 0]) == (1, 0)
+    Q = Rationals()
+    assert Q.decode([2, -4]) == Fraction(-1, 2)
+    for bad in ([1, 0], [1], [1, 2, 3], [0.5, 1], 3):
+        with pytest.raises(ValueError):
+            Q.decode(bad)
+
+
 def test_gf2_addition_wraps():
     F = GF(2)
     assert F.add(F.one, F.one) == F.zero

@@ -103,6 +103,22 @@ def test_checkpoint_mismatch_rejected(tmp_path, plane2, plane3):
         run_search(plane3.structure, CyclicGroup(3), checkpoint_path=ck)
 
 
+@pytest.mark.parametrize("change", [
+    {"next_index": -1}, {"next_index": 9}, {"scanned": "0"}, {"gq_count": None},
+    {"certificates": {}}, {"representatives": 0}, {"near_miss": {"x": 1}},
+    {"near_miss": {"1": 2.5}}])
+def test_malformed_checkpoint_rejected(tmp_path, plane2, change):
+    ck = tmp_path / "scan.ck"
+    state = {"digest": _config_digest(plane2.structure, CyclicGroup(2), False, True),
+             "next_index": 4, "scanned": 4, "gq_count": 0, "certificates": [],
+             "representatives": [], "near_miss": {"1": 4}}
+    ck.write_text(json.dumps(state))
+    assert run_search(plane2.structure, CyclicGroup(2), checkpoint_path=str(ck)).scanned == 8
+    ck.write_text(json.dumps({**state, **change}))
+    with pytest.raises(ValueError, match="malformed"):
+        run_search(plane2.structure, CyclicGroup(2), checkpoint_path=str(ck))
+
+
 def test_verdict_is_switching_invariant(plane2):
     rng = random.Random(21)
     group = CyclicGroup(2)
