@@ -2,7 +2,7 @@
 quadrangle-yielding gains, the symplectic quadrangle W(q), the Payne
 derivation, and plain duality."""
 
-from itertools import product
+from itertools import combinations, product
 
 from .fields import field_from_order
 from .geometry import IncidenceStructure
@@ -157,19 +157,25 @@ class SymplecticQuadrangle:
         self.vectors = vectors
         self.point_ids = {v: i for i, v in enumerate(vectors)}
 
-        lines = set()
-        npts = len(vectors)
-        for i in range(npts):
-            u = vectors[i]
-            for j in range(i + 1, npts):
-                w = vectors[j]
-                if _form(F, u, w) == F.zero:
-                    pts = {j}
-                    for t in els:
-                        shifted = tuple(F.add(u[k], F.mul(t, w[k]))
-                                        for k in range(4))
-                        pts.add(self.point_ids[_normalize(F, shifted)])
-                    lines.add(frozenset(pts))
+        # Each 2-space has one reduced echelon basis (u, w), pivots c < d:
+        # w is normalized with lead d, and every u + t w with lead c.
+        lines = []
+        for c, d in combinations(range(4), 2):
+            free = [k for k in range(c + 1, 4) if k != d]
+            for w in vectors:
+                if w.index(F.one) != d:
+                    continue
+                for tail in product(els, repeat=len(free)):
+                    u = [F.zero] * 4
+                    u[c] = F.one
+                    for k, a in zip(free, tail):
+                        u[k] = a
+                    if _form(F, u, w) == F.zero:
+                        lines.append(frozenset(
+                            [self.point_ids[w]]
+                            + [self.point_ids[tuple(F.add(a, F.mul(t, b))
+                                                    for a, b in zip(u, w))]
+                               for t in els]))
         self.line_sets = sorted(lines, key=sorted)
 
         r = F.render
@@ -215,13 +221,17 @@ def payne_derivation(w, x_index=0):
             assert len(pts) == q
             line_sets.append(pts)
             seen.add(pts)
+    covered = set()
     for old in surviving:
+        if new_id[old] in covered:
+            continue  # its line through x is already in line_sets
         yvec = w.vectors[old]
         pts = set()
         for t in F.elements():
             shifted = tuple(F.add(yvec[k], F.mul(t, x[k])) for k in range(4))
             pts.add(new_id[w.point_ids[_normalize(F, shifted)]])
         pts = frozenset(pts)
+        covered |= pts
         if pts not in seen:
             assert len(pts) == q
             seen.add(pts)

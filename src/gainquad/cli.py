@@ -7,8 +7,9 @@ configuration (seed included) so runs are reproducible; output files are
 written atomically.
 
 Wherever a structure file is expected, a generator spec is also
-accepted: "ag2:p[:n]" for the affine plane over GF(p^n), "w:q" for the
-symplectic quadrangle, "payne-dual:q" for the dual of its derivation.
+accepted: "ag2:q" for the affine plane over GF(q), q a prime power, or
+"ag2:p:n" over GF(p^n), "w:q" for the symplectic quadrangle,
+"payne-dual:q" for the dual of its derivation.
 """
 
 import argparse
@@ -21,8 +22,9 @@ import time
 from . import catalog
 from .construction import expand, gq_criterion, switching_isomorphism
 from .fields import GF, field_from_order
-from .gains import gains_from_json, gains_to_json, identity_gains
-from .geometry import (is_generalized_ngon, is_linear_space, is_ovoid,
+from .gains import GainGraph, gains_from_json, gains_to_json, identity_gains
+from .geometry import (IncidenceStructure, is_generalized_ngon,
+                       is_generalized_quadrangle, is_linear_space, is_ovoid,
                        quadrangle_order, steiner_parameters, structure_from_json,
                        structure_to_json, verify_isomorphism)
 from .groups import CyclicGroup, group_from_spec
@@ -39,16 +41,18 @@ def _write_json(path, doc):
 
 def _field_from_args(args):
     if len(args) == 1:
-        return GF(args[0])
+        return field_from_order(args[0])
     if len(args) == 2:
         return GF(args[0], args[1])
-    raise ValueError("ag2 takes one or two integer arguments: p [n]")
+    raise ValueError("ag2 takes one or two integer arguments: q or p n")
 
 
 def realize_base(tokens):
     """Resolve a structure source: file path or generator spec.
 
-    Returns a dict with structure, optional tags, optional plane, name.
+    Generator specs are "ag2:q" (q a prime power) or "ag2:p:n" for the
+    affine plane, "w:q" and "payne-dual:q".  Returns a dict with
+    structure, optional tags, optional plane, name.
     """
     if isinstance(tokens, str):
         tokens = tokens.split(":")
@@ -151,13 +155,20 @@ def cmd_verify(args):
     s, tags = base["structure"], base["tags"]
     report = {"config": _config(args, "verify"), "input": base["name"],
               "check": args.check}
-    ok = False
+    if args.check == "ovoid" and tags is None:
+        raise ValueError("ovoid check needs an expansion file with tags")
+    if args.check in ("linear-space", "steiner"):
+        name, check = "is_linear_space", is_linear_space
+    else:
+        name, check = "is_generalized_quadrangle", is_generalized_quadrangle
+    start = time.perf_counter()
+    verdict = check(s)
+    _note(args, f"{name}: {s.n_elements} elements in "
+                f"{time.perf_counter() - start:.3f} s")
+    ok = verdict.ok
     if args.check == "linear-space":
-        verdict = is_linear_space(s)
-        ok = verdict.ok
         report["witness"] = verdict.witness
     elif args.check == "steiner":
-        verdict = is_linear_space(s)
         sp = steiner_parameters(s) if verdict else None
         ok = sp is not None
         if ok:
@@ -166,24 +177,17 @@ def cmd_verify(args):
             report["witness"] = (verdict.witness if not verdict
                                  else "unequal-line-sizes")
     elif args.check == "gq":
-        verdict = is_generalized_ngon(s, 4)
-        ok = verdict.ok
         if ok:
-            s_par, t_par = quadrangle_order(s)
-            report["s"], report["t"] = s_par, t_par
+            report["s"], report["t"] = quadrangle_order(s)
         else:
             report["witness"] = verdict.witness
-    elif args.check == "ovoid":
-        if tags is None:
-            raise ValueError("ovoid check needs an expansion file with tags")
-        verdict = is_generalized_ngon(s, 4)
-        if not verdict:
-            report["witness"] = ("not-a-quadrangle",) + tuple(verdict.witness)
-        else:
-            xs = {i for i, t in enumerate(tags["points"]) if t[0] == "x"}
-            ok = is_ovoid(s, xs)
-            if not ok:
-                report["witness"] = "x-points-not-an-ovoid"
+    elif not verdict:
+        report["witness"] = ("not-a-quadrangle",) + tuple(verdict.witness)
+    else:
+        xs = {i for i, t in enumerate(tags["points"]) if t[0] == "x"}
+        ok = is_ovoid(s, xs)
+        if not ok:
+            report["witness"] = "x-points-not-an-ovoid"
     report["ok"] = ok
     if args.report:
         _write_json(args.report, report)
@@ -314,16 +318,17 @@ def cmd_selftest(args):
 
     plane = catalog.affine_plane(GF(2))
     g0 = catalog.affine_gains(plane)
-    agreement = True
+    randoms = []
     for _ in range(20):
         gains = {k: g0.group.decode([rng.randrange(2)]) for k in g0.gains}
-        from .gains import GainGraph
         g = GainGraph(plane.structure, g0.group, gains)
-        if bool(gq_criterion(g)) != bool(is_generalized_ngon(expand(g), 4)):
-            agreement = False
-            break
-    check("criterion agrees with the generic verifier on random gains",
-          agreement)
+        randoms.append((g, expand(g)))
+    check("criterion agrees with the quadrangle check on random gains",
+          all(bool(gq_criterion(g)) == bool(is_generalized_quadrangle(c))
+              for g, c in randoms))
+    check("quadrangle check agrees with the census oracle",
+          all(is_generalized_quadrangle(c) == is_generalized_ngon(c, 4)
+              for _, c in randoms))
 
     ok = True
     for _ in range(10):
@@ -341,7 +346,6 @@ def cmd_selftest(args):
     perm_lns = list(range(c.n_lines))
     rng.shuffle(perm_pts)
     rng.shuffle(perm_lns)
-    from .geometry import IncidenceStructure
     inv_p = [0] * len(perm_pts)
     for i, j in enumerate(perm_pts):
         inv_p[j] = i
@@ -379,7 +383,7 @@ def build_parser():
 
     p = sub.add_parser("build", help="expand a gain graph into a structure file")
     p.add_argument("base", nargs="+",
-                   help="structure file, or generator: ag2 p [n]")
+                   help="structure file, or generator: ag2 q or ag2 p n")
     p.add_argument("--gains", help="gain-function JSON file")
     p.add_argument("--with-gains", action="store_true",
                    help="use the shipped affine-plane gains (ag2 bases)")
@@ -414,7 +418,8 @@ def build_parser():
 
     p = sub.add_parser("search", help="scan gain functions on a linear space")
     p.add_argument("--base", required=True,
-                   help="structure file or generator spec like ag2:2")
+                   help="structure file or generator spec: ag2:q, ag2:p:n, "
+                        "w:q, payne-dual:q")
     p.add_argument("--group", required=True, help="z:n, gf:p[:n]")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--unreduced", action="store_true",

@@ -8,7 +8,10 @@ instances, always in lowest terms with positive denominator.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+
+import numpy as np
 
 from .storage import is_int
 
@@ -81,7 +84,8 @@ class GF:
     Elements are coefficient tuples of length n.  The modulus defaults to
     the shipped table for orders 4, 8, 9, 16, the unique degree-1 monic x
     for prime fields, and the lexicographically smallest monic irreducible
-    otherwise.
+    otherwise.  Products and inverses read log/antilog tables, O(q) in
+    memory, built on first use so that constructing a field stays cheap.
     """
 
     finite = True
@@ -158,6 +162,18 @@ class GF:
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b):
+        log, exp = self._tables
+        return exp[log[a] + log[b]]
+
+    def inv(self, a):
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of zero")
+        log, exp = self._tables
+        return exp[self.order - 1 - log[a]]
+
+    def _poly_mul(self, a, b):
+        """The polynomial product mod the modulus: the log tables' source
+        and test reference."""
         prod = [0] * (2 * self.n - 1)
         for i, x in enumerate(a):
             if x:
@@ -167,19 +183,44 @@ class GF:
         rem += [0] * (self.n - len(rem))
         return tuple(rem)
 
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero")
-        # a^(q-2) by square and multiply; valid in any finite field.
+    @cached_property
+    def _tables(self):
+        """(log, exp) to a primitive element g.  exp holds two periods of
+        the powers of g, so a sum of two logs needs no reduction; zero's
+        log points past them into a run of zeros every sum with it hits."""
+        q1 = self.order - 1
+        g = next(g for g in self.elements()[1:] if self._is_primitive(g))
+        powers = self._powers(g)
+        log = {a: k for k, a in enumerate(powers)}
+        log[self.zero] = 2 * q1
+        return log, powers * 2 + [self.zero] * (2 * q1 + 1)
+
+    def _is_primitive(self, g):
+        """Whether g^((q-1)/r) != 1 for every prime r dividing q - 1."""
+        q1 = self.order - 1
+        return all(self._poly_pow(g, q1 // r) != self.one
+                   for r in range(2, q1 + 1) if q1 % r == 0 and is_prime(r))
+
+    def _poly_pow(self, a, e):
         result = self.one
-        base = a
-        e = self.order - 2
         while e:
             if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self._poly_mul(result, a)
+            a = self._poly_mul(a, a)
             e >>= 1
         return result
+
+    def _powers(self, g):
+        """g^0 .. g^(q-2).  Each block of powers is followed by itself
+        times g^k, k its length: a linear map with rows g^k x^i."""
+        x = self.element(self.p)
+        rows = np.array([self.one])
+        while len(rows) < self.order - 1:
+            basis = [self._poly_mul(tuple(rows[-1].tolist()), g)]
+            for _ in range(self.n - 1):
+                basis.append(self._poly_mul(basis[-1], x))
+            rows = np.concatenate([rows, rows @ np.array(basis) % self.p])
+        return [tuple(r) for r in rows[:self.order - 1].tolist()]
 
     # -- encoding ------------------------------------------------------------
 

@@ -29,6 +29,10 @@ import numpy as np
 
 from .geometry import Isomorphism, verify_isomorphism
 
+# Bump on any change that can change certificates (refinement, invariant,
+# search order, matrix encoding): search checkpoints record it.
+CERTIFICATE_VERSION = 1
+
 
 class _Refiner:
     """Vectorized refinement context for one structure."""
@@ -180,10 +184,10 @@ def _search(s, target=None, deadline=None):
     Without a target, returns the best leaf as a dict with its path,
     matrix ("cert"), vertex order and individualized base.  With a
     target, the other structure's minimal (path, matrix) key, returns
-    the vertex order of the first leaf equal to it, or None when s's own
-    minimum differs: the search is the same minimization (own ties, own
-    backjumps), but any node or leaf provably below the target answers
-    no, since leaf keys are relabeling-invariant.
+    the vertex order of the first leaf whose path equals the target's, or
+    None when s's own minimum differs: the search is the same
+    minimization (own ties, own backjumps), but any node provably below
+    the target answers no, since leaf keys are relabeling-invariant.
     """
     ref = _Refiner(s)
     n = s.n_elements
@@ -205,9 +209,13 @@ def _search(s, target=None, deadline=None):
             for v, c in enumerate(colors):
                 order[c] = v
             cert = _matrix_bytes(s, order)
+            if target is not None and path == target[0]:
+                # The invariant of a discrete partition digests every
+                # edge between two positions, so an equal path means an
+                # equal matrix; are_isomorphic re-verifies the witness.
+                assert cert == target[1], "equal invariant paths, unequal matrices"
+                raise _Stop(order)
             key = (path, cert)
-            if target is not None and key <= target:
-                raise _Stop(order if key == target else None)
             if best["path"] is None or key < (best["path"], best["cert"]):
                 best.update(path=path, cert=cert, order=order, base=fixed)
             elif key == (best["path"], best["cert"]):

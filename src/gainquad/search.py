@@ -28,7 +28,7 @@ import numpy as np
 from .construction import DetourKernel, expand, gq_criterion, gq_parameters
 from .gains import GainGraph, gains_to_json, spanning_tree_edges, spanning_tree_gauge
 from .geometry import is_linear_space, structure_to_json
-from .iso import canonical_form
+from .iso import CERTIFICATE_VERSION, canonical_form
 from .storage import atomic_write, is_int
 
 # A batch holds at most this many detour values, one byte each for the
@@ -101,6 +101,7 @@ def _config_digest(base, group, unreduced, near_miss):
         "group": group.spec(),
         "unreduced": unreduced,
         "near_miss": near_miss,
+        "certificate_version": CERTIFICATE_VERSION,
     }, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -286,16 +287,16 @@ def verify_known(plane):
     stages raise instead of reporting.
     """
     from .catalog import affine_gains
-    from .geometry import is_generalized_ngon
+    from .geometry import is_generalized_quadrangle
 
     g = affine_gains(plane)
     verdict = gq_criterion(g)
     if not verdict:
         raise RuntimeError(f"criterion rejected the shipped gains: {verdict.witness}")
     c = expand(g)
-    ngon = is_generalized_ngon(c, 4)
-    if not ngon:
-        raise RuntimeError(f"verifier rejected the expansion: {ngon.witness}")
+    gq = is_generalized_quadrangle(c)
+    if not gq:
+        raise RuntimeError(f"verifier rejected the expansion: {gq.witness}")
     s_par, t_par = gq_parameters(c)
     q = plane.field.order
     return {

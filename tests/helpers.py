@@ -6,7 +6,9 @@ permutations, and field arithmetic is redone with schoolbook polynomial
 division.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+
+import numpy as np
 
 from gainquad.geometry import IncidenceStructure
 
@@ -169,3 +171,41 @@ def oracle_add(p, a, b):
 
 def all_elements(p, n):
     return [tuple(t) for t in product(range(p), repeat=n)]
+
+
+def brute_force_inverse(F, a):
+    """The b with a * b = 1 under the polynomial product, by trial."""
+    return next(b for b in F.elements() if F._poly_mul(a, b) == F.one)
+
+
+# -- symplectic quadrangle oracle ------------------------------------------------
+
+
+def naive_symplectic(F):
+    """(vectors, line_sets) of W(q) from the polynomial product alone.
+
+    Points are the normalized nonzero vectors of F^4 ordered by leading
+    position, then coordinates.  The line through two orthogonal points
+    i, j is the set of points orthogonal to both: the span U of a totally
+    isotropic 2-space is its own perp, so {i, j}^perp = U.
+    """
+    els = F.elements()
+    code = {a: k for k, a in enumerate(els)}
+    table = np.array([[code[F._poly_mul(a, b)] for b in els] for a in els])
+    sub = np.array([[code[F.sub(a, b)] for b in els] for a in els])
+    add = np.array([[code[F.add(a, b)] for b in els] for a in els])
+
+    def lead(vec):
+        return next(k for k, c in enumerate(vec) if c != F.zero)
+
+    vectors = sorted((vec for vec in product(els, repeat=4)
+                      if any(c != F.zero for c in vec) and vec[lead(vec)] == F.one),
+                     key=lambda vec: (lead(vec), vec))
+    u = np.array([[code[c] for c in vec] for vec in vectors])
+    x, y = u[:, None, :], u[None, :, :]
+    form = add[sub[table[x[..., 0], y[..., 1]], table[x[..., 1], y[..., 0]]],
+               sub[table[x[..., 2], y[..., 3]], table[x[..., 3], y[..., 2]]]]
+    perp = form == code[F.zero]
+    lines = {frozenset(np.flatnonzero(perp[i] & perp[j]).tolist())
+             for i, j in combinations(range(len(vectors)), 2) if perp[i, j]}
+    return vectors, sorted(lines, key=sorted)

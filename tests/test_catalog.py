@@ -11,6 +11,7 @@ from gainquad import (GF, Rationals, affine_gains, affine_plane, are_isomorphic,
                       is_generalized_ngon, is_linear_space, payne_derivation,
                       quadrangle_order, steiner_parameters,
                       symplectic_quadrangle, walk_gain)
+from helpers import naive_symplectic
 
 
 def test_plane_counts():
@@ -167,6 +168,21 @@ def test_symplectic_quadrangle(q, points):
         others = sum(1 for j in range(s.n_points)
                      if j != i and w.collinear(i, j))
         assert others == q * (q + 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_symplectic_matches_polynomial_oracle(q):
+    w = symplectic_quadrangle(q)
+    vectors, line_sets = naive_symplectic(w.field)
+    assert w.vectors == vectors
+    assert w.line_sets == line_sets
+    s = w.structure
+    r = w.field.render
+    assert s.point_labels == tuple(f"<{','.join(r(c) for c in v)}>" for v in vectors)
+    assert s.line_labels == tuple("{" + ",".join(map(str, sorted(ls))) + "}"
+                                  for ls in line_sets)
+    assert s.incidence == tuple(sorted((p, j) for j, ls in enumerate(line_sets)
+                                       for p in ls))
 
 
 def test_symplectic_rejects_oversized():

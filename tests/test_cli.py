@@ -1,6 +1,7 @@
 """The command-line surface: subcommands, exit codes, file formats."""
 
 import json
+import re
 
 import pytest
 
@@ -71,6 +72,30 @@ def test_verify_gq(tmp_path):
     doc = read_json(report)
     assert doc["ok"] and (doc["s"], doc["t"]) == (5, 3)
     assert doc["config"]["command"] == "verify"
+
+
+def test_ag2_takes_a_prime_power(tmp_path):
+    outputs = {}
+    for spec in (["4"], ["2", "2"]):
+        out = tmp_path / f"m{'-'.join(spec)}.json"
+        assert run("build", "ag2", *spec, "--with-gains", "-o", out) == 0
+        doc = read_json(out)
+        del doc["config"]
+        outputs[len(spec)] = doc
+    assert outputs[1] == outputs[2]
+    for spec in ("ag2:4", "ag2:2:2"):
+        assert run("export", spec, "--format", "json", "-o", tmp_path / f"{spec}.json") == 0
+    assert (tmp_path / "ag2:4.json").read_bytes() == (tmp_path / "ag2:2:2.json").read_bytes()
+    assert run("verify", "ag2:4", "--as", "steiner") == 0
+    assert run("search", "--base", "ag2:4", "--group", "gf:2:2", "--budget", "5") == 3
+
+
+def test_verify_verbose_times_the_check_outside_the_report(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert run("-v", "verify", "w:2", "--as", "gq", "--report", report) == 0
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"is_generalized_quadrangle: 30 elements in \d+\.\d{3} s\n", err)
+    assert set(read_json(report)) == {"config", "input", "check", "s", "t", "ok"}
 
 
 def test_verify_linear_space_and_steiner():
@@ -213,6 +238,9 @@ _BAD_INPUT = {
                                  ["search", "--base", "ag2:2", "--group", "z:2",
                                   "--checkpoint", "ck.json"]),
     "group-without-modulus": ({}, ["search", "--base", "ag2:2", "--group", "z"]),
+    "ag2-not-a-prime-power": ({}, ["verify", "ag2:6", "--as", "linear-space"]),
+    "ag2-not-a-prime-power-build": ({}, ["build", "ag2", "6", "--with-gains"]),
+    "ag2-three-arguments": ({}, ["verify", "ag2:2:2:2", "--as", "linear-space"]),
     "negative-budget": ({}, ["search", "--base", "ag2:2", "--group", "z:2",
                              "--budget", "-5"]),
 }

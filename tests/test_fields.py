@@ -1,11 +1,12 @@
 """Field arithmetic against a schoolbook oracle and the field axioms."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from gainquad import GF, Rationals, field_from_order
-from helpers import all_elements, oracle_add, oracle_mul
+from helpers import all_elements, brute_force_inverse, oracle_add, oracle_mul
 
 SHIPPED_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -72,7 +73,22 @@ def test_full_tables_against_oracle(q):
     for a in els:
         for b in els:
             assert F.add(a, b) == oracle_add(F.p, a, b)
-            assert F.mul(a, b) == oracle_mul(F.p, F.modulus, a, b)
+            # the log tables, the polynomial reference and the schoolbook
+            assert F.mul(a, b) == F._poly_mul(a, b) == oracle_mul(F.p, F.modulus, a, b)
+
+
+@pytest.mark.parametrize("p, n", [(2, 16), (3, 10), (65521, 1)])
+def test_log_tables_at_large_orders(p, n):
+    F = GF(p, n)
+    assert "_tables" not in vars(F)  # constructing a field builds no table
+    rng = random.Random(p * n)
+    els = [F.element(rng.randrange(F.order)) for _ in range(300)] + [F.zero, F.one]
+    for a, b in zip(els, els[1:] + els[:1]):
+        assert F.mul(a, b) == F._poly_mul(a, b)
+        if a != F.zero:
+            assert F._poly_mul(a, F.inv(a)) == F.one
+    log, exp = F._tables
+    assert len(log) == F.order and len(exp) == 4 * (F.order - 1) + 1
 
 
 @pytest.mark.parametrize("q", SHIPPED_ORDERS)
@@ -83,6 +99,9 @@ def test_inverses_and_axioms(q):
         assert F.add(a, F.neg(a)) == F.zero
         if a != F.zero:
             assert F.mul(a, F.inv(a)) == F.one
+            assert F.inv(a) == brute_force_inverse(F, a)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
     # distributivity on the full cube is overkill; sample the diagonal
     for a in els:
         for b in els:

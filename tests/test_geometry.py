@@ -5,13 +5,18 @@ import random
 
 import pytest
 
-from gainquad import (GF, IncidenceStructure, affine_plane, count_shortest_chains,
-                      compose_isomorphisms, distance, firmness, invert_isomorphism,
-                      is_chain, is_generalized_ngon, is_linear_space, is_ovoid,
-                      Isomorphism, steiner_parameters, structure_from_json,
-                      structure_to_json, verify_isomorphism)
-from helpers import (enumerate_chains, naive_linear_space, naive_shortest_count,
-                     quadrilateral, random_structure, relabeled, tiny_base)
+import gainquad.geometry as geometry
+from gainquad import (GF, CyclicGroup, GainGraph, IncidenceStructure, affine_gains,
+                      affine_plane, count_shortest_chains, compose_isomorphisms,
+                      distance, dual, expand, field_from_order, firmness,
+                      invert_isomorphism, is_chain, is_generalized_ngon,
+                      is_generalized_quadrangle, is_linear_space, is_ovoid,
+                      Isomorphism, payne_derivation, steiner_parameters,
+                      structure_from_json, structure_to_json,
+                      symplectic_quadrangle, verify_isomorphism)
+from helpers import (enumerate_chains, grid_quadrangle, naive_linear_space,
+                     naive_shortest_count, quadrilateral, random_structure,
+                     relabeled, tiny_base)
 
 
 def test_construction_validation():
@@ -209,6 +214,62 @@ def test_ngon_rejects_duplicate_chains():
     verdict = is_generalized_ngon(s, 4)
     assert not verdict.ok
     assert verdict.witness[0] == "uniqueness"
+
+
+def _perturbed(s, rng, move):
+    """s with one random incidence removed or, when move, moved to
+    another point of the same line."""
+    pairs = list(s.incidence)
+    p, b = pairs.pop(rng.randrange(len(pairs)))
+    if move:
+        p = rng.choice([x for x in range(s.n_points) if (x, b) not in s.incidence_set])
+        pairs.append((p, b))
+    return IncidenceStructure(s.point_labels, s.line_labels, pairs)
+
+
+def _quadrangle_cases():
+    rng = random.Random(44)
+    cases = [IncidenceStructure(["p", "q"], ["a"], [(0, 0)]),  # isolated point
+             IncidenceStructure(["p", "q"], ["a", "b"], [(0, 0), (1, 0)]),  # isolated line
+             IncidenceStructure(["p"], ["a"], [(0, 0)]),  # a single flag
+             IncidenceStructure(["p", "q"], ["a", "b"],  # two points on two lines
+                                [(0, 0), (1, 0), (0, 1), (1, 1)]),
+             grid_quadrangle(3), quadrilateral()]
+    expansions = []
+    for q in (2, 3, 4, 5, 7):
+        plane = affine_plane(field_from_order(q))
+        expansions.append(expand(affine_gains(plane)))
+        cases += [plane.structure, expansions[-1]]
+    for q in (2, 3, 4):
+        w = symplectic_quadrangle(q)
+        d = payne_derivation(w)
+        cases += [w.structure, dual(w.structure), d, dual(d)]
+    cases += [random_structure(rng) for _ in range(300)]
+    for c in expansions[:3]:
+        cases += [_perturbed(c, rng, move) for move in (False, True) for _ in range(8)]
+    for q in (2, 3):
+        base = affine_plane(GF(q)).structure
+        for _ in range(20):
+            gains = {(b, p): CyclicGroup(2).elements()[rng.randrange(2)]
+                     for p, b in base.incidence}
+            cases.append(expand(GainGraph(base, CyclicGroup(2), gains)))
+    return cases
+
+
+def test_quadrangle_check_matches_census_oracle(monkeypatch):
+    census = geometry.is_generalized_ngon
+    calls = []
+    monkeypatch.setattr(geometry, "is_generalized_ngon",
+                        lambda s, n: calls.append(n) or census(s, n))
+    kinds = set()
+    for s in _quadrangle_cases():
+        expected = census(s, 4)
+        calls.clear()
+        assert is_generalized_quadrangle(s) == expected, s
+        # the census only runs to report a failure with its witness
+        assert calls == ([] if expected else [4]), s
+        kinds.add(expected.witness[0] if expected.witness else "pass")
+    assert kinds == {"pass", "distance", "uniqueness"}
 
 
 def test_firmness_not_firm():

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from gainquad import (IncidenceStructure, are_isomorphic, canonical_form,
-                      distinguishing_invariant, dual, payne_derivation,
-                      symplectic_quadrangle, verify_isomorphism)
+from gainquad import (IncidenceStructure, affine_gains, affine_plane, are_isomorphic,
+                      canonical_form, distinguishing_invariant, dual, expand,
+                      field_from_order, payne_derivation, symplectic_quadrangle,
+                      verify_isomorphism)
 from helpers import (brute_force_isomorphic, grid_quadrangle, quadrilateral,
                      random_structure, relabeled, tiny_base)
 
@@ -81,6 +82,38 @@ def test_brute_force_agreement_small():
         if got is not None:
             assert verify_isomorphism(s1, s2, got)
         pairs += 1
+
+
+def _uniform_structure(rng, v, nb, k):
+    """nb random k-subsets of v points as lines; every line has size k."""
+    lines = [rng.sample(range(v), k) for _ in range(nb)]
+    return IncidenceStructure(range(v), range(nb),
+                              [(p, b) for b, pts in enumerate(lines) for p in pts])
+
+
+def test_targeted_search_witnesses_verify():
+    rng = random.Random(23)
+    pairs = []
+    for q in (2, 3):
+        left = expand(affine_gains(affine_plane(field_from_order(q))))
+        right = dual(payne_derivation(symplectic_quadrangle(q)))
+        pairs += [(left, right), (right, relabeled(left, rng)[0])]
+    while len(pairs) < 520:
+        v, nb = rng.randint(3, 6), rng.randint(2, 5)
+        k = rng.randint(2, v - 1)
+        s1 = _uniform_structure(rng, v, nb, k)
+        s2 = (relabeled(s1, rng)[0] if rng.random() < 0.5
+              else _uniform_structure(rng, v, nb, k))
+        pairs.append((s1, s2))
+    found = 0
+    for s1, s2 in pairs:
+        iso = are_isomorphic(s1, s2)
+        if s1.n_points <= 6:
+            assert (iso is not None) == brute_force_isomorphic(s1, s2)
+        if iso is not None:
+            assert verify_isomorphism(s1, s2, iso)
+            found += 1
+    assert 0 < found < len(pairs)
 
 
 def test_distinguishing_invariants():

@@ -103,6 +103,20 @@ def test_checkpoint_mismatch_rejected(tmp_path, plane2, plane3):
         run_search(plane3.structure, CyclicGroup(3), checkpoint_path=ck)
 
 
+def test_checkpoint_of_another_certificate_version_exits_2(tmp_path, monkeypatch, capsys):
+    from gainquad.cli import main
+    ck = tmp_path / "scan.ck"
+    argv = ["search", "--base", "ag2:3", "--group", "z:3", "--budget", "50",
+            "--checkpoint", str(ck)]
+    monkeypatch.setattr(search_module, "CERTIFICATE_VERSION",
+                        search_module.CERTIFICATE_VERSION + 1)
+    assert main(argv) == 3 and ck.exists()
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: checkpoint does not match this search\n"
+
+
 @pytest.mark.parametrize("change", [
     {"next_index": -1}, {"next_index": 9}, {"scanned": "0"}, {"gq_count": None},
     {"certificates": {}}, {"representatives": 0}, {"near_miss": {"x": 1}},
