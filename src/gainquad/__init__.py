@@ -10,12 +10,13 @@ isomorphism tooling, and a search over gain assignments on small bases.
 
 from .fields import GF, Rationals, field_from_order
 from .groups import AdditiveGroup, CyclicGroup, GroupAction, group_from_spec
-from .geometry import (IncidenceStructure, Isomorphism, Verdict, chain_census,
-                       compose_isomorphisms, count_shortest_chains, distance,
-                       firmness, invert_isomorphism, is_chain, is_generalized_ngon,
-                       is_generalized_quadrangle, is_linear_space, is_ovoid,
-                       quadrangle_order, steiner_parameters, structure_from_json,
-                       structure_to_json, verify_isomorphism)
+from .geometry import (IncidenceStructure, Isomorphism, Verdict, census_ngon,
+                       chain_census, compose_isomorphisms, count_shortest_chains,
+                       distance, firmness, invert_isomorphism, is_chain,
+                       is_generalized_ngon, is_generalized_quadrangle,
+                       is_linear_space, is_ovoid, quadrangle_order,
+                       steiner_parameters, structure_from_json, structure_to_json,
+                       verify_isomorphism)
 from .gains import (GainGraph, gains_from_json, gains_to_json, identity_gains,
                     spanning_tree_edges, spanning_tree_gauge, switch, walk_gain)
 from .construction import (Expansion, bijective_pair_count, detour_gains, expand,

@@ -214,13 +214,11 @@ def payne_derivation(w, x_index=0):
         raise ValueError("unexpected survivor count; base point not regular?")
 
     line_sets = []
-    seen = set()
     for ls in w.line_sets:
         if x_index not in ls:
             pts = frozenset(new_id[i] for i in ls if i in new_id)
             assert len(pts) == q
             line_sets.append(pts)
-            seen.add(pts)
     covered = set()
     for old in surviving:
         if new_id[old] in covered:
@@ -231,11 +229,9 @@ def payne_derivation(w, x_index=0):
             shifted = tuple(F.add(yvec[k], F.mul(t, x[k])) for k in range(4))
             pts.add(new_id[w.point_ids[_normalize(F, shifted)]])
         pts = frozenset(pts)
+        assert len(pts) == q
         covered |= pts
-        if pts not in seen:
-            assert len(pts) == q
-            seen.add(pts)
-            line_sets.append(pts)
+        line_sets.append(pts)
 
     if len(line_sets) != q * q * (q + 2):
         raise ValueError("unexpected line count in the derivation")

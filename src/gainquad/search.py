@@ -287,16 +287,16 @@ def verify_known(plane):
     stages raise instead of reporting.
     """
     from .catalog import affine_gains
-    from .geometry import is_generalized_quadrangle
+    from .geometry import is_generalized_ngon
 
     g = affine_gains(plane)
     verdict = gq_criterion(g)
     if not verdict:
         raise RuntimeError(f"criterion rejected the shipped gains: {verdict.witness}")
     c = expand(g)
-    gq = is_generalized_quadrangle(c)
-    if not gq:
-        raise RuntimeError(f"verifier rejected the expansion: {gq.witness}")
+    ngon = is_generalized_ngon(c, 4)
+    if not ngon:
+        raise RuntimeError(f"verifier rejected the expansion: {ngon.witness}")
     s_par, t_par = gq_parameters(c)
     q = plane.field.order
     return {

@@ -94,7 +94,7 @@ def test_verify_verbose_times_the_check_outside_the_report(tmp_path, capsys):
     report = tmp_path / "r.json"
     assert run("-v", "verify", "w:2", "--as", "gq", "--report", report) == 0
     err = capsys.readouterr().err
-    assert re.fullmatch(r"is_generalized_quadrangle: 30 elements in \d+\.\d{3} s\n", err)
+    assert re.fullmatch(r"gq: 30 elements in \d+\.\d{3} s\n", err)
     assert set(read_json(report)) == {"config", "input", "check", "s", "t", "ok"}
 
 

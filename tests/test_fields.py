@@ -91,6 +91,15 @@ def test_log_tables_at_large_orders(p, n):
     assert len(log) == F.order and len(exp) == 4 * (F.order - 1) + 1
 
 
+def test_non_tuple_and_unreduced_arguments_are_reduced():
+    F = GF(3, 2)
+    a, b = F.element(5), F.element(7)
+    assert F.mul(list(a), list(b)) == F.mul(a, b)
+    assert F.mul(tuple(c + 3 for c in a), b) == F.mul(a, b)
+    assert F.inv(list(a)) == F.inv(tuple(c + 6 for c in a)) == F.inv(a)
+    assert F.mul(a, F.inv([c + 3 for c in a])) == F.one
+
+
 @pytest.mark.parametrize("q", SHIPPED_ORDERS)
 def test_inverses_and_axioms(q):
     F = field_from_order(q)

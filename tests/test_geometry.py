@@ -7,8 +7,9 @@ import pytest
 
 import gainquad.geometry as geometry
 from gainquad import (GF, CyclicGroup, GainGraph, IncidenceStructure, affine_gains,
-                      affine_plane, count_shortest_chains, compose_isomorphisms,
-                      distance, dual, expand, field_from_order, firmness,
+                      affine_plane, census_ngon, count_shortest_chains,
+                      compose_isomorphisms, distance, dual, expand,
+                      field_from_order, firmness,
                       invert_isomorphism, is_chain, is_generalized_ngon,
                       is_generalized_quadrangle, is_linear_space, is_ovoid,
                       Isomorphism, payne_derivation, steiner_parameters,
@@ -257,19 +258,35 @@ def _quadrangle_cases():
 
 
 def test_quadrangle_check_matches_census_oracle(monkeypatch):
-    census = geometry.is_generalized_ngon
+    census = geometry.census_ngon
     calls = []
-    monkeypatch.setattr(geometry, "is_generalized_ngon",
+    monkeypatch.setattr(geometry, "census_ngon",
                         lambda s, n: calls.append(n) or census(s, n))
     kinds = set()
     for s in _quadrangle_cases():
         expected = census(s, 4)
         calls.clear()
-        assert is_generalized_quadrangle(s) == expected, s
+        assert is_generalized_ngon(s, 4) == expected, s
         # the census only runs to report a failure with its witness
         assert calls == ([] if expected else [4]), s
+        assert is_generalized_quadrangle(s) == expected.ok, s
         kinds.add(expected.witness[0] if expected.witness else "pass")
     assert kinds == {"pass", "distance", "uniqueness"}
+
+
+def test_quadrangle_check_on_every_tiny_structure():
+    """Every incidence relation on at most 3 points and 3 lines."""
+    passed = 0
+    for v in (1, 2, 3):
+        for b in (1, 2, 3):
+            flags = [(p, j) for p in range(v) for j in range(b)]
+            for mask in range(1, 1 << len(flags)):
+                s = IncidenceStructure(range(v), range(b),
+                                       [f for k, f in enumerate(flags) if mask >> k & 1])
+                ok = census_ngon(s, 4).ok
+                assert is_generalized_quadrangle(s) == ok, s.incidence
+                passed += ok
+    assert passed > 0
 
 
 def test_firmness_not_firm():
