@@ -55,7 +55,8 @@ def realize_base(tokens):
     structure, optional tags, optional plane, name.
     """
     if isinstance(tokens, str):
-        tokens = tokens.split(":")
+        # a file name may itself contain ":"
+        tokens = [tokens] if os.path.isfile(tokens) else tokens.split(":")
     name = tokens[0]
     if os.path.exists(name) and len(tokens) == 1:
         with open(name) as fh:

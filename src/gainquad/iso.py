@@ -303,15 +303,12 @@ def are_isomorphic(s1, s2, deadline=None):
     order2 = _search(s2, (best["path"], best["cert"]), deadline=deadline)
     if order2 is None:
         return None
-    cf1 = _form_from_order(s1, best["order"], best["cert"])
-    cf2 = _form_from_order(s2, order2, best["cert"])
-    pm = [0] * s1.n_points
-    lm = [0] * s1.n_lines
-    for i, v in enumerate(cf1.point_order):
-        pm[v] = cf2.point_order[i]
-    for i, v in enumerate(cf1.line_order):
-        lm[v] = cf2.line_order[i]
-    iso = Isomorphism(tuple(pm), tuple(lm))
+    # Refinement never merges the initial point/line split, so points
+    # fill the first n_points positions of both orders, and position i of
+    # the first order maps to position i of the second.
+    n = s1.n_points
+    image = [v2 for _, v2 in sorted(zip(best["order"], order2))]
+    iso = Isomorphism(tuple(image[:n]), tuple(v - n for v in image[n:]))
     if not verify_isomorphism(s1, s2, iso):
         raise RuntimeError("canonical orderings produced an invalid witness")
     return iso

@@ -13,9 +13,10 @@ Scans are deterministic: free edges are ordered, group elements are
 enumerated in their canonical order, and assignment number k maps to the
 mixed-radix digits of k.  Assignments are evaluated in batches, one row
 of group codes per assignment, by DetourKernel; only survivors of the
-criterion are turned back into gain graphs.  A checkpoint stores the
-next index plus the accumulated tallies, so an interrupted scan resumes
-bit-identically.
+criterion are turned back into gain graphs.  The scan's state is its
+SearchReport; a checkpoint stores the report's next index, survivor
+count, representatives and near-miss tally, so an interrupted scan
+resumes bit-identically.
 """
 
 import hashlib
@@ -38,18 +39,25 @@ BATCH_VALUES = 1 << 17
 
 @dataclass
 class SearchReport:
+    """The scan's whole state: run_search restores it from a checkpoint,
+    updates it batch by batch, saves it at each checkpoint and returns
+    it.  scanned is also the index of the next assignment to evaluate."""
+
     base: dict
     group: dict
     gauge_fixed: bool
     free_edges: list
     total_space: int
-    scanned: int
-    gq_count: int
-    certificates: list
-    representatives: list
-    near_miss: dict
-    partial: bool
+    scanned: int = 0
+    gq_count: int = 0
+    representatives: list = field(default_factory=list)
+    near_miss: Counter = field(default_factory=Counter)
+    partial: bool = False
     config: dict = field(default_factory=dict)
+
+    @property
+    def certificates(self):
+        return sorted(r["certificate"] for r in self.representatives)
 
     def to_json(self):
         return {
@@ -60,8 +68,8 @@ class SearchReport:
             "total_space": self.total_space,
             "scanned": self.scanned,
             "gq_count": self.gq_count,
-            "class_count": len(self.certificates),
-            "certificates": list(self.certificates),
+            "class_count": len(self.representatives),
+            "certificates": self.certificates,
             "representatives": self.representatives,
             "near_miss": {str(k): v for k, v in sorted(self.near_miss.items())},
             "partial": self.partial,
@@ -110,7 +118,8 @@ def _read_checkpoint(path, digest, total):
     """The saved state of this search, or None when path does not exist.
 
     Raises ValueError unless the file is a well-formed checkpoint written
-    by this same search.
+    by this same search.  Keys other than the ones read here (older
+    checkpoints also hold "scanned" and "certificates") are ignored.
     """
     try:
         with open(path) as fh:
@@ -121,12 +130,14 @@ def _read_checkpoint(path, digest, total):
         raise ValueError(f"checkpoint {path} is not a JSON object")
     if state.get("digest") != digest:
         raise ValueError("checkpoint does not match this search")
-    counts = [state.get(k) for k in ("next_index", "scanned", "gq_count")]
+    counts = [state.get(k) for k in ("next_index", "gq_count")]
+    reps = state.get("representatives")
     misses = state.get("near_miss")
     if (not all(is_int(c) and c >= 0 for c in counts)
             or state["next_index"] > total
-            or not isinstance(state.get("certificates"), list)
-            or not isinstance(state.get("representatives"), list)
+            or not isinstance(reps, list)
+            or not all(isinstance(r, dict) and isinstance(r.get("certificate"), str)
+                       for r in reps)
             or not isinstance(misses, dict)
             or not all(k.isdigit() and is_int(v) for k, v in misses.items())):
         raise ValueError(f"checkpoint {path} is malformed")
@@ -137,10 +148,11 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
                checkpoint_path=None, checkpoint_every=2048):
     """Scan gain assignments on a connected finite linear space.
 
-    near_miss=True evaluates every non-incident pair so that failing
-    assignments are bucketed by how many pairs were bijective; with
-    near_miss=False only survivors are counted.  budget caps the number
-    of assignments examined; a capped report is flagged partial.
+    Every pair of every assignment is evaluated.  near_miss=True also
+    tallies the failing assignments by how many of their pairs are
+    bijective; near_miss=False leaves that tally empty.  budget caps the
+    number of assignments examined, counted from the start of the scan
+    (a resumed scan included); a capped report is flagged partial.
     """
     ls = is_linear_space(base)
     if not ls:
@@ -150,69 +162,51 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, not {budget}")
 
+    # Kernel columns are the edges in sorted order, and code c stands for
+    # elems[c]; the gauge-fixed scan keeps tree edges at the identity.
     all_edges = sorted((b, p) for p, b in base.incidence)
     tree = set(spanning_tree_edges(base))
-    if unreduced:
-        free = all_edges
-        fixed = {}
-    else:
-        free = [e for e in all_edges if e not in tree]
-        fixed = {e: group.identity() for e in tree}
+    free_columns = [i for i, e in enumerate(all_edges) if unreduced or e not in tree]
+    free = [all_edges[i] for i in free_columns]
     elems = group.elements()
     radix = len(elems)
     total = radix ** len(free)
     digest = _config_digest(base, group, unreduced, near_miss)
     kernel = DetourKernel(base, group)
-    # Kernel columns are the edges in sorted order, and digit d stands
-    # for elems[d], whose code is d.
-    free_set = set(free)
-    free_columns = [i for i, e in enumerate(all_edges) if e in free_set]
     identity = group.code(group.identity())
     n_pairs = len(kernel.pairs)
     rows = max(1, BATCH_VALUES // max(1, n_pairs * radix))
 
-    start = 0
-    scanned = 0
-    gq_count = 0
-    certs = []
-    cert_set = set()
-    reps = []
-    misses = Counter()
+    report = SearchReport(
+        base={"points": base.n_points, "lines": base.n_lines,
+              "incidences": len(base.incidence)},
+        group=group.spec(), gauge_fixed=not unreduced, free_edges=free,
+        total_space=total)
     if checkpoint_path is not None:
         state = _read_checkpoint(checkpoint_path, digest, total)
         if state is not None:
-            start = state["next_index"]
-            scanned = state["scanned"]
-            gq_count = state["gq_count"]
-            certs = state["certificates"]
-            cert_set = set(certs)
-            reps = state["representatives"]
-            misses = Counter({int(k): v for k, v in state["near_miss"].items()})
+            report.scanned = state["next_index"]
+            report.gq_count = state["gq_count"]
+            report.representatives = state["representatives"]
+            report.near_miss.update({int(k): v for k, v in state["near_miss"].items()})
+    seen = {r["certificate"] for r in report.representatives}
 
-    def save_checkpoint(next_index):
-        if checkpoint_path is None:
-            return
-        state = {
-            "digest": digest,
-            "next_index": next_index,
-            "scanned": scanned,
-            "gq_count": gq_count,
-            "certificates": certs,
-            "representatives": reps,
-            "near_miss": {str(k): v for k, v in misses.items()},
-        }
-        atomic_write(checkpoint_path, json.dumps(state, sort_keys=True))
+    def save_checkpoint():
+        if checkpoint_path is not None:
+            atomic_write(checkpoint_path, json.dumps({
+                "digest": digest, "next_index": report.scanned,
+                "gq_count": report.gq_count,
+                "representatives": report.representatives,
+                "near_miss": {str(k): v for k, v in report.near_miss.items()},
+            }, sort_keys=True))
 
     # Gauge-fixed tables of the survivors already canonicalised (unreduced
     # mode): equal tables mean switching-equivalent gains, hence
     # isomorphic expansions and the same certificate.
     gauged = set()
 
-    def survivor(index, digits):
-        gains = dict(fixed)
-        for e, d in zip(free, digits):
-            gains[e] = elems[d]
-        g = GainGraph(base, group, gains)
+    def survivor(index, row):
+        g = GainGraph(base, group, {e: elems[c] for e, c in zip(all_edges, row)})
         if unreduced:
             table = spanning_tree_gauge(g)[0].gains
             key = tuple(table[e] for e in all_edges)
@@ -221,11 +215,10 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
             gauged.add(key)
         c = expand(g)
         cf = canonical_form(c)
-        if cf.certificate not in cert_set:
-            cert_set.add(cf.certificate)
-            certs.append(cf.certificate)
+        if cf.certificate not in seen:
+            seen.add(cf.certificate)
             s_par, t_par = gq_parameters(c)
-            reps.append({
+            report.representatives.append({
                 "certificate": cf.certificate,
                 "assignment_index": index,
                 "gains": gains_to_json(g),
@@ -233,17 +226,16 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
                 "structure": structure_to_json(c, tags=c.tags_json()),
             })
 
-    partial = False
-    index = start
-    while index < total:
-        if budget is not None and scanned >= budget:
-            partial = True
+    while report.scanned < total:
+        index = report.scanned
+        if budget is not None and index >= budget:
+            report.partial = True
             break
         # Batches end at budget and checkpoint boundaries, so both fall
         # exactly where a one-at-a-time scan would put them.
         stop = min(total, index + rows)
         if budget is not None:
-            stop = min(stop, index + budget - scanned)
+            stop = min(stop, budget)
         if checkpoint_path is not None:
             stop = min(stop, (index // checkpoint_every + 1) * checkpoint_every)
         digits = _unrank_batch(index, stop - index, radix, len(free))
@@ -254,30 +246,15 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
         if near_miss:
             for k, count in enumerate(np.bincount(good[~passed]).tolist()):
                 if count:
-                    misses[k] += count
+                    report.near_miss[k] += count
         for r in np.flatnonzero(passed).tolist():
-            gq_count += 1
-            survivor(index + r, digits[r].tolist())
-        scanned += len(digits)
-        index = stop
-        if checkpoint_path is not None and index % checkpoint_every == 0:
-            save_checkpoint(index)
-    save_checkpoint(index)
-
-    return SearchReport(
-        base={"points": base.n_points, "lines": base.n_lines,
-              "incidences": len(base.incidence)},
-        group=group.spec(),
-        gauge_fixed=not unreduced,
-        free_edges=free,
-        total_space=total,
-        scanned=scanned,
-        gq_count=gq_count,
-        certificates=sorted(certs),
-        representatives=reps,
-        near_miss=dict(misses),
-        partial=partial,
-    )
+            report.gq_count += 1
+            survivor(index + r, codes[r].tolist())
+        report.scanned = stop
+        if checkpoint_path is not None and stop % checkpoint_every == 0:
+            save_checkpoint()
+    save_checkpoint()
+    return report
 
 
 def verify_known(plane):

@@ -98,6 +98,16 @@ def test_verify_verbose_times_the_check_outside_the_report(tmp_path, capsys):
     assert set(read_json(report)) == {"config", "input", "check", "s", "t", "ok"}
 
 
+def test_structure_file_name_with_a_colon(tmp_path):
+    out = tmp_path / "m:2.json"
+    assert run("build", "ag2", "2", "--with-gains", "-o", out) == 0
+    assert run("verify", out, "--as", "gq") == 0
+    assert run("isocheck", out, "payne-dual:2") == 0
+    dot = tmp_path / "m.dot"
+    assert run("export", out, "--format", "dot", "-o", dot) == 0
+    assert 'tag="x:' in dot.read_text()
+
+
 def test_verify_linear_space_and_steiner():
     assert run("verify", "ag2:3", "--as", "linear-space") == 0
     assert run("verify", "ag2:3", "--as", "steiner") == 0

@@ -118,9 +118,9 @@ def test_checkpoint_of_another_certificate_version_exits_2(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("change", [
-    {"next_index": -1}, {"next_index": 9}, {"scanned": "0"}, {"gq_count": None},
-    {"certificates": {}}, {"representatives": 0}, {"near_miss": {"x": 1}},
-    {"near_miss": {"1": 2.5}}])
+    {"next_index": -1}, {"next_index": 9}, {"representatives": [1]}, {"gq_count": None},
+    {"representatives": [{"certificate": 7}]}, {"representatives": 0},
+    {"near_miss": {"x": 1}}, {"near_miss": {"1": 2.5}}])
 def test_malformed_checkpoint_rejected(tmp_path, plane2, change):
     ck = tmp_path / "scan.ck"
     state = {"digest": _config_digest(plane2.structure, CyclicGroup(2), False, True),
@@ -225,7 +225,8 @@ def test_resume_near_the_end_of_a_space_beyond_int64(tmp_path):
         "next_index": total - 300, "scanned": 0, "gq_count": 0,
         "certificates": [], "representatives": [], "near_miss": {}}))
     report = run_search(base, group, checkpoint_path=str(ck))
-    assert report.total_space == total and report.scanned == 300
+    # the scan resumes at next_index; scanned is that index, not a tally
+    assert report.total_space == total and report.scanned == total
     assert not report.partial
     misses, survivors = _scalar_scan(base, group, range(total - 300, total))
     assert report.near_miss == misses
@@ -250,6 +251,26 @@ def test_resumed_checkpoint_is_byte_identical(tmp_path, q, unreduced, budget, cu
     run_search(base, group, unreduced=unreduced, budget=budget,
                checkpoint_path=str(resumed), checkpoint_every=1000)
     assert resumed.read_bytes() == oneshot.read_bytes()
+
+
+def test_checkpoint_with_scanned_and_certificates_resumes(tmp_path, plane2):
+    # Older checkpoints also stored "scanned" (always next_index) and
+    # "certificates" (the representatives' certificates, in their order).
+    group = CyclicGroup(2)
+    ck = tmp_path / "scan.ck"
+    run_search(plane2.structure, group, unreduced=True, budget=1500,
+               checkpoint_path=str(ck), checkpoint_every=1000)
+    state = json.loads(ck.read_text())
+    assert sorted(state) == ["digest", "gq_count", "near_miss", "next_index",
+                             "representatives"]
+    assert state["representatives"]
+    state["scanned"] = state["next_index"]
+    state["certificates"] = [r["certificate"] for r in state["representatives"]]
+    ck.write_text(json.dumps(state, sort_keys=True))
+    resumed = run_search(plane2.structure, group, unreduced=True,
+                         checkpoint_path=str(ck), checkpoint_every=1000)
+    oneshot = run_search(plane2.structure, group, unreduced=True)
+    assert resumed.to_json() == oneshot.to_json()
 
 
 def test_checkpoint_survives_a_failed_write(tmp_path, plane2, monkeypatch):
