@@ -85,9 +85,9 @@ class GF:
     the shipped table for orders 4, 8, 9, 16, the unique degree-1 monic x
     for prime fields, and the lexicographically smallest monic irreducible
     otherwise.  Products and inverses read log/antilog tables, O(q) in
-    memory, built on first use so that constructing a field stays cheap;
-    other coefficient sequences (lists, unreduced coefficients) go
-    through the polynomial product, which reduces them.
+    memory, built on first use so that constructing a field stays cheap.
+    They take field elements only; ``element()`` is where ints, lists and
+    unreduced coefficients are coerced to elements.
     """
 
     finite = True
@@ -165,19 +165,13 @@ class GF:
 
     def mul(self, a, b):
         log, exp = self._tables
-        try:
-            return exp[log[a] + log[b]]
-        except (KeyError, TypeError):  # not element tuples: reduce them
-            return self._poly_mul(a, b)
+        return exp[log[a] + log[b]]
 
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
         log, exp = self._tables
-        try:
-            return exp[self.order - 1 - log[a]]
-        except (KeyError, TypeError):  # a^(q-2), as for mul
-            return self._poly_pow(a, self.order - 2)
+        return exp[self.order - 1 - log[a]]
 
     def _poly_mul(self, a, b):
         """The polynomial product mod the modulus: the log tables' source

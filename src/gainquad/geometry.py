@@ -69,7 +69,6 @@ class IncidenceStructure:
         self.lines_of_point = tuple(tuple(x) for x in lines_of)
         self.points_of_line = tuple(tuple(x) for x in points_of)
         self._adjacency = None
-        self._matrix = None
         self._edge_ids = None
         self._common = None
 
@@ -104,17 +103,6 @@ class IncidenceStructure:
             self._adjacency = tuple(self.neighbors(e)
                                     for e in range(self.n_elements))
         return self._adjacency
-
-    def matrix(self):
-        """Dense 0/1 adjacency matrix over all elements (float64, cached)."""
-        if self._matrix is None:
-            n = self.n_elements
-            a = np.zeros((n, n))
-            for p, b in self.incidence:
-                a[p, self.n_points + b] = 1.0
-                a[self.n_points + b, p] = 1.0
-            self._matrix = a
-        return self._matrix
 
     def edge_ids(self):
         """(lines, points) int32 table: the index of edge (b, p) among all
@@ -251,7 +239,9 @@ def chain_census(s, max_length):
     if entries could approach 2^53 the census falls back to python ints.
     """
     n = s.n_elements
-    a = s.matrix()
+    p, b = np.array(s.incidence).T
+    a = np.zeros((n, n))
+    a[p, s.n_points + b] = a[s.n_points + b, p] = 1.0
     dist = np.full((n, n), -1, dtype=np.int32)
     count = np.zeros((n, n), dtype=np.int64)
     np.fill_diagonal(dist, 0)

@@ -6,9 +6,12 @@ value types with a total order so that enumeration-heavy callers stay
 deterministic.
 
 Finite groups also number their elements: the code of an element is its
-rank in ``elements()``, and ``compose_codes``/``inverse_codes`` apply the
-group law to whole numpy arrays of codes at once.
+rank in ``elements()``.  ``compose_codes``/``inverse_codes`` apply the
+group law to whole numpy arrays of codes at once by reading the group's
+Cayley table on ranks, built from ``compose`` on first use.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -17,10 +20,10 @@ from .storage import is_int
 
 
 def code_dtype(order):
-    """Narrowest unsigned dtype in which two codes of a group of this
-    order add without wrapping."""
+    """Narrowest unsigned dtype that holds order*order - 1, the largest
+    index into the flat Cayley table of a group of this order."""
     for dtype in (np.uint8, np.uint16, np.uint32):
-        if 2 * (order - 1) <= np.iinfo(dtype).max:
+        if order * order - 1 <= np.iinfo(dtype).max:
             return dtype
     return np.uint64
 
@@ -52,17 +55,30 @@ class GroupAction:
         """Group elements in their canonical total order."""
         raise NotImplementedError
 
+    @cached_property
+    def _code_tables(self):
+        """(rank, table, inverses) of a finite group: the rank of each
+        element in elements(), the Cayley table on ranks flattened
+        row-major, and the rank of each element's inverse."""
+        els = self.elements()
+        rank = {g: i for i, g in enumerate(els)}
+        dtype = code_dtype(self.order)
+        table = np.array([rank[self.compose(g, h)] for g in els for h in els], dtype=dtype)
+        inverses = np.array([rank[self.inverse(g)] for g in els], dtype=dtype)
+        return rank, table, inverses
+
     def code(self, g):
         """Rank of a finite group element in ``elements()``."""
-        raise NotImplementedError
+        return self._code_tables[0][g]
 
     def compose_codes(self, a, b):
-        """compose on arrays of codes, elementwise; dtype is kept."""
-        raise NotImplementedError
+        """compose on arrays of codes, elementwise.  The codes must be in
+        code_dtype(order) or wider, so that a * order + b cannot wrap."""
+        return np.take(self._code_tables[1], a * self.order + b)
 
     def inverse_codes(self, a):
-        """inverse on an array of codes, elementwise; dtype is kept."""
-        raise NotImplementedError
+        """inverse on an array of codes, elementwise."""
+        return np.take(self._code_tables[2], a)
 
     def lambdas(self):
         """Label-set elements in their canonical total order."""
@@ -121,15 +137,6 @@ class CyclicGroup(GroupAction):
     def lambdas(self):
         return list(range(self.n))
 
-    def code(self, g):
-        return g
-
-    def compose_codes(self, a, b):
-        return (a + b) % self.n
-
-    def inverse_codes(self, a):
-        return (self.n - a) % self.n
-
     def spec(self):
         return {"kind": "Zn", "modulus": self.n}
 
@@ -179,36 +186,6 @@ class AdditiveGroup(GroupAction):
 
     def lambdas(self):
         return self.field.elements()
-
-    def code(self, g):
-        # elements() is lexicographic in the coefficient tuple, so the
-        # lowest-degree coefficient is the most significant base-p digit.
-        if not self.finite:
-            raise ValueError("only finite groups have element codes")
-        c = 0
-        for x in g:
-            c = c * self.field.p + x
-        return c
-
-    def compose_codes(self, a, b):
-        p, n = self.field.p, self.field.n
-        if p == 2:
-            return a ^ b
-        out = np.zeros_like(a)
-        for i in range(n):
-            w = p ** i
-            out += ((a // w) % p + (b // w) % p) % p * w
-        return out
-
-    def inverse_codes(self, a):
-        p, n = self.field.p, self.field.n
-        if p == 2:
-            return a.copy()
-        out = np.zeros_like(a)
-        for i in range(n):
-            w = p ** i
-            out += (p - (a // w) % p) % p * w
-        return out
 
     def spec(self):
         if isinstance(self.field, Rationals):

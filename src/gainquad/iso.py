@@ -50,13 +50,8 @@ class _Refiner:
             pad[v, :len(nbrs)] = nbrs
         self.pad = pad
         self.degs = degs
-        eu = []
-        ev = []
-        for v, nbrs in enumerate(adj):
-            eu.extend([v] * len(nbrs))
-            ev.extend(nbrs)
-        self.edge_u = np.array(eu, dtype=np.int64)
-        self.edge_v = np.array(ev, dtype=np.int64)
+        self.edge_u = np.repeat(np.arange(self.n, dtype=np.int64), degs)
+        self.edge_v = pad[pad < self.n]
 
     def initial_colors(self):
         side = (np.arange(self.n) >= self.n_points).astype(np.int64)

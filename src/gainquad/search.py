@@ -137,7 +137,7 @@ def _read_checkpoint(path, digest, total):
             or state["next_index"] > total
             or not isinstance(reps, list)
             or not all(isinstance(r, dict) and isinstance(r.get("certificate"), str)
-                       for r in reps)
+                       and isinstance(r.get("structure"), dict) for r in reps)
             or not isinstance(misses, dict)
             or not all(k.isdigit() and is_int(v) for k, v in misses.items())):
         raise ValueError(f"checkpoint {path} is malformed")

@@ -91,13 +91,16 @@ def test_log_tables_at_large_orders(p, n):
     assert len(log) == F.order and len(exp) == 4 * (F.order - 1) + 1
 
 
-def test_non_tuple_and_unreduced_arguments_are_reduced():
+def test_products_take_elements_and_element_coerces():
     F = GF(3, 2)
     a, b = F.element(5), F.element(7)
-    assert F.mul(list(a), list(b)) == F.mul(a, b)
-    assert F.mul(tuple(c + 3 for c in a), b) == F.mul(a, b)
-    assert F.inv(list(a)) == F.inv(tuple(c + 6 for c in a)) == F.inv(a)
-    assert F.mul(a, F.inv([c + 3 for c in a])) == F.one
+    for x in (list(a), tuple(c + 3 for c in a)):
+        with pytest.raises((KeyError, TypeError)):
+            F.mul(x, b)
+        with pytest.raises((KeyError, TypeError)):
+            F.inv(x)
+        assert F.element(x) == a
+        assert F.mul(F.element(x), b) == F.mul(a, b)
 
 
 @pytest.mark.parametrize("q", SHIPPED_ORDERS)

@@ -10,6 +10,7 @@ from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, Rationals,
                       affine_gains, gains_from_json, gains_to_json,
                       group_from_spec, identity_gains, spanning_tree_edges,
                       spanning_tree_gauge, switch, walk_gain)
+from gainquad.groups import code_dtype
 
 
 def sample_groups():
@@ -57,8 +58,9 @@ def test_regular_actions(group):
             assert g == group.identity()
 
 
-CODED_GROUPS = [CyclicGroup(n) for n in (2, 3, 4, 5)] + [
-    AdditiveGroup(GF(p, n)) for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))]
+# GF(2^4) has the largest order with uint8 codes, Z17 the smallest with uint16.
+CODED_GROUPS = [CyclicGroup(n) for n in (2, 3, 4, 5, 17)] + [
+    AdditiveGroup(GF(p, n)) for p, n in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2))]
 
 
 @pytest.mark.parametrize("group", CODED_GROUPS, ids=repr)
@@ -66,11 +68,13 @@ def test_codes_follow_the_group_law(group):
     els = group.elements()
     assert [group.code(g) for g in els] == list(range(len(els)))
     pairs = list(product(els, els))
-    a = np.array([group.code(g) for g, _ in pairs], dtype=np.uint8)
-    b = np.array([group.code(h) for _, h in pairs], dtype=np.uint8)
+    dtype = code_dtype(group.order)
+    assert dtype == (np.uint8 if group.order <= 16 else np.uint16)
+    a = np.array([group.code(g) for g, _ in pairs], dtype=dtype)
+    b = np.array([group.code(h) for _, h in pairs], dtype=dtype)
     composed = group.compose_codes(a, b)
     inverted = group.inverse_codes(a)
-    assert composed.dtype == inverted.dtype == np.uint8
+    assert composed.dtype == inverted.dtype == dtype
     assert composed.tolist() == [group.code(group.compose(g, h)) for g, h in pairs]
     assert inverted.tolist() == [group.code(group.inverse(g)) for g, _ in pairs]
 

@@ -120,7 +120,8 @@ def test_checkpoint_of_another_certificate_version_exits_2(tmp_path, monkeypatch
 @pytest.mark.parametrize("change", [
     {"next_index": -1}, {"next_index": 9}, {"representatives": [1]}, {"gq_count": None},
     {"representatives": [{"certificate": 7}]}, {"representatives": 0},
-    {"near_miss": {"x": 1}}, {"near_miss": {"1": 2.5}}])
+    {"near_miss": {"x": 1}}, {"near_miss": {"1": 2.5}},
+    {"representatives": [{"certificate": "abc"}]}])
 def test_malformed_checkpoint_rejected(tmp_path, plane2, change):
     ck = tmp_path / "scan.ck"
     state = {"digest": _config_digest(plane2.structure, CyclicGroup(2), False, True),
