@@ -20,7 +20,7 @@ from .geometry import (IncidenceStructure, Isomorphism, Verdict, census_ngon,
 from .gains import (GainGraph, gains_from_json, gains_to_json, identity_gains,
                     spanning_tree_edges, spanning_tree_gauge, switch, walk_gain)
 from .construction import (Expansion, bijective_pair_count, detour_gains, expand,
-                           gq_criterion, gq_parameters, lift_chain,
+                           gq_criterion, gq_parameters, label_sweep, lift_chain,
                            switching_isomorphism)
 from .catalog import (AffinePlane, SymplecticQuadrangle, affine_gains,
                       affine_plane, detour_formula, dual, payne_derivation,

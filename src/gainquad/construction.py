@@ -13,11 +13,9 @@ b I p and mu = gain(bp) . lam.
 When the base is a linear space, the expansion is a generalized
 quadrangle if and only if every detour-gain table (see detour_gains) is
 a bijection; that criterion is implemented by gq_criterion, which
-evaluates every table at once through DetourKernel, and the generic
-n-gon verifier stays available as an independent oracle.
+evaluates every table at once through DetourKernel.  The scalar
+label_sweep and the generic n-gon verifier stay as independent oracles.
 """
-
-from itertools import islice
 
 import numpy as np
 
@@ -195,12 +193,14 @@ class DetourKernel:
     b2p have one column per sized pair and one row per point q on its
     line b, and hold the edge ids of (b, q), (b', q) and (b', p), with b'
     the line through p and q.  A pair on a line of any other size is
-    never bijective.
+    never bijective.  The group must act regularly, so that a table
+    permutes the labels exactly when it is a bijection onto the group.
     """
 
     def __init__(self, base, group):
-        if not group.finite:
-            raise ValueError("detour tables need a finite group")
+        if not (group.finite and group.regular):
+            raise ValueError(f"detour tables need a finite group acting regularly, "
+                             f"not {group!r}")
         eid = base.edge_ids()
         line = base.line_table()
         incident = eid >= 0
@@ -255,62 +255,43 @@ class DetourKernel:
         return ok
 
 
-def _non_incident_pairs(base):
-    incident = base.incidence_set
+def label_sweep(gains):
+    """The scalar criterion by labels: the reference gq_criterion and
+    bijective_pair_count are tested against.
+
+    Yields (b, p, lam) for each non-incident pair, line-major, whose
+    detour table fails to permute the labels, lam being the first label
+    it fails on.
+    """
+    base, group = gains.base, gains.group
+    lambdas = tuple(group.lambdas())
     for b in range(base.n_lines):
         for p in range(base.n_points):
-            if (p, b) not in incident:
-                yield b, p
+            if (p, b) in base.incidence_set:
+                continue
+            values = list(detour_gains(gains, b, p).values())
+            for lam in lambdas:
+                images = {group.act(v, lam) for v in values}
+                if not (len(images) == len(values) == len(lambdas)):
+                    yield b, p, lam
+                    break
 
 
-def _label_sweep(gains):
-    """The scalar criterion without the regular-action shortcut.
-
-    Yields (b, p, lam) for each non-incident pair whose detour table fails
-    to permute the labels, lam being the first label it fails on.
-    """
-    group = gains.group
-    lambdas = tuple(group.lambdas())
-    for b, p in _non_incident_pairs(gains.base):
-        values = list(detour_gains(gains, b, p).values())
-        for lam in lambdas:
-            images = {group.act(v, lam) for v in values}
-            if not (len(images) == len(values) == len(lambdas)):
-                yield b, p, lam
-                break
-
-
-def _kernel_verdicts(gains):
-    """(non-incident pairs, bool per pair: is its detour table a bijection
-    onto the group), from DetourKernel."""
-    kernel = DetourKernel(gains.base, gains.group)
-    return kernel.pairs, kernel.bijective(kernel.codes(gains))
-
-
-def gq_criterion(gains, regular_shortcut=True, collect_witnesses=False):
+def gq_criterion(gains):
     """Decide whether the expansion is a generalized quadrangle.
 
     True exactly when the detour table of every non-incident (line,
-    point) pair is a bijection onto the label set (onto the group, for
-    regular actions).  The witness on failure is (b, p) under the
-    regular shortcut and (b, p, lam) otherwise; with collect_witnesses
-    every failing pair is reported instead of the first.
+    point) pair is a bijection onto the group.  The witness on failure
+    is the first failing pair (b, p), line-major.
     """
-    base, group = gains.base, gains.group
+    base = gains.base
     ls = is_linear_space(base)
     if not ls:
         raise ValueError(f"base is not a linear space: {ls.witness}")
-    if not group.finite:
-        raise ValueError("criterion needs a finite label set")
-    if regular_shortcut and group.regular:
-        pairs, ok = _kernel_verdicts(gains)
-        bad = pairs[~ok] if collect_witnesses else pairs[~ok][:1]
-        witnesses = [tuple(w) for w in bad.tolist()]
-    else:
-        sweep = _label_sweep(gains)
-        witnesses = list(sweep if collect_witnesses else islice(sweep, 1))
-    if witnesses:
-        return Verdict(False, witnesses if collect_witnesses else witnesses[0])
+    kernel = DetourKernel(base, gains.group)
+    ok = kernel.bijective(kernel.codes(gains))
+    if not ok.all():
+        return Verdict(False, tuple(kernel.pairs[~ok][0].tolist()))
     # A passing criterion forces equal line sizes on the base; this is a
     # consequence, not an input assumption, so fail loudly if violated.
     if steiner_parameters(base) is None:
@@ -318,16 +299,14 @@ def gq_criterion(gains, regular_shortcut=True, collect_witnesses=False):
     return Verdict(True)
 
 
-def bijective_pair_count(gains, regular_shortcut=True):
+def bijective_pair_count(gains):
     """(number of non-incident pairs with bijective detour table, total pairs).
 
     The full sweep (no early stop) that backs near-miss diagnostics.
     """
-    if regular_shortcut and gains.group.regular:
-        _, ok = _kernel_verdicts(gains)
-        return int(ok.sum()), len(ok)
-    total = sum(1 for _ in _non_incident_pairs(gains.base))
-    return total - sum(1 for _ in _label_sweep(gains)), total
+    kernel = DetourKernel(gains.base, gains.group)
+    ok = kernel.bijective(kernel.codes(gains))
+    return int(ok.sum()), len(ok)
 
 
 def gq_parameters(c):

@@ -271,19 +271,16 @@ def is_generalized_ngon(s, n):
     """Check of the two generalized n-gon axioms.
 
     Every pair must be at distance <= n, and every pair at distance
-    k < n must have a unique shortest chain.  For n = 4 the equivalent
-    point-line axioms (is_generalized_quadrangle) are checked first; the
-    chain census runs only when they fail or n != 4, so a failure names
-    the census witness: the first offending ordered eid pair.
+    k < n must have a unique shortest chain.  n = 4 runs the point-line
+    check is_generalized_quadrangle, any other n the chain census.
     """
-    if n == 4 and is_generalized_quadrangle(s):
-        return Verdict(True)
-    return census_ngon(s, n)
+    return is_generalized_quadrangle(s) if n == 4 else census_ngon(s, n)
 
 
 def census_ngon(s, n):
     """is_generalized_ngon from the dense chain census alone: the
-    reference the point-line quadrangle check is tested against."""
+    reference the point-line quadrangle check is tested against.  A
+    failure names the first offending ordered eid pair."""
     if n < 3:
         raise ValueError("n must be at least 3")
     dist, count = chain_census(s, n)
@@ -311,7 +308,10 @@ def is_generalized_quadrangle(s):
     with girth >= 8 and diameter <= 4.  With N the incidence matrix,
     N N^T counts common lines and, diagonal zeroed, times N counts the
     pairs (M, x), in blocks of point rows: O(block * (v + b)) memory
-    beyond N.
+    beyond N.  A failure names its witness as census_ngon would, in eids:
+    ("uniqueness", p, q, count) for points on count > 1 common lines, and
+    for p off L joined by count pairs, ("distance", p, v + L) if count is
+    0, else ("uniqueness", p, v + L, count).
     """
     v, b = s.n_points, s.n_lines
     # Every count is at most max(v, b): exact in float32 below 2^24.
@@ -322,9 +322,16 @@ def is_generalized_quadrangle(s):
         rows = n[lo:lo + step]
         common = rows @ n.T
         common[np.arange(len(rows)), np.arange(lo, lo + len(rows))] = 0
-        if common.max() > 1 or ((common @ n)[rows == 0] != 1).any():
-            return False
-    return True
+        if common.max() > 1:
+            i, q = np.argwhere(common > 1)[0]
+            return Verdict(False, ("uniqueness", lo + int(i), int(q), int(common[i, q])))
+        joins = common @ n
+        if (joins[rows == 0] != 1).any():
+            i, line = np.argwhere((joins != 1) & (rows == 0))[0]
+            p, count = lo + int(i), int(joins[i, line])
+            return Verdict(False, ("uniqueness", p, v + int(line), count) if count
+                           else ("distance", p, v + int(line)))
+    return Verdict(True)
 
 
 # -- structural classifiers -------------------------------------------------

@@ -72,9 +72,12 @@ class GroupAction:
         return self._code_tables[0][g]
 
     def compose_codes(self, a, b):
-        """compose on arrays of codes, elementwise.  The codes must be in
-        code_dtype(order) or wider, so that a * order + b cannot wrap."""
-        return np.take(self._code_tables[1], a * self.order + b)
+        """compose on arrays of codes, elementwise.  Codes narrower than
+        code_dtype(order) are widened first, so that a * order + b cannot
+        wrap."""
+        table = self._code_tables[1]
+        a = a.astype(np.promote_types(a.dtype, table.dtype), copy=False)
+        return np.take(table, a * self.order + b)
 
     def inverse_codes(self, a):
         """inverse on an array of codes, elementwise."""

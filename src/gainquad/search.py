@@ -35,6 +35,8 @@ from .storage import atomic_write, is_int
 # A batch holds at most this many detour values, one byte each for the
 # groups a scan can afford, so its temporaries stay near 128 kB.
 BATCH_VALUES = 1 << 17
+# A scan with a checkpoint file saves it every this many assignments.
+CHECKPOINT_EVERY = 2048
 
 
 @dataclass
@@ -134,8 +136,9 @@ def _read_checkpoint(path, digest, total):
     reps = state.get("representatives")
     misses = state.get("near_miss")
     if (not all(is_int(c) and c >= 0 for c in counts)
-            or state["next_index"] > total
+            or not state["gq_count"] <= state["next_index"] <= total
             or not isinstance(reps, list)
+            or len(reps) > state["gq_count"]
             or not all(isinstance(r, dict) and isinstance(r.get("certificate"), str)
                        and isinstance(r.get("structure"), dict) for r in reps)
             or not isinstance(misses, dict)
@@ -145,7 +148,7 @@ def _read_checkpoint(path, digest, total):
 
 
 def run_search(base, group, budget=None, unreduced=False, near_miss=True,
-               checkpoint_path=None, checkpoint_every=2048):
+               checkpoint_path=None):
     """Scan gain assignments on a connected finite linear space.
 
     Every pair of every assignment is evaluated.  near_miss=True also
@@ -237,7 +240,7 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
         if budget is not None:
             stop = min(stop, budget)
         if checkpoint_path is not None:
-            stop = min(stop, (index // checkpoint_every + 1) * checkpoint_every)
+            stop = min(stop, (index // CHECKPOINT_EVERY + 1) * CHECKPOINT_EVERY)
         digits = _unrank_batch(index, stop - index, radix, len(free))
         codes = np.full((len(digits), len(all_edges)), identity, dtype=kernel.dtype)
         codes[:, free_columns] = digits
@@ -251,7 +254,7 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
             report.gq_count += 1
             survivor(index + r, codes[r].tolist())
         report.scanned = stop
-        if checkpoint_path is not None and stop % checkpoint_every == 0:
+        if checkpoint_path is not None and stop % CHECKPOINT_EVERY == 0:
             save_checkpoint()
     save_checkpoint()
     return report

@@ -10,7 +10,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from gainquad.geometry import IncidenceStructure
+from gainquad.geometry import IncidenceStructure, count_shortest_chains, distance
 
 
 def quadrilateral():
@@ -90,6 +90,19 @@ def naive_linear_space(s):
 
 
 # -- chain oracle -------------------------------------------------------------
+
+
+def assert_quadrangle_witness(s, witness):
+    """Confirm a failing quadrangle witness with the breadth-first
+    distance and chain count: a "distance" pair is more than 4 apart, and
+    a "uniqueness" pair is under 4 apart with count shortest chains,
+    count != 1."""
+    kind, u, w, *count = witness
+    if kind == "distance":
+        assert distance(s, u, w) > 4, witness
+    else:
+        assert kind == "uniqueness" and distance(s, u, w) < 4, witness
+        assert count_shortest_chains(s, u, w) == count[0] != 1, witness
 
 
 def enumerate_chains(s, u, v, k):

@@ -5,8 +5,11 @@ import re
 
 import pytest
 
-from gainquad import GF, affine_plane
+import gainquad.geometry as geometry
+from gainquad import GF, CyclicGroup, affine_plane
 from gainquad.cli import main
+from gainquad.search import _config_digest
+from helpers import assert_quadrangle_witness
 
 
 def run(*argv):
@@ -58,6 +61,19 @@ def test_build_identity_gains_fails_verification(tmp_path):
     out = tmp_path / "bad.json"
     assert run("build", "ag2", "2", "--identity-gains", "-o", out) == 0
     assert run("verify", out, "--as", "gq") == 1
+
+
+def test_failing_verify_names_its_witness_without_the_census(tmp_path, monkeypatch):
+    out, report = tmp_path / "bad.json", tmp_path / "verdict.json"
+    assert run("build", "ag2", "3", "--identity-gains", "-o", out) == 0
+
+    def no_census(*args):
+        raise AssertionError("the chain census ran")
+
+    monkeypatch.setattr(geometry, "chain_census", no_census)
+    assert run("verify", out, "--as", "gq", "--report", report) == 1
+    s = geometry.structure_from_json(read_json(out))[0]
+    assert_quadrangle_witness(s, read_json(report)["witness"])
 
 
 def test_build_without_gain_source_errors(tmp_path):
@@ -247,6 +263,13 @@ _BAD_INPUT = {
     "checkpoint-not-an-object": ({"ck.json": [1, 2]},
                                  ["search", "--base", "ag2:2", "--group", "z:2",
                                   "--checkpoint", "ck.json"]),
+    # more quadrangles than assignments scanned
+    "checkpoint-count-exceeds-index": (
+        {"ck.json": {"digest": _config_digest(affine_plane(GF(2)).structure, CyclicGroup(2),
+                                              False, True),
+                     "next_index": 3, "gq_count": 1000000, "representatives": [],
+                     "near_miss": {}}},
+        ["search", "--base", "ag2:2", "--group", "z:2", "--checkpoint", "ck.json"]),
     "group-without-modulus": ({}, ["search", "--base", "ag2:2", "--group", "z"]),
     "ag2-not-a-prime-power": ({}, ["verify", "ag2:6", "--as", "linear-space"]),
     "ag2-not-a-prime-power-build": ({}, ["build", "ag2", "6", "--with-gains"]),

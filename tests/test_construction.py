@@ -10,8 +10,9 @@ from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, IncidenceStruct
                       affine_gains, affine_plane, bijective_pair_count,
                       count_shortest_chains, detour_formula, detour_gains, distance,
                       expand, field_from_order, gq_criterion, gq_parameters,
-                      identity_gains, is_chain, is_generalized_ngon, lift_chain,
-                      switch, switching_isomorphism, verify_isomorphism, walk_gain)
+                      identity_gains, is_chain, is_generalized_ngon, label_sweep,
+                      lift_chain, switch, switching_isomorphism, verify_isomorphism,
+                      walk_gain)
 from gainquad.construction import DetourKernel
 from helpers import tiny_base
 
@@ -228,9 +229,7 @@ def test_criterion_fails_identity_gains(plane2):
 
 def test_criterion_collects_witnesses(plane2):
     g = identity_gains(plane2.structure, CyclicGroup(2))
-    verdict = gq_criterion(g, collect_witnesses=True)
-    assert not verdict.ok
-    assert len(verdict.witness) == 6 * 4 - 12  # every non-incident pair fails
+    assert bijective_pair_count(g) == (0, 6 * 4 - 12)  # every non-incident pair fails
 
 
 def test_criterion_rejects_non_linear_space():
@@ -259,12 +258,11 @@ def test_regular_shortcut_agrees_with_sweep(plane2, plane3):
         for _ in range(10):
             gains = {(b, p): rng.choice(els) for p, b in base.incidence}
             g = GainGraph(base, group, gains)
-            fast = gq_criterion(g, regular_shortcut=True)
-            slow = gq_criterion(g, regular_shortcut=False)
-            assert bool(fast) == bool(slow)
+            failing = list(label_sweep(g))
+            assert gq_criterion(g).ok == (not failing)
             # and pair by pair, not only in aggregate
-            assert (bijective_pair_count(g, regular_shortcut=True)
-                    == bijective_pair_count(g, regular_shortcut=False))
+            total = base.n_points * base.n_lines - len(base.incidence)
+            assert bijective_pair_count(g) == (total - len(failing), total)
 
 
 def _oracle_pairs(g):
@@ -338,7 +336,6 @@ def test_kernel_matches_scalar_oracle():
         assert verdict.ok == (not bad)
         if bad:
             assert verdict.witness == bad[0]
-            assert gq_criterion(g, collect_witnesses=True).witness == bad
             failing += 1
         else:
             passing += 1
@@ -350,6 +347,25 @@ def test_kernel_rejects_non_linear_space():
     with pytest.raises(ValueError):
         DetourKernel(IncidenceStructure([0, 1, 2], [0, 1], [(0, 0), (1, 0), (1, 1), (2, 1)]),
                      CyclicGroup(2))
+
+
+class _TrivialAction(CyclicGroup):
+    """Z_n fixing every label: a finite action that is not regular."""
+
+    regular = False
+
+    def act(self, g, lam):
+        return lam
+
+
+def test_kernel_rejects_non_regular_action(plane2):
+    g = identity_gains(plane2.structure, _TrivialAction(2))
+    for call in (lambda: DetourKernel(g.base, g.group),
+                 lambda: gq_criterion(g), lambda: bijective_pair_count(g)):
+        with pytest.raises(ValueError, match="regular"):
+            call()
+    # the label sweep still decides it: no detour table permutes the labels
+    assert len(list(label_sweep(g))) == 6 * 4 - 12
 
 
 def test_parameters(expansions_small):

@@ -77,6 +77,9 @@ def test_codes_follow_the_group_law(group):
     assert composed.dtype == inverted.dtype == dtype
     assert composed.tolist() == [group.code(group.compose(g, h)) for g, h in pairs]
     assert inverted.tolist() == [group.code(group.inverse(g)) for g, _ in pairs]
+    # narrower codes are widened first: Z17 takes uint8 16 + 16 to 15
+    narrow = group.compose_codes(a.astype(np.uint8), b.astype(np.uint8))
+    assert narrow.tolist() == composed.tolist()
 
 
 def test_group_spec_roundtrip():

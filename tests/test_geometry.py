@@ -7,17 +7,17 @@ import pytest
 
 import gainquad.geometry as geometry
 from gainquad import (GF, CyclicGroup, GainGraph, IncidenceStructure, affine_gains,
-                      affine_plane, census_ngon, count_shortest_chains,
+                      affine_plane, count_shortest_chains,
                       compose_isomorphisms, distance, dual, expand,
                       field_from_order, firmness,
                       invert_isomorphism, is_chain, is_generalized_ngon,
-                      is_generalized_quadrangle, is_linear_space, is_ovoid,
+                      is_linear_space, is_ovoid,
                       Isomorphism, payne_derivation, steiner_parameters,
                       structure_from_json, structure_to_json,
                       symplectic_quadrangle, verify_isomorphism)
-from helpers import (enumerate_chains, grid_quadrangle, naive_linear_space,
-                     naive_shortest_count, quadrilateral, random_structure,
-                     relabeled, tiny_base)
+from helpers import (assert_quadrangle_witness, enumerate_chains, grid_quadrangle,
+                     naive_linear_space, naive_shortest_count, quadrilateral,
+                     random_structure, relabeled, tiny_base)
 
 
 def test_construction_validation():
@@ -257,36 +257,45 @@ def _quadrangle_cases():
     return cases
 
 
-def test_quadrangle_check_matches_census_oracle(monkeypatch):
+@pytest.fixture
+def quadrangle_check(monkeypatch):
+    """Checks is_generalized_ngon(s, 4) against the census and the BFS
+    oracles and returns its witness kind; the census must not run."""
     census = geometry.census_ngon
-    calls = []
     monkeypatch.setattr(geometry, "census_ngon",
-                        lambda s, n: calls.append(n) or census(s, n))
-    kinds = set()
-    for s in _quadrangle_cases():
-        expected = census(s, 4)
-        calls.clear()
-        assert is_generalized_ngon(s, 4) == expected, s
-        # the census only runs to report a failure with its witness
-        assert calls == ([] if expected else [4]), s
-        assert is_generalized_quadrangle(s) == expected.ok, s
-        kinds.add(expected.witness[0] if expected.witness else "pass")
-    assert kinds == {"pass", "distance", "uniqueness"}
+                        lambda s, n: pytest.fail(f"census_ngon ran for n = {n}"))
+
+    def check(s):
+        verdict = is_generalized_ngon(s, 4)
+        assert verdict.ok == census(s, 4).ok, s.incidence
+        if verdict:
+            return "pass"
+        assert_quadrangle_witness(s, verdict.witness)
+        return verdict.witness[0]
+
+    return check
 
 
-def test_quadrangle_check_on_every_tiny_structure():
+def test_quadrangle_check_matches_census_oracle(quadrangle_check, monkeypatch):
+    cases = _quadrangle_cases()
+    # 64 cells hold a few point rows, so most witnesses lie past the first block
+    for block_cells in (geometry._GQ_BLOCK_CELLS, 64):
+        monkeypatch.setattr(geometry, "_GQ_BLOCK_CELLS", block_cells)
+        kinds = {quadrangle_check(s) for s in cases}
+        assert kinds == {"pass", "distance", "uniqueness"}
+
+
+def test_quadrangle_check_on_every_tiny_structure(quadrangle_check):
     """Every incidence relation on at most 3 points and 3 lines."""
-    passed = 0
+    kinds = set()
     for v in (1, 2, 3):
         for b in (1, 2, 3):
             flags = [(p, j) for p in range(v) for j in range(b)]
             for mask in range(1, 1 << len(flags)):
                 s = IncidenceStructure(range(v), range(b),
                                        [f for k, f in enumerate(flags) if mask >> k & 1])
-                ok = census_ngon(s, 4).ok
-                assert is_generalized_quadrangle(s) == ok, s.incidence
-                passed += ok
-    assert passed > 0
+                kinds.add(quadrangle_check(s))
+    assert kinds == {"pass", "distance", "uniqueness"}
 
 
 def test_firmness_not_firm():

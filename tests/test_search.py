@@ -10,8 +10,8 @@ import gainquad.search as search_module
 import gainquad.storage as storage_module
 from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, affine_gains,
                       affine_plane, canonical_form, detour_gains, expand,
-                      gq_criterion, run_search, spanning_tree_edges, switch,
-                      verify_known)
+                      gq_criterion, label_sweep, run_search, spanning_tree_edges,
+                      switch, verify_known)
 from gainquad.search import _config_digest, _unrank, _unrank_batch
 from helpers import tiny_base
 
@@ -84,10 +84,11 @@ def test_budget_flags_partial(plane2):
     assert report.scanned == 3
 
 
-def test_checkpoint_resume(tmp_path, plane2):
+def test_checkpoint_resume(tmp_path, plane2, monkeypatch):
     ck = str(tmp_path / "scan.ck")
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 1)
     first = run_search(plane2.structure, CyclicGroup(2), budget=3,
-                       checkpoint_path=ck, checkpoint_every=1)
+                       checkpoint_path=ck)
     assert first.partial
     resumed = run_search(plane2.structure, CyclicGroup(2), checkpoint_path=ck)
     oneshot = run_search(plane2.structure, CyclicGroup(2))
@@ -121,7 +122,8 @@ def test_checkpoint_of_another_certificate_version_exits_2(tmp_path, monkeypatch
     {"next_index": -1}, {"next_index": 9}, {"representatives": [1]}, {"gq_count": None},
     {"representatives": [{"certificate": 7}]}, {"representatives": 0},
     {"near_miss": {"x": 1}}, {"near_miss": {"1": 2.5}},
-    {"representatives": [{"certificate": "abc"}]}])
+    {"representatives": [{"certificate": "abc"}]}, {"gq_count": 5},
+    {"representatives": [{"certificate": "abc", "structure": {}}]}])
 def test_malformed_checkpoint_rejected(tmp_path, plane2, change):
     ck = tmp_path / "scan.ck"
     state = {"digest": _config_digest(plane2.structure, CyclicGroup(2), False, True),
@@ -240,27 +242,30 @@ def test_resume_near_the_end_of_a_space_beyond_int64(tmp_path):
     # near-miss buckets first seen after the cut come in another order
     (3, False, 3000, 100),
 ])
-def test_resumed_checkpoint_is_byte_identical(tmp_path, q, unreduced, budget, cut):
+def test_resumed_checkpoint_is_byte_identical(tmp_path, monkeypatch, q, unreduced, budget,
+                                              cut):
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 1000)
     base, group = affine_plane(GF(q)).structure, CyclicGroup(q)
     oneshot = tmp_path / "oneshot.ck"
     run_search(base, group, unreduced=unreduced, budget=budget,
-               checkpoint_path=str(oneshot), checkpoint_every=1000)
+               checkpoint_path=str(oneshot))
     resumed = tmp_path / "resumed.ck"
     first = run_search(base, group, unreduced=unreduced, budget=cut,
-                       checkpoint_path=str(resumed), checkpoint_every=1000)
+                       checkpoint_path=str(resumed))
     assert first.partial
     run_search(base, group, unreduced=unreduced, budget=budget,
-               checkpoint_path=str(resumed), checkpoint_every=1000)
+               checkpoint_path=str(resumed))
     assert resumed.read_bytes() == oneshot.read_bytes()
 
 
-def test_checkpoint_with_scanned_and_certificates_resumes(tmp_path, plane2):
+def test_checkpoint_with_scanned_and_certificates_resumes(tmp_path, plane2, monkeypatch):
     # Older checkpoints also stored "scanned" (always next_index) and
     # "certificates" (the representatives' certificates, in their order).
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 1000)
     group = CyclicGroup(2)
     ck = tmp_path / "scan.ck"
     run_search(plane2.structure, group, unreduced=True, budget=1500,
-               checkpoint_path=str(ck), checkpoint_every=1000)
+               checkpoint_path=str(ck))
     state = json.loads(ck.read_text())
     assert sorted(state) == ["digest", "gq_count", "near_miss", "next_index",
                              "representatives"]
@@ -269,7 +274,7 @@ def test_checkpoint_with_scanned_and_certificates_resumes(tmp_path, plane2):
     state["certificates"] = [r["certificate"] for r in state["representatives"]]
     ck.write_text(json.dumps(state, sort_keys=True))
     resumed = run_search(plane2.structure, group, unreduced=True,
-                         checkpoint_path=str(ck), checkpoint_every=1000)
+                         checkpoint_path=str(ck))
     oneshot = run_search(plane2.structure, group, unreduced=True)
     assert resumed.to_json() == oneshot.to_json()
 
@@ -279,6 +284,7 @@ def test_checkpoint_survives_a_failed_write(tmp_path, plane2, monkeypatch):
     ck = tmp_path / "scan.ck"
     real_replace = storage_module.os.replace
     calls = []
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 1000)
 
     def replace_once(src, dst):
         calls.append(dst)
@@ -289,11 +295,11 @@ def test_checkpoint_survives_a_failed_write(tmp_path, plane2, monkeypatch):
     monkeypatch.setattr(storage_module.os, "replace", replace_once)
     with pytest.raises(OSError):
         run_search(plane2.structure, group, unreduced=True,
-                   checkpoint_path=str(ck), checkpoint_every=1000)
+                   checkpoint_path=str(ck))
     assert json.loads(ck.read_text())["next_index"] == 1000
     monkeypatch.setattr(storage_module.os, "replace", real_replace)
     resumed = run_search(plane2.structure, group, unreduced=True,
-                         checkpoint_path=str(ck), checkpoint_every=1000)
+                         checkpoint_path=str(ck))
     oneshot = run_search(plane2.structure, group, unreduced=True)
     assert resumed.to_json() == oneshot.to_json()
 
@@ -306,7 +312,9 @@ def test_unreduced_canonicalises_once_per_switching_class(plane2, monkeypatch):
     for index in range(2 ** len(all_edges)):
         digits = _unrank(index, 2, len(all_edges))
         g = GainGraph(base, group, dict(zip(all_edges, digits)))
-        if gq_criterion(g, regular_shortcut=False):
+        ok = next(label_sweep(g), None) is None
+        assert gq_criterion(g).ok == ok
+        if ok:
             survivors += 1
             direct.add(canonical_form(expand(g)).certificate)
     assert survivors == 512
