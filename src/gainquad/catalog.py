@@ -55,13 +55,6 @@ class AffinePlane:
                     pairs.append((self.point_ids[(x, y)], li))
         self.structure = IncidenceStructure(point_labels, line_labels, pairs)
 
-    def on_line(self, key, coords):
-        x, y = coords
-        if key[0] == "v":
-            return x == key[1]
-        _, m, b = key
-        return y == self.field.add(self.field.mul(m, x), b)
-
 
 def affine_plane(field):
     return AffinePlane(field)

@@ -14,6 +14,7 @@ accepted: "ag2:q" for the affine plane over GF(q), q a prime power, or
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -101,6 +102,16 @@ def _config(args, command):
         "verbose": args.verbose,
         "argv": [a for a in args.raw_argv],
     }
+
+
+def _deadline(timeout):
+    """The time.monotonic() deadline of a --timeout budget, None without
+    one; ValueError unless it is a positive finite number of seconds."""
+    if timeout is None:
+        return None
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError(f"--timeout takes a positive number of seconds, not {timeout}")
+    return time.monotonic() + timeout
 
 
 def _note(args, message):
@@ -199,8 +210,7 @@ def cmd_verify(args):
 def cmd_isocheck(args):
     s1 = realize_base(args.first)["structure"]
     s2 = realize_base(args.second)["structure"]
-    deadline = time.monotonic() + args.timeout if args.timeout else None
-    iso = are_isomorphic(s1, s2, deadline=deadline)
+    iso = are_isomorphic(s1, s2, deadline=_deadline(args.timeout))
     if iso is None:
         inv = distinguishing_invariant(s1, s2) or "search-exhausted"
         print(f"non-isomorphic ({inv})")
@@ -221,8 +231,7 @@ def cmd_payne_check(args):
     _note(args, f"built the affine expansion: {left.n_points}/{left.n_lines}")
     right = catalog.dual(catalog.payne_derivation(catalog.symplectic_quadrangle(q)))
     _note(args, f"built the dual derivation: {right.n_points}/{right.n_lines}")
-    deadline = time.monotonic() + args.timeout if args.timeout else None
-    iso = are_isomorphic(left, right, deadline=deadline)
+    iso = are_isomorphic(left, right, deadline=_deadline(args.timeout))
     doc = {"q": q, "config": _config(args, "payne-check"),
            "left": {"points": left.n_points, "lines": left.n_lines},
            "right": {"points": right.n_points, "lines": right.n_lines}}
@@ -404,7 +413,7 @@ def build_parser():
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--witness", help="write the witness JSON here")
-    p.add_argument("--timeout", type=float, default=None, help="seconds")
+    p.add_argument("--timeout", type=float, default=None, help="positive seconds")
     p.set_defaults(func=cmd_isocheck)
 
     p = sub.add_parser("payne-check",
@@ -412,7 +421,7 @@ def build_parser():
                             "dual derived symplectic quadrangle")
     p.add_argument("q", type=int)
     p.add_argument("--witness")
-    p.add_argument("--timeout", type=float, default=None, help="seconds")
+    p.add_argument("--timeout", type=float, default=None, help="positive seconds")
     p.set_defaults(func=cmd_payne_check)
 
     p = sub.add_parser("search", help="scan gain functions on a linear space")

@@ -111,21 +111,15 @@ def switching_isomorphism(gains, f):
     c1 = expand(gains)
     c2 = expand(switch(gains, f))
     lam_pos = {lam: t for t, lam in enumerate(c1.lambdas)}
-    k = len(c1.lambdas)
-    v = base.n_points
 
-    point_map = list(range(v))
+    point_map = list(c1.x_points())
     for b in range(base.n_lines):
         fb = f[base.line_eid(b)]
-        for t in range(k):
-            mu = group.act(fb, c1.lambdas[t])
-            point_map.append(v + b * k + lam_pos[mu])
+        point_map.extend(c1.y_point(b, lam_pos[group.act(fb, lam)]) for lam in c1.lambdas)
     line_map = []
-    for p in range(v):
+    for p in range(base.n_points):
         fp = f[base.point_eid(p)]
-        for t in range(k):
-            mu = group.act(fp, c1.lambdas[t])
-            line_map.append(p * k + lam_pos[mu])
+        line_map.extend(c1.z_line(p, lam_pos[group.act(fp, lam)]) for lam in c1.lambdas)
 
     iso = Isomorphism(tuple(point_map), tuple(line_map))
     if not verify_isomorphism(c1, c2, iso):

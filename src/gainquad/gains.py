@@ -153,13 +153,12 @@ def gains_to_json(g):
     }
 
 
-def gains_from_json(base, doc, group=None):
+def gains_from_json(base, doc):
     from .groups import group_from_spec
 
     if not isinstance(doc, dict) or not isinstance(doc.get("gains"), list):
         raise ValueError("a gains document is an object with a 'gains' list")
-    if group is None:
-        group = group_from_spec(doc.get("group"))
+    group = group_from_spec(doc.get("group"))
     gains = {}
     for entry in doc["gains"]:
         if not (isinstance(entry, list) and len(entry) == 3

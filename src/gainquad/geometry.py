@@ -8,7 +8,6 @@ everything here is safe to share across threads.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,17 +90,13 @@ class IncidenceStructure:
             return "point", e
         return "line", e - self.n_points
 
-    def neighbors(self, e):
-        kind, i = self.eid_index(e)
-        if kind == "point":
-            return tuple(self.line_eid(b) for b in self.lines_of_point[i])
-        return tuple(self.points_of_line[i])
-
     def adjacency(self):
-        """adjacency[eid] -> tuple of neighbor eids, ascending."""
+        """adjacency[eid] -> tuple of neighbor eids, ascending: each point's
+        lines offset by n_points, then each line's points (cached)."""
         if self._adjacency is None:
-            self._adjacency = tuple(self.neighbors(e)
-                                    for e in range(self.n_elements))
+            v = self.n_points
+            self._adjacency = tuple(tuple(v + b for b in lines)
+                                    for lines in self.lines_of_point) + self.points_of_line
         return self._adjacency
 
     def edge_ids(self):
@@ -177,55 +172,46 @@ def is_chain(s, seq):
     return all(seq[i] in adj[seq[i - 1]] for i in range(1, len(seq)))
 
 
-def distance(s, u, v):
-    """Length of a shortest chain from u to v; math.inf when disconnected."""
-    s.eid_index(u)
-    s.eid_index(v)
-    if u == v:
-        return 0
-    adj = s.adjacency()
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                queue.append(y)
-    return math.inf
+def _layered_walk(s, u, v):
+    """(d(u, v), number of chains of that length), or (math.inf, 0) when
+    u and v are disconnected.
 
-
-def count_shortest_chains(s, u, v):
-    """Number of chains of length d(u,v) from u to v.
-
-    Shortest chains never repeat an element, so counting paths over the
-    breadth-first layering is exact.
+    A breadth-first walk one layer at a time that sums into each newly
+    reached element the ways of its neighbours in the layer before.
+    Shortest chains never repeat an element, so the sum is exact.
     """
     s.eid_index(u)
     s.eid_index(v)
-    if u == v:
-        return 1
     adj = s.adjacency()
-    dist = {u: 0}
-    ways = {u: 1}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            return ways[v]
-        for y in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                ways[y] = ways[x]
-                queue.append(y)
-            elif dist[y] == dist[x] + 1:
-                ways[y] += ways[x]
-    raise ValueError(f"elements {u} and {v} are disconnected")
+    seen = {u}
+    layer = {u: 1}
+    d = 0
+    while layer:
+        if v in layer:
+            return d, layer[v]
+        nxt = {}
+        for x, ways in layer.items():
+            for y in adj[x]:
+                if y not in seen:
+                    nxt[y] = nxt.get(y, 0) + ways
+        seen.update(nxt)
+        layer = nxt
+        d += 1
+    return math.inf, 0
 
 
-_EXACT_LIMIT = float(1 << 53)
+def distance(s, u, v):
+    """Length of a shortest chain from u to v; math.inf when disconnected."""
+    return _layered_walk(s, u, v)[0]
+
+
+def count_shortest_chains(s, u, v):
+    """Number of chains of length d(u,v) from u to v; ValueError when
+    u and v are disconnected."""
+    ways = _layered_walk(s, u, v)[1]
+    if not ways:
+        raise ValueError(f"elements {u} and {v} are disconnected")
+    return ways
 
 
 def chain_census(s, max_length):
@@ -235,35 +221,26 @@ def chain_census(s, max_length):
     where no chain of length <= max_length exists.  Counts are computed
     as powers of the adjacency matrix: a walk of minimal length cannot
     repeat an element, so the walk count at the first nonzero power is
-    exactly the shortest-chain count.  float64 matmul stays exact here;
-    if entries could approach 2^53 the census falls back to python ints.
+    exactly the shortest-chain count.  Walk counts saturate at
+    cap = 2^53 // (maximum degree), so no float64 sum passes 2^53 and
+    every product is exact: by induction each entry is min(true count,
+    cap).  A count equal to cap stands for one at least that large.
     """
     n = s.n_elements
     p, b = np.array(s.incidence).T
     a = np.zeros((n, n))
     a[p, s.n_points + b] = a[s.n_points + b, p] = 1.0
+    cap = float((1 << 53) // int(a.sum(axis=1).max()))
     dist = np.full((n, n), -1, dtype=np.int32)
-    count = np.zeros((n, n), dtype=np.int64)
     np.fill_diagonal(dist, 0)
-    np.fill_diagonal(count, 1)
+    count = np.eye(n, dtype=np.int64)
     walks = np.eye(n)
-    exact = None
-    max_deg = max(int(x) for x in a.sum(axis=1))
     for k in range(1, max_length + 1):
-        if exact is None and float(walks.max()) * max_deg >= _EXACT_LIMIT:
-            exact = np.vectorize(int, otypes=[object])(walks)
-            a_exact = np.vectorize(int, otypes=[object])(a)
-        if exact is None:
-            walks = walks @ a
-            newly = (dist < 0) & (walks > 0)
-            count[newly] = walks[newly].astype(np.int64)
-        else:
-            exact = exact @ a_exact
-            newly = (dist < 0) & (exact > 0)
-            # Counts this large only ever matter as "not equal to 1".
-            cap = 1 << 62
-            count[newly] = [min(x, cap) for x in exact[newly]]
+        walks = walks @ a
+        np.minimum(walks, cap, out=walks)
+        newly = (dist < 0) & (walks > 0)
         dist[newly] = k
+        count[newly] = walks[newly]
     return dist, count
 
 

@@ -137,6 +137,32 @@ def test_verify_ovoid(tmp_path):
     assert run("verify", "ag2:3", "--as", "ovoid") == 2  # no tags
 
 
+def test_verify_ovoid_reports_why_it_fails(tmp_path):
+    bad, report = tmp_path / "bad.json", tmp_path / "r.json"
+    assert run("build", "ag2", "2", "--identity-gains", "-o", bad) == 0
+    assert run("verify", bad, "--as", "ovoid", "--report", report) == 1
+    assert read_json(report)["witness"][0] == "not-a-quadrangle"
+    # a quadrangle whose x-tagged points miss the lines through point 0
+    retagged = tmp_path / "retagged.json"
+    assert run("build", "ag2", "3", "--with-gains", "-o", retagged) == 0
+    doc = read_json(retagged)
+    doc["tags"]["points"][0] = ["y", 0, 0]
+    retagged.write_text(json.dumps(doc))
+    assert run("verify", retagged, "--as", "ovoid", "--report", report) == 1
+    assert read_json(report)["witness"] == "x-points-not-an-ovoid"
+
+
+def test_verify_steiner_needs_equal_line_sizes(tmp_path):
+    # the near-pencil: one line of size 3, and three of size 2 through point 3
+    pencil, report = tmp_path / "pencil.json", tmp_path / "r.json"
+    pencil.write_text(json.dumps({"points": [0, 1, 2, 3], "lines": [0, 1, 2, 3],
+                                  "incidence": [[0, 0], [1, 0], [2, 0], [3, 1], [0, 1],
+                                                [3, 2], [1, 2], [3, 3], [2, 3]]}))
+    assert run("verify", pencil, "--as", "linear-space") == 0
+    assert run("verify", pencil, "--as", "steiner", "--report", report) == 1
+    assert read_json(report)["witness"] == "unequal-line-sizes"
+
+
 def test_verify_gq_failure_witness(tmp_path):
     report = tmp_path / "r.json"
     assert run("verify", "ag2:2", "--as", "gq", "--report", report) == 1
@@ -161,6 +187,14 @@ def test_payne_check(tmp_path, capsys):
     assert "isomorphic" in capsys.readouterr().out
     doc = read_json(witness)
     assert doc["isomorphic"] and len(doc["point_map"]) == 16
+
+
+def test_isocheck_timeout_exits_3_without_a_witness(tmp_path, capsys):
+    witness = tmp_path / "w.json"
+    assert run("isocheck", "payne-dual:3", "payne-dual:3", "--timeout", "1e-9",
+               "--witness", witness) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+    assert not witness.exists()
 
 
 def test_payne_check_q3():
@@ -276,6 +310,10 @@ _BAD_INPUT = {
     "ag2-three-arguments": ({}, ["verify", "ag2:2:2:2", "--as", "linear-space"]),
     "negative-budget": ({}, ["search", "--base", "ag2:2", "--group", "z:2",
                              "--budget", "-5"]),
+    "timeout-zero": ({}, ["isocheck", "ag2:2", "ag2:2", "--timeout", "0"]),
+    "timeout-nan": ({}, ["payne-check", "2", "--timeout", "nan"]),
+    "timeout-negative": ({}, ["isocheck", "ag2:2", "ag2:2", "--timeout", "-1"]),
+    "timeout-infinite": ({}, ["isocheck", "ag2:2", "ag2:2", "--timeout", "inf"]),
 }
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import gainquad.geometry as geometry
@@ -79,23 +80,31 @@ def test_count_matches_enumerator_on_random_structures():
     rng = random.Random(11)
     for _ in range(15):
         s = random_structure(rng)
+        dist, count = geometry.chain_census(s, s.n_elements)
         for u in range(s.n_elements):
             for v in range(s.n_elements):
                 k, naive = naive_shortest_count(s, u, v)
                 if k is None:
                     assert distance(s, u, v) == math.inf
+                    assert dist[u, v] == -1
                 else:
-                    assert distance(s, u, v) == k
-                    assert count_shortest_chains(s, u, v) == naive
+                    assert distance(s, u, v) == k == dist[u, v]
+                    assert count_shortest_chains(s, u, v) == naive == count[u, v]
 
 
-def test_census_exact_fallback(monkeypatch, expansion2):
-    import gainquad.geometry as geometry
-    dist_fast, count_fast = geometry.chain_census(expansion2, 4)
-    monkeypatch.setattr(geometry, "_EXACT_LIMIT", 1.0)
-    dist_slow, count_slow = geometry.chain_census(expansion2, 4)
-    assert (dist_fast == dist_slow).all()
-    assert (count_fast == count_slow).all()
+def test_census_exact_fallback(expansion2):
+    # Walk counts pass 2^53 well before length 60, yet the counts of the
+    # pairs first reached by length 4 stay exact.
+    n = expansion2.n_elements
+    a = np.zeros((n, n))
+    for u, nbrs in enumerate(expansion2.adjacency()):
+        a[u, list(nbrs)] = 1
+    assert np.linalg.matrix_power(a, 60).max() > 2.0 ** 53
+    dist, count = geometry.chain_census(expansion2, 60)
+    dist4, count4 = geometry.chain_census(expansion2, 4)
+    assert (dist == dist4).all() and (count == count4).all()
+    assert all(count[u, v] == count_shortest_chains(expansion2, u, v)
+               for u in range(n) for v in range(n))
 
 
 def test_chains_may_backtrack_at_longer_lengths():
