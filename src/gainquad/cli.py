@@ -119,6 +119,19 @@ def _note(args, message):
         print(message, file=sys.stderr)
 
 
+def _isomorphism(args, s1, s2):
+    """are_isomorphic under the --timeout budget.  With -v, one stderr
+    line of counters per search it ran, also when the budget ends it."""
+    stats = []
+    try:
+        return are_isomorphic(s1, s2, deadline=_deadline(args.timeout), stats=stats)
+    finally:
+        for which, st in zip(("first", "second"), stats):
+            _note(args, f"search on the {which} structure: {st.nodes} nodes, "
+                        f"{st.leaves} leaves, {st.automorphisms} automorphisms, "
+                        f"{st.refinement_rounds} refinement rounds")
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -210,7 +223,7 @@ def cmd_verify(args):
 def cmd_isocheck(args):
     s1 = realize_base(args.first)["structure"]
     s2 = realize_base(args.second)["structure"]
-    iso = are_isomorphic(s1, s2, deadline=_deadline(args.timeout))
+    iso = _isomorphism(args, s1, s2)
     if iso is None:
         inv = distinguishing_invariant(s1, s2) or "search-exhausted"
         print(f"non-isomorphic ({inv})")
@@ -231,7 +244,7 @@ def cmd_payne_check(args):
     _note(args, f"built the affine expansion: {left.n_points}/{left.n_lines}")
     right = catalog.dual(catalog.payne_derivation(catalog.symplectic_quadrangle(q)))
     _note(args, f"built the dual derivation: {right.n_points}/{right.n_lines}")
-    iso = are_isomorphic(left, right, deadline=_deadline(args.timeout))
+    iso = _isomorphism(args, left, right)
     doc = {"q": q, "config": _config(args, "payne-check"),
            "left": {"points": left.n_points, "lines": left.n_lines},
            "right": {"points": right.n_points, "lines": right.n_lines}}

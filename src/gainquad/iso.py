@@ -4,7 +4,10 @@ Everything runs on color refinement of the bipartite incidence graph,
 with points and lines as separate initial classes (the two sides are
 never interchanged; duality is an explicit catalog operation).  Colors
 are assigned by sorting signatures, so the refined partition does not
-depend on the input labeling.
+depend on the input labeling.  A vertex's signature is its color and
+its sorted neighbor colors; each round ranks the signature rows by
+lexsorting 1-D int64 keys, each packing as many columns as fit in
+base n + 1, which gives the order np.unique(axis=0) would.
 
 One search routine serves both entry points, in the individualize-
 refine scheme of McKay & Piperno, "Practical graph isomorphism II"
@@ -34,6 +37,35 @@ from .geometry import Isomorphism, verify_isomorphism
 CERTIFICATE_VERSION = 1
 
 
+def _dense_rank(sig, base):
+    """Dense lexicographic rank of each row of sig, whose entries lie in
+    [0, base): the inverse np.unique(sig, axis=0) would return.
+
+    Runs of columns are packed in base `base` into as few int64 keys as
+    hold them; packing keeps the order of each run, so lexsorting the
+    keys sorts the rows, and a rank steps wherever any key changes.
+    """
+    n, m = sig.shape
+    width = 1
+    while base ** (width + 1) <= 1 << 63:
+        width += 1
+    keys = []
+    for start in range(0, m, width):
+        key = sig[:, start].copy()
+        for j in range(start + 1, min(start + width, m)):
+            key *= base
+            key += sig[:, j]
+        keys.append(key)
+    order = np.lexsort(keys[::-1])
+    step = np.zeros(n, dtype=bool)
+    for key in keys:
+        run = key[order]
+        step[1:] |= run[1:] != run[:-1]
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.cumsum(step)
+    return ranks
+
+
 class _Refiner:
     """Vectorized refinement context for one structure."""
 
@@ -52,34 +84,36 @@ class _Refiner:
         self.degs = degs
         self.edge_u = np.repeat(np.arange(self.n, dtype=np.int64), degs)
         self.edge_v = pad[pad < self.n]
+        self.rounds = 0  # refinement rounds run, for SearchStats
 
     def initial_colors(self):
         side = (np.arange(self.n) >= self.n_points).astype(np.int64)
-        sig = np.stack([side, self.degs], axis=1)
-        _, colors = np.unique(sig, axis=0, return_inverse=True)
-        return colors.reshape(-1).astype(np.int64)
+        return _dense_rank(np.stack([side, self.degs], axis=1), self.n + 1)
 
     def refine(self, colors):
         ncolors = int(colors.max()) + 1
         buf = np.empty(self.n + 1, dtype=np.int64)
+        buf[self.n] = self.n
+        sig = np.empty((self.n, 1 + self.pad.shape[1]), dtype=np.int64)
         while True:
+            self.rounds += 1
             buf[:self.n] = colors
-            buf[self.n] = self.n
-            nb = buf[self.pad]
-            nb.sort(axis=1)
-            sig = np.concatenate([colors[:, None], nb], axis=1)
-            _, new = np.unique(sig, axis=0, return_inverse=True)
-            new = new.reshape(-1).astype(np.int64)
+            sig[:, 0] = colors
+            sig[:, 1:] = buf[self.pad]
+            sig[:, 1:].sort(axis=1)
+            new = _dense_rank(sig, self.n + 1)
             nnew = int(new.max()) + 1
             if nnew == ncolors:
                 return new
             colors, ncolors = new, nnew
 
     def individualize(self, colors, v):
-        key = colors * 2 + 1
-        key[v] -= 1
-        _, new = np.unique(key, return_inverse=True)
-        return self.refine(new.reshape(-1).astype(np.int64))
+        """Refine after giving v a cell of its own, numbered just before
+        the rest of its cell, which must hold at least one other vertex."""
+        c = colors[v]
+        new = colors + (colors >= c)
+        new[v] = c
+        return self.refine(new)
 
     def invariant(self, colors):
         """Stable digest of cell sizes plus the edge-color quotient."""
@@ -157,6 +191,17 @@ class CanonicalForm:
         return hash((self.n_points, self.n_lines, self.matrix))
 
 
+class SearchStats:
+    """Counters of one search: nodes visited (pruned ones included),
+    leaves reached, automorphisms found and refinement rounds run.
+    A plain class, not a dataclass, so importing the module stays cheap."""
+
+    __slots__ = ("nodes", "leaves", "automorphisms", "refinement_rounds")
+
+    def __init__(self):
+        self.nodes = self.leaves = self.automorphisms = self.refinement_rounds = 0
+
+
 class _Backjump(Exception):
     """Unwind the search to the level where the current branch split off
     from the best leaf's branch."""
@@ -173,7 +218,7 @@ class _Stop(Exception):
         self.order = order
 
 
-def _search(s, target=None, deadline=None):
+def _search(s, target=None, deadline=None, stats=None):
     """Individualize-refine search for the minimal (path, matrix) leaf.
 
     Without a target, returns the best leaf as a dict with its path,
@@ -183,14 +228,20 @@ def _search(s, target=None, deadline=None):
     None when s's own minimum differs: the search is the same
     minimization (own ties, own backjumps), but any node provably below
     the target answers no, since leaf keys are relabeling-invariant.
+    stats, when given, is a list that receives this search's SearchStats,
+    filled in also when the search times out.
     """
     ref = _Refiner(s)
     n = s.n_elements
     best = {"path": None, "cert": None, "order": None, "base": None}
     autos = set()
+    counts = SearchStats()
+    if stats is not None:
+        stats.append(counts)
     stage = "canonical labeling" if target is None else "isomorphism search"
 
     def rec(colors, path, fixed):
+        counts.nodes += 1
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError(f"{stage} budget exceeded")
         path = path + (ref.invariant(colors),)
@@ -200,6 +251,7 @@ def _search(s, target=None, deadline=None):
             return
         cell = ref.target_cell(colors)
         if cell is None:
+            counts.leaves += 1
             order = [0] * n
             for v, c in enumerate(colors):
                 order[c] = v
@@ -227,8 +279,13 @@ def _search(s, target=None, deadline=None):
                     raise _Backjump(diverge)
             return
         explored = []
+        gens, filtered = [], 0
         for v in (int(x) for x in np.flatnonzero(colors == cell)):
-            gens = [g for g in autos if all(g[w] == w for w in fixed)]
+            if len(autos) > filtered:
+                # Only automorphisms fixing the base so far map siblings
+                # onto siblings; refilter only once a leaf has added one.
+                gens = [g for g in autos if all(g[w] == w for w in fixed)]
+                filtered = len(autos)
             if _orbit_hits(v, explored, gens):
                 continue
             explored.append(v)
@@ -243,6 +300,9 @@ def _search(s, target=None, deadline=None):
         rec(ref.refine(ref.initial_colors()), (), ())
     except _Stop as stop:
         return stop.order
+    finally:
+        counts.automorphisms = len(autos)
+        counts.refinement_rounds = ref.rounds
     return best if target is None else None
 
 
@@ -281,7 +341,7 @@ def distinguishing_invariant(s1, s2):
     return None
 
 
-def are_isomorphic(s1, s2, deadline=None):
+def are_isomorphic(s1, s2, deadline=None, stats=None):
     """An explicit verified isomorphism witness, or None.
 
     The first structure is canonicalized in full; the second is then
@@ -289,13 +349,16 @@ def are_isomorphic(s1, s2, deadline=None):
     when the canonical forms coincide.  The witness maps the two
     orderings onto each other and is revalidated exactly before return.
     deadline, when given, is a time.monotonic() value past which the
-    search raises TimeoutError.
+    search raises TimeoutError.  stats, when given, is a list that
+    receives one SearchStats per search run: none when the point, line
+    or incidence counts differ, else one for each structure.
     """
     if (s1.n_points != s2.n_points or s1.n_lines != s2.n_lines
             or len(s1.incidence) != len(s2.incidence)):
         return None
-    best = _search(s1, deadline=deadline)
-    order2 = _search(s2, (best["path"], best["cert"]), deadline=deadline)
+    best = _search(s1, deadline=deadline, stats=stats)
+    order2 = _search(s2, (best["path"], best["cert"]), deadline=deadline,
+                     stats=stats)
     if order2 is None:
         return None
     # Refinement never merges the initial point/line split, so points

@@ -197,6 +197,23 @@ def test_isocheck_timeout_exits_3_without_a_witness(tmp_path, capsys):
     assert not witness.exists()
 
 
+SEARCH_COUNTERS = (r"search on the (first|second) structure: \d+ nodes, \d+ leaves, "
+                   r"\d+ automorphisms, \d+ refinement rounds")
+
+
+@pytest.mark.parametrize("command", [("payne-check", "3"),
+                                     ("isocheck", "payne-dual:2", "payne-dual:2")])
+def test_verbose_prints_search_counters(command, capsys):
+    assert run(*command) == 0
+    quiet = capsys.readouterr()
+    assert run("-v", *command) == 0
+    loud = capsys.readouterr()
+    assert quiet.err == "" and loud.out == quiet.out
+    lines = [line for line in loud.err.splitlines() if line.startswith("search ")]
+    assert len(lines) == 2
+    assert all(re.fullmatch(SEARCH_COUNTERS, line) for line in lines)
+
+
 def test_payne_check_q3():
     assert run("payne-check", "3") == 0
 

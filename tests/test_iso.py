@@ -2,12 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from gainquad import (IncidenceStructure, affine_gains, affine_plane, are_isomorphic,
                       canonical_form, distinguishing_invariant, dual, expand,
                       field_from_order, payne_derivation, symplectic_quadrangle,
                       verify_isomorphism)
+from gainquad.iso import _dense_rank
 from helpers import (brute_force_isomorphic, grid_quadrangle, quadrilateral,
                      random_structure, relabeled, tiny_base)
 
@@ -147,3 +149,66 @@ def test_timeout_raises(expansion3):
     with pytest.raises(TimeoutError):
         are_isomorphic(expansion3, expansion3,
                        deadline=time.monotonic() - 1)
+
+
+# (base, columns): one key per column at 2**62, two or more packed keys
+# at 2 with 70 columns and at 301 (7 columns a key) with 9 and 25.
+RANK_SHAPES = [(2, 1), (2, 70), (3, 5), (301, 9), (301, 25),
+               (70_001, 4), (2**31 + 11, 3), (2**62, 3)]
+
+
+@pytest.mark.parametrize("base,cols", RANK_SHAPES)
+def test_dense_rank_matches_row_unique(base, cols):
+    rng = np.random.default_rng(cols * 1000 + base % 997)
+    sentinel = base - 1
+    cases = [np.full((1, cols), sentinel, dtype=np.int64),
+             np.full((40, cols), min(1, sentinel), dtype=np.int64)]
+    for rows in (1, 2, 57, 300):
+        for high in (min(base, 3), base):
+            sig = rng.integers(0, high, size=(rows, cols), dtype=np.int64)
+            # Pad a random suffix of each row with the sentinel, as the
+            # refiner pads vertices of small degree.
+            filled = rng.integers(0, cols + 1, size=rows)
+            sig[np.arange(cols) >= filled[:, None]] = sentinel
+            cases.append(sig)
+            cases.append(sig[rng.integers(0, rows, size=3 * rows)])  # repeats
+    for sig in cases:
+        _, expected = np.unique(sig, axis=0, return_inverse=True)
+        got = _dense_rank(sig, base)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected.reshape(-1))
+
+
+# Certificates at CERTIFICATE_VERSION 1; a change to any of these values
+# changes what a checkpoint of that version means.
+PINNED = {
+    2: "cd3651860c99b15bc53026a5332d63bb36da6c96013a3391b3242a055d349873",
+    3: "4ccea7eec923cfc253056c443c02d156444de9069d70f981fb4934e6196e9f77",
+    4: "ad9b513b189c6c52a0c680c13e5d62a284424ae1e39ed4cc05adf56ca6db81d6",
+    5: "bee132438856d980d24026cf7dd150281ba6cc6a237de09c1cbee8b5352231ad",
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_certificates_are_pinned(q):
+    plane = affine_plane(field_from_order(q))
+    assert canonical_form(expand(affine_gains(plane))).certificate == PINNED[q]
+    if q <= 4:
+        right = dual(payne_derivation(symplectic_quadrangle(q)))
+        assert canonical_form(right).certificate == PINNED[q]
+
+
+def test_search_stats_count_each_search(expansion2, expansion3):
+    stats = []
+    copy, _, _ = relabeled(expansion3, random.Random(24))
+    assert are_isomorphic(expansion3, copy, stats=stats) is not None
+    assert len(stats) == 2
+    for st in stats:
+        # every node is entered through at least one refinement round
+        assert st.refinement_rounds >= st.nodes >= st.leaves >= 1
+    first = stats[0]
+    # each automorphism comes from a leaf that ties the first best leaf
+    assert first.automorphisms >= 1 and first.leaves > first.automorphisms
+    stats = []
+    assert are_isomorphic(expansion2, expansion3, stats=stats) is None
+    assert stats == []
