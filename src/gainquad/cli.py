@@ -267,9 +267,13 @@ def cmd_payne_check(args):
 def cmd_search(args):
     base = realize_base(args.base)
     group = parse_group(args.group)
+    stats = []
     report = run_search(base["structure"], group, budget=args.budget,
                         unreduced=args.unreduced, near_miss=not args.fast,
-                        checkpoint_path=args.checkpoint)
+                        checkpoint_path=args.checkpoint, stats=stats)
+    _note(args, f"scan: {report.scanned} scanned, {stats[0].rows} evaluated, "
+                f"{report.gq_count} survivors, {len(report.representatives)} classes "
+                f"in {stats[0].seconds:.3f} s")
     report.config = _config(args, "search")
     doc = report.to_json()
     if args.report:
@@ -446,8 +450,9 @@ def build_parser():
     p.add_argument("--unreduced", action="store_true",
                    help="scan every assignment instead of one per switching class")
     p.add_argument("--fast", action="store_true",
-                   help="skip the near-miss histogram (every pair of every "
-                        "assignment is still evaluated)")
+                   help="skip the near-miss histogram, and with it every block "
+                        "of assignments whose leading gains already fail a "
+                        "detour pair (the survivors are the same)")
     p.add_argument("--checkpoint")
     p.add_argument("--report")
     p.set_defaults(func=cmd_search)

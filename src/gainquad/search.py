@@ -17,10 +17,18 @@ criterion are turned back into gain graphs.  The scan's state is its
 SearchReport; a checkpoint stores the report's next index, survivor
 count, representatives and near-miss tally, so an interrupted scan
 resumes bit-identically.
+
+The near-miss scan counts the bijective pairs of every assignment.  The
+fast scan (near_miss=False) needs only the survivors, so it skips
+assignments proven to fail: a pair's detour table reads a fixed set of
+edges, so its verdict is settled by the leading digits up to the deepest
+free edge it reads, and every assignment sharing those digits with a
+failing row fails the same pair.
 """
 
 import hashlib
 import json
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -35,7 +43,8 @@ from .storage import atomic_write, is_int
 # A batch holds at most this many detour values, one byte each for the
 # groups a scan can afford, so its temporaries stay near 128 kB.
 BATCH_VALUES = 1 << 17
-# A scan with a checkpoint file saves it every this many assignments.
+# A scan with a checkpoint file saves it whenever it passes a multiple of
+# this many assignments.
 CHECKPOINT_EVERY = 2048
 
 
@@ -77,6 +86,18 @@ class SearchReport:
             "partial": self.partial,
             "config": self.config,
         }
+
+
+class ScanStats:
+    """Counters of one scan: assignments the detour kernel evaluated
+    (rows) and wall seconds.  They are not part of the report or the
+    checkpoint, so reruns stay byte-identical."""
+
+    __slots__ = ("rows", "seconds")
+
+    def __init__(self):
+        self.rows = 0
+        self.seconds = 0.0
 
 
 def _unrank(index, radix, width):
@@ -148,14 +169,18 @@ def _read_checkpoint(path, digest, total):
 
 
 def run_search(base, group, budget=None, unreduced=False, near_miss=True,
-               checkpoint_path=None):
+               checkpoint_path=None, stats=None):
     """Scan gain assignments on a connected finite linear space.
 
-    Every pair of every assignment is evaluated.  near_miss=True also
-    tallies the failing assignments by how many of their pairs are
-    bijective; near_miss=False leaves that tally empty.  budget caps the
-    number of assignments examined, counted from the start of the scan
-    (a resumed scan included); a capped report is flagged partial.
+    near_miss=True evaluates every pair of every assignment and tallies
+    the failing assignments by how many of their pairs are bijective.
+    near_miss=False leaves that tally empty and, whenever a batch ends on
+    a failing assignment, skips the rest of the block of assignments that
+    share the leading digits deciding its failure (see the module
+    docstring); the survivors are the same.  budget caps the number of
+    assignments examined, counted from the start of the scan (a resumed
+    scan included); a capped report is flagged partial.  stats, when
+    given, is a list that receives this scan's ScanStats.
     """
     ls = is_linear_space(base)
     if not ls:
@@ -179,6 +204,18 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     identity = group.code(group.identity())
     n_pairs = len(kernel.pairs)
     rows = max(1, BATCH_VALUES // max(1, n_pairs * radix))
+    # A pair's depth is the number of leading digits that settle its
+    # verdict: the position of the deepest free edge its detour table
+    # reads, 0 for a pair on a line of another size (never bijective).
+    position = np.zeros(len(all_edges), dtype=np.intp)
+    position[free_columns] = np.arange(1, len(free) + 1)
+    depth = np.zeros(n_pairs, dtype=np.intp)
+    depth[kernel.sized] = np.take(
+        position, np.concatenate((kernel.bq, kernel.b2q, kernel.b2p))).max(axis=0)
+    counts = ScanStats()
+    if stats is not None:
+        stats.append(counts)
+    started = time.perf_counter()
 
     report = SearchReport(
         base={"points": base.n_points, "lines": base.n_lines,
@@ -229,34 +266,43 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
                 "structure": structure_to_json(c, tags=c.tags_json()),
             })
 
+    end = total if budget is None else min(total, budget)
     while report.scanned < total:
         index = report.scanned
-        if budget is not None and index >= budget:
+        if index >= end:
             report.partial = True
             break
         # Batches end at budget and checkpoint boundaries, so both fall
         # exactly where a one-at-a-time scan would put them.
-        stop = min(total, index + rows)
-        if budget is not None:
-            stop = min(stop, budget)
+        stop = min(end, index + rows)
         if checkpoint_path is not None:
             stop = min(stop, (index // CHECKPOINT_EVERY + 1) * CHECKPOINT_EVERY)
         digits = _unrank_batch(index, stop - index, radix, len(free))
         codes = np.full((len(digits), len(all_edges)), identity, dtype=kernel.dtype)
         codes[:, free_columns] = digits
-        good = kernel.bijective(codes).sum(axis=1)
+        ok = kernel.bijective(codes)
+        good = ok.sum(axis=1)
         passed = good == n_pairs
+        counts.rows += len(codes)
         if near_miss:
             for k, count in enumerate(np.bincount(good[~passed]).tolist()):
                 if count:
                     report.near_miss[k] += count
+        elif not passed[-1]:
+            # The last row's first m digits already fail a pair, and so
+            # does every assignment up to the end of their aligned block.
+            block = radix ** (len(free) - int(depth[~ok[-1]].min()))
+            stop = min(end, ((stop - 1) // block + 1) * block)
         for r in np.flatnonzero(passed).tolist():
             report.gq_count += 1
             survivor(index + r, codes[r].tolist())
         report.scanned = stop
-        if checkpoint_path is not None and stop % CHECKPOINT_EVERY == 0:
+        # A skip may pass several checkpoint boundaries; every assignment
+        # it passed failed, so one save at its end is exact.
+        if checkpoint_path is not None and stop // CHECKPOINT_EVERY > index // CHECKPOINT_EVERY:
             save_checkpoint()
     save_checkpoint()
+    counts.seconds = time.perf_counter() - started
     return report
 
 

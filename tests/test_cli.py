@@ -273,6 +273,30 @@ def test_search_budget_exit_code(tmp_path):
                "--budget", "3", "--report", tmp_path / "r.json") == 3
 
 
+SCAN_COUNTERS = r"scan: (\d+) scanned, (\d+) evaluated, (\d+) survivors, (\d+) classes in \d+\.\d{3} s"
+
+
+def test_search_verbose_prints_scan_counters_outside_the_report(tmp_path, capsys):
+    report = tmp_path / "scan.json"
+    argv = ("-v", "search", "--base", "ag2:3", "--group", "z:3", "--fast",
+            "--report", report)
+    assert run(*argv) == 0
+    first = report.read_bytes()
+    err = capsys.readouterr().err
+    match = re.fullmatch(SCAN_COUNTERS + "\n", err)
+    assert match
+    scanned, evaluated, survivors, classes = map(int, match.groups())
+    doc = read_json(report)
+    assert (scanned, survivors, classes) == (doc["scanned"], doc["gq_count"],
+                                             doc["class_count"]) == (3 ** 16, 2, 1)
+    assert 0 < evaluated < scanned
+    assert run(*argv) == 0
+    assert report.read_bytes() == first
+    capsys.readouterr()
+    assert run("search", "--base", "ag2:2", "--group", "z:2") == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_reruns_are_byte_identical(tmp_path):
     # two lines through points 0 and 1, so the report carries a witness
     base = tmp_path / "s.json"

@@ -12,7 +12,8 @@ from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, affine_gains,
                       affine_plane, canonical_form, detour_gains, expand,
                       gq_criterion, label_sweep, run_search, spanning_tree_edges,
                       switch, verify_known)
-from gainquad.search import _config_digest, _unrank, _unrank_batch
+from gainquad.construction import DetourKernel
+from gainquad.search import BATCH_VALUES, _config_digest, _unrank, _unrank_batch
 from helpers import tiny_base
 
 
@@ -63,11 +64,14 @@ def test_near_miss_histogram(plane2):
 
 
 def test_fast_mode_agrees_on_survivors(plane2):
-    slow = run_search(plane2.structure, CyclicGroup(2))
-    fast = run_search(plane2.structure, CyclicGroup(2), near_miss=False)
-    assert fast.certificates == slow.certificates
-    assert fast.gq_count == slow.gq_count
-    assert fast.near_miss == {}
+    for unreduced in (False, True):
+        slow = run_search(plane2.structure, CyclicGroup(2), unreduced=unreduced)
+        fast = run_search(plane2.structure, CyclicGroup(2), unreduced=unreduced,
+                          near_miss=False)
+        assert fast.scanned == slow.scanned
+        assert fast.gq_count == slow.gq_count
+        assert fast.representatives == slow.representatives
+        assert fast.near_miss == {}
 
 
 def test_determinism(plane2):
@@ -237,23 +241,29 @@ def test_resume_near_the_end_of_a_space_beyond_int64(tmp_path):
     assert json.loads(ck.read_text())["next_index"] == total
 
 
-@pytest.mark.parametrize("q, unreduced, budget, cut", [
-    (2, True, None, 1500),
+@pytest.mark.parametrize("q, unreduced, budget, cut, near_miss", [
+    pytest.param(2, True, None, 1500, True, id="2-True-None-1500"),
     # near-miss buckets first seen after the cut come in another order
-    (3, False, 3000, 100),
+    pytest.param(3, False, 3000, 100, True, id="3-False-3000-100"),
+    pytest.param(2, True, None, 1500, False, id="fast-2-True-None-1500"),
+    pytest.param(3, False, 3000, 100, False, id="fast-3-False-3000-100"),
+    # the cut falls inside a skipped block: the first batch ends at row
+    # 606 and skips past 25 000 (test_fast_scan_evaluates_one_batch)
+    pytest.param(3, False, None, 2000, False, id="fast-3-False-None-2000"),
 ])
 def test_resumed_checkpoint_is_byte_identical(tmp_path, monkeypatch, q, unreduced, budget,
-                                              cut):
+                                              cut, near_miss):
     monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 1000)
     base, group = affine_plane(GF(q)).structure, CyclicGroup(q)
     oneshot = tmp_path / "oneshot.ck"
-    run_search(base, group, unreduced=unreduced, budget=budget,
+    run_search(base, group, unreduced=unreduced, budget=budget, near_miss=near_miss,
                checkpoint_path=str(oneshot))
     resumed = tmp_path / "resumed.ck"
-    first = run_search(base, group, unreduced=unreduced, budget=cut,
+    first = run_search(base, group, unreduced=unreduced, budget=cut, near_miss=near_miss,
                        checkpoint_path=str(resumed))
     assert first.partial
-    run_search(base, group, unreduced=unreduced, budget=budget,
+    assert json.loads(resumed.read_text())["next_index"] == cut
+    run_search(base, group, unreduced=unreduced, budget=budget, near_miss=near_miss,
                checkpoint_path=str(resumed))
     assert resumed.read_bytes() == oneshot.read_bytes()
 
@@ -331,3 +341,156 @@ def test_unreduced_canonicalises_once_per_switching_class(plane2, monkeypatch):
     assert report.gq_count == 512
     assert set(report.certificates) == direct
     assert len(calls) == 1
+
+
+# The full gauge-fixed AG(2,3)/Z3 space and its one class of quadrangles.
+Z3_SPACE = 3 ** 16
+Z3_FIRST_SURVIVOR = 28_086_656
+
+
+def _survivors(report):
+    """What a fast scan must reproduce: the survivor count and the class
+    representatives, each with its assignment_index."""
+    return report.gq_count, report.representatives
+
+
+@pytest.mark.parametrize("budget", [
+    700, 25_000,
+    # about 13 s of near-miss scanning; the fast scan skips from row 606
+    # to 3^14 and then evaluates 5 rows
+    pytest.param(3 ** 14 + 5, marks=pytest.mark.extended),
+])
+def test_fast_scan_matches_near_miss_scan(plane3, budget):
+    fast = run_search(plane3.structure, CyclicGroup(3), budget=budget, near_miss=False)
+    slow = run_search(plane3.structure, CyclicGroup(3), budget=budget)
+    assert fast.scanned == slow.scanned == budget and fast.partial
+    assert _survivors(fast) == _survivors(slow)
+    assert fast.near_miss == {}
+
+
+def test_fast_scan_matches_scalar_loop(plane3):
+    base, group = plane3.structure, CyclicGroup(3)
+    report = run_search(base, group, budget=700, near_miss=False)
+    assert report.gq_count == _scalar_scan(base, group, range(700))[1]
+    # a sample of the assignments the longer scan skips
+    budget = 3 ** 14 + 5
+    report = run_search(base, group, budget=budget, near_miss=False)
+    sample = random.Random(14).sample(range(budget), 150) + list(range(budget - 5, budget))
+    assert report.gq_count == _scalar_scan(base, group, sample)[1] == 0
+
+
+def _resumed_scans(tmp_path, base, group, start, budget=None):
+    """The fast and the near-miss scan, each resumed at index start from a
+    checkpoint with no survivors before it, and the fast scan's stats."""
+    reports, stats = [], []
+    for near_miss in (False, True):
+        ck = tmp_path / f"scan-{near_miss}.ck"
+        ck.write_text(json.dumps({
+            "digest": _config_digest(base, group, False, near_miss),
+            "next_index": start, "gq_count": 0, "representatives": [], "near_miss": {}}))
+        reports.append(run_search(base, group, budget=budget, near_miss=near_miss,
+                                  checkpoint_path=str(ck), stats=stats))
+        assert json.loads(ck.read_text())["next_index"] == reports[-1].scanned
+    return reports[0], reports[1], stats[0]
+
+
+def test_fast_scan_matches_near_miss_scan_on_a_resumed_window(tmp_path, plane3):
+    fast, slow, _ = _resumed_scans(tmp_path, plane3.structure, CyclicGroup(3),
+                                   Z3_FIRST_SURVIVOR - 1000, Z3_FIRST_SURVIVOR + 1000)
+    assert _survivors(fast) == _survivors(slow)
+    assert fast.gq_count == 1
+    assert fast.representatives[0]["assignment_index"] == Z3_FIRST_SURVIVOR
+    window = range(Z3_FIRST_SURVIVOR - 20, Z3_FIRST_SURVIVOR + 20)
+    assert _scalar_scan(plane3.structure, CyclicGroup(3), window)[1] == 1
+
+
+def test_fast_resume_near_the_end_of_a_space_beyond_int64(tmp_path):
+    # AG(2,4) over GF(4): 4^45 assignments, batches of 136 rows, and skips
+    # capped at the end of the space
+    base = affine_plane(GF(2, 2)).structure
+    group = AdditiveGroup(GF(2, 2))
+    total = group.order ** (len(base.incidence) - (base.n_elements - 1))
+    fast, slow, stats = _resumed_scans(tmp_path, base, group, total - 300)
+    assert fast.scanned == total and not fast.partial
+    assert _survivors(fast) == _survivors(slow)
+    assert stats.rows < 300
+
+
+def test_fast_scan_on_lines_of_another_size_skips_everything(plane3):
+    # lines of 3 points over Z2: no pair can be bijective, every pair has
+    # depth 0, and the first batch settles the whole space
+    base, group = plane3.structure, CyclicGroup(2)
+    stats = []
+    fast = run_search(base, group, near_miss=False, stats=stats)
+    slow = run_search(base, group)
+    assert fast.scanned == slow.scanned == 2 ** 16 and not fast.partial
+    assert _survivors(fast) == _survivors(slow) == (0, [])
+    pairs = base.n_points * base.n_lines - len(base.incidence)
+    assert stats[0].rows == BATCH_VALUES // (pairs * 2)
+    assert _scalar_scan(base, group, range(0, 2 ** 16, 4099))[1] == 0
+
+
+def test_full_gauge_fixed_z3_fast_scan(plane3):
+    report = run_search(plane3.structure, CyclicGroup(3), near_miss=False)
+    assert report.scanned == report.total_space == Z3_SPACE
+    assert not report.partial
+    assert report.gq_count == 2
+    assert len(report.representatives) == 1
+    assert report.representatives[0]["order"] == [4, 2]
+    assert report.representatives[0]["assignment_index"] == Z3_FIRST_SURVIVOR
+
+
+@pytest.mark.extended
+def test_full_gauge_fixed_z3_near_miss_scan_agrees(plane3):
+    # about two minutes: every assignment is evaluated
+    fast = run_search(plane3.structure, CyclicGroup(3), near_miss=False)
+    slow = run_search(plane3.structure, CyclicGroup(3))
+    assert slow.scanned == Z3_SPACE
+    assert _survivors(fast) == _survivors(slow)
+    assert sum(slow.near_miss.values()) + slow.gq_count == Z3_SPACE
+
+
+def test_fast_scan_evaluates_one_batch(plane3, monkeypatch):
+    rows = []
+    real = DetourKernel.bijective
+
+    def counting(self, codes):
+        rows.append(len(codes))
+        return real(self, codes)
+
+    monkeypatch.setattr(DetourKernel, "bijective", counting)
+    stats = []
+    report = run_search(plane3.structure, CyclicGroup(3), budget=25_000, near_miss=False,
+                        stats=stats)
+    assert report.scanned == 25_000 and report.partial
+    pairs = 9 * 12 - 36
+    assert len(rows) == 1 and rows[0] <= BATCH_VALUES // (pairs * 3)
+    assert stats[0].rows == sum(rows)
+
+
+def test_a_skip_past_checkpoint_boundaries_saves_once_at_its_end(tmp_path, plane3,
+                                                                  monkeypatch):
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 1000)
+    saved = []
+    real = search_module.atomic_write
+
+    def recording(path, text):
+        saved.append(json.loads(text)["next_index"])
+        real(path, text)
+
+    monkeypatch.setattr(search_module, "atomic_write", recording)
+    ck = tmp_path / "scan.ck"
+    report = run_search(plane3.structure, CyclicGroup(3), near_miss=False,
+                        checkpoint_path=str(ck))
+    # the first batch ends at row 606, and its skip to 3^14 passes 4782
+    # boundaries
+    assert saved[0] == 3 ** 14
+    assert saved == sorted(saved) and len(saved) < 100
+    assert saved[-1] == Z3_SPACE
+    resumed = tmp_path / "resumed.ck"
+    resumed.write_text(json.dumps({
+        "digest": _config_digest(plane3.structure, CyclicGroup(3), False, False),
+        "next_index": 3 ** 14, "gq_count": 0, "representatives": [], "near_miss": {}}))
+    assert run_search(plane3.structure, CyclicGroup(3), near_miss=False,
+                      checkpoint_path=str(resumed)).to_json() == report.to_json()
+    assert resumed.read_bytes() == ck.read_bytes()
