@@ -11,8 +11,7 @@ isomorphism tooling, and a search over gain assignments on small bases.
 from .fields import GF, Rationals, field_from_order
 from .groups import AdditiveGroup, CyclicGroup, GroupAction, group_from_spec
 from .geometry import (IncidenceStructure, Isomorphism, Verdict, census_ngon,
-                       chain_census, compose_isomorphisms, count_shortest_chains,
-                       distance, firmness, invert_isomorphism, is_chain,
+                       chain_census, count_shortest_chains, distance, is_chain,
                        is_generalized_ngon, is_generalized_quadrangle,
                        is_linear_space, is_ovoid, quadrangle_order,
                        steiner_parameters, structure_from_json, structure_to_json,

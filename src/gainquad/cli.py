@@ -129,7 +129,9 @@ def _isomorphism(args, s1, s2):
         for which, st in zip(("first", "second"), stats):
             _note(args, f"search on the {which} structure: {st.nodes} nodes, "
                         f"{st.leaves} leaves, {st.automorphisms} automorphisms, "
-                        f"{st.refinement_rounds} refinement rounds")
+                        f"{st.refinement_rounds} refinement rounds, "
+                        f"{st.orbit_prunes} orbit prunes, {st.backjumps} backjumps, "
+                        f"depth {st.max_depth}")
 
 
 # -- subcommands --------------------------------------------------------------

@@ -340,17 +340,6 @@ def steiner_parameters(s):
     return s.n_points, sizes.pop()
 
 
-def firmness(s):
-    """Classify by minimum incidence degree: not-firm / firm / thick."""
-    m = min(min(len(x) for x in s.lines_of_point),
-            min(len(x) for x in s.points_of_line))
-    if m >= 3:
-        return "thick"
-    if m >= 2:
-        return "firm"
-    return "not-firm"
-
-
 def is_ovoid(s, point_set):
     """True when every line meets the given point set exactly once."""
     pts = set(point_set)
@@ -394,23 +383,6 @@ def verify_isomorphism(s1, s2, iso):
         return False
     mapped = {(iso.point_map[p], iso.line_map[b]) for p, b in s1.incidence}
     return mapped == s2.incidence_set
-
-
-def compose_isomorphisms(second, first):
-    """Apply first, then second."""
-    return Isomorphism(
-        tuple(second.point_map[i] for i in first.point_map),
-        tuple(second.line_map[j] for j in first.line_map))
-
-
-def invert_isomorphism(iso):
-    pm = [0] * len(iso.point_map)
-    lm = [0] * len(iso.line_map)
-    for i, j in enumerate(iso.point_map):
-        pm[j] = i
-    for i, j in enumerate(iso.line_map):
-        lm[j] = i
-    return Isomorphism(tuple(pm), tuple(lm))
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -11,11 +11,13 @@ base n + 1, which gives the order np.unique(axis=0) would.
 
 One search routine serves both entry points, in the individualize-
 refine scheme of McKay & Piperno, "Practical graph isomorphism II"
-(2014).  It backtracks over individualizations of the first smallest
+(2014).  It backtracks over individualizations of the first largest
 non-singleton cell and keeps the minimal (invariant path, bit matrix)
-leaf.  Leaves that tie the current best yield automorphisms, and sibling
-branches in the same orbit of the discovered group are skipped; that
-pruning is what makes the very symmetric quadrangles tractable.
+leaf; large target cells give shallow trees, in which automorphism
+pruning cuts early.  Leaves that tie the current best yield
+automorphisms, and sibling branches in the same orbit of the discovered
+group are skipped; that pruning is what makes the very symmetric
+quadrangles tractable.
 
 canonical_form runs the search to its end.  are_isomorphic runs it to
 the end on the first structure, then on the second with the first's
@@ -34,7 +36,7 @@ from .geometry import Isomorphism, verify_isomorphism
 
 # Bump on any change that can change certificates (refinement, invariant,
 # search order, matrix encoding): search checkpoints record it.
-CERTIFICATE_VERSION = 1
+CERTIFICATE_VERSION = 2
 
 
 def _dense_rank(sig, base):
@@ -129,13 +131,10 @@ class _Refiner:
         return h.digest()
 
     def target_cell(self, colors):
-        """Color id of the first smallest non-singleton cell, or None."""
+        """Color id of the first largest non-singleton cell, or None."""
         sizes = np.bincount(colors)
-        candidates = np.flatnonzero(sizes > 1)
-        if len(candidates) == 0:
-            return None
-        best = candidates[np.argmin(sizes[candidates])]
-        return int(best)
+        best = int(np.argmax(sizes))
+        return best if sizes[best] > 1 else None
 
 
 def _matrix_bytes(s, order):
@@ -193,13 +192,17 @@ class CanonicalForm:
 
 class SearchStats:
     """Counters of one search: nodes visited (pruned ones included),
-    leaves reached, automorphisms found and refinement rounds run.
+    leaves reached, automorphisms found, refinement rounds run, siblings
+    skipped as images of explored ones, backjumps taken from leaves that
+    tie the best, and the deepest individualization (the root is 0).
     A plain class, not a dataclass, so importing the module stays cheap."""
 
-    __slots__ = ("nodes", "leaves", "automorphisms", "refinement_rounds")
+    __slots__ = ("nodes", "leaves", "automorphisms", "refinement_rounds",
+                 "orbit_prunes", "backjumps", "max_depth")
 
     def __init__(self):
         self.nodes = self.leaves = self.automorphisms = self.refinement_rounds = 0
+        self.orbit_prunes = self.backjumps = self.max_depth = 0
 
 
 class _Backjump(Exception):
@@ -227,7 +230,8 @@ def _search(s, target=None, deadline=None, stats=None):
     the vertex order of the first leaf whose path equals the target's, or
     None when s's own minimum differs: the search is the same
     minimization (own ties, own backjumps), but any node provably below
-    the target answers no, since leaf keys are relabeling-invariant.
+    the target answers no, since leaf keys are relabeling-invariant, and
+    so does a root whose invariant differs from the target's first one.
     stats, when given, is a list that receives this search's SearchStats,
     filled in also when the search times out.
     """
@@ -242,11 +246,15 @@ def _search(s, target=None, deadline=None, stats=None):
 
     def rec(colors, path, fixed):
         counts.nodes += 1
+        counts.max_depth = max(counts.max_depth, len(fixed))
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError(f"{stage} budget exceeded")
         path = path + (ref.invariant(colors),)
-        if target is not None and path < target[0][:len(path)]:
-            raise _Stop(None)  # everything below here sorts under the target
+        if target is not None and (path < target[0][:len(path)]
+                                   or (not fixed and path != target[0][:1])):
+            # Everything below here sorts under the target, or, at the
+            # root, every leaf path starts off the target's.
+            raise _Stop(None)
         if best["path"] is not None and path > best["path"][:len(path)]:
             return
         cell = ref.target_cell(colors)
@@ -276,6 +284,7 @@ def _search(s, target=None, deadline=None, stats=None):
                 diverge = next((i for i in range(len(fixed))
                                 if fixed[i] != best["base"][i]), None)
                 if diverge is not None:
+                    counts.backjumps += 1
                     raise _Backjump(diverge)
             return
         explored = []
@@ -287,6 +296,7 @@ def _search(s, target=None, deadline=None, stats=None):
                 gens = [g for g in autos if all(g[w] == w for w in fixed)]
                 filtered = len(autos)
             if _orbit_hits(v, explored, gens):
+                counts.orbit_prunes += 1
                 continue
             explored.append(v)
             try:

@@ -1,8 +1,4 @@
-"""Acceptance suite: one test per criterion, printing a pass line each.
-
-Criteria for q in {7,8,9} on the isomorphism cross-check are long runs;
-they are marked `extended` and enabled with GAINQUAD_EXTENDED=1.
-"""
+"""Acceptance suite: one test per criterion, printing a pass line each."""
 
 import math
 import random
@@ -247,14 +243,11 @@ def test_criterion_7_dual_derivation(family):
           f"{{2,3,4,5}} with verified witnesses [{time.time() - start:.1f}s]")
 
 
-@pytest.mark.extended
 @pytest.mark.parametrize("q", [7, 8, 9])
 def test_criterion_7_extended(q, family):
+    """The same cross-check at q in {7,8,9}; a TimeoutError fails it."""
     start = time.time()
-    try:
-        _payne_cross_check(q, family, budget_seconds=3600)
-    except TimeoutError:
-        pytest.skip(f"q={q} cross-check exceeded its one-hour budget")
+    _payne_cross_check(q, family, budget_seconds=60)
     print(f"\nPASS 7x: dual-derivation cross-check at q={q} "
           f"[{time.time() - start:.1f}s]")
 

@@ -198,7 +198,8 @@ def test_isocheck_timeout_exits_3_without_a_witness(tmp_path, capsys):
 
 
 SEARCH_COUNTERS = (r"search on the (first|second) structure: \d+ nodes, \d+ leaves, "
-                   r"\d+ automorphisms, \d+ refinement rounds")
+                   r"\d+ automorphisms, \d+ refinement rounds, \d+ orbit prunes, "
+                   r"\d+ backjumps, depth \d+")
 
 
 @pytest.mark.parametrize("command", [("payne-check", "3"),
@@ -216,6 +217,11 @@ def test_verbose_prints_search_counters(command, capsys):
 
 def test_payne_check_q3():
     assert run("payne-check", "3") == 0
+
+
+def test_isocheck_bare_plane_within_budget(capsys):
+    assert run("isocheck", "ag2:8", "ag2:8", "--timeout", "30") == 0
+    assert capsys.readouterr().out.strip() == "isomorphic"
 
 
 def test_export_dot_deterministic(tmp_path):

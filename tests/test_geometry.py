@@ -8,17 +8,14 @@ import pytest
 
 import gainquad.geometry as geometry
 from gainquad import (GF, CyclicGroup, GainGraph, IncidenceStructure, affine_gains,
-                      affine_plane, count_shortest_chains,
-                      compose_isomorphisms, distance, dual, expand,
-                      field_from_order, firmness,
-                      invert_isomorphism, is_chain, is_generalized_ngon,
-                      is_linear_space, is_ovoid,
-                      Isomorphism, payne_derivation, steiner_parameters,
-                      structure_from_json, structure_to_json,
-                      symplectic_quadrangle, verify_isomorphism)
+                      affine_plane, count_shortest_chains, distance, dual,
+                      expand, field_from_order, is_chain, is_generalized_ngon,
+                      is_linear_space, is_ovoid, payne_derivation,
+                      steiner_parameters, structure_from_json, structure_to_json,
+                      symplectic_quadrangle)
 from helpers import (assert_quadrangle_witness, enumerate_chains, grid_quadrangle,
                      naive_linear_space, naive_shortest_count, quadrilateral,
-                     random_structure, relabeled, tiny_base)
+                     random_structure, tiny_base)
 
 
 def test_construction_validation():
@@ -199,7 +196,6 @@ def test_steiner_parameters():
 def test_quadrilateral_is_thin_quadrangle():
     s = quadrilateral()
     assert is_generalized_ngon(s, 4).ok
-    assert firmness(s) == "firm"
 
 
 def test_ngon_tightness(expansion2):
@@ -307,37 +303,11 @@ def test_quadrangle_check_on_every_tiny_structure(quadrangle_check):
     assert kinds == {"pass", "distance", "uniqueness"}
 
 
-def test_firmness_not_firm():
-    s = IncidenceStructure(["p"], ["b"], [(0, 0)])
-    assert firmness(s) == "not-firm"
-
-
-def test_firmness_of_expansions(expansion2, expansion3):
-    # points of the smallest expansion lie on just two lines each
-    assert firmness(expansion2) == "firm"
-    assert firmness(expansion3) == "thick"
-
-
 def test_ovoid_trivia(expansion2):
     c = expansion2
     assert is_ovoid(c, c.x_points())
     assert not is_ovoid(c, range(c.n_points))  # all points: lines meet it often
     assert not is_ovoid(c, set())
-
-
-def test_isomorphism_compose_invert():
-    rng = random.Random(3)
-    s = quadrilateral()
-    copy, pp, ll = relabeled(s, rng)
-    # point i of the copy is point pp[i] of s, so pp maps copy -> s
-    iso = Isomorphism(tuple(pp), tuple(ll))
-    assert verify_isomorphism(copy, s, iso)
-    inv = invert_isomorphism(iso)
-    assert verify_isomorphism(s, copy, inv)
-    round_trip = compose_isomorphisms(iso, inv)  # s -> copy -> s
-    assert round_trip.point_map == tuple(range(s.n_points))
-    assert round_trip.line_map == tuple(range(s.n_lines))
-    assert verify_isomorphism(s, s, round_trip)
 
 
 def test_json_roundtrip(expansion2):

@@ -179,13 +179,13 @@ def test_dense_rank_matches_row_unique(base, cols):
         assert np.array_equal(got, expected.reshape(-1))
 
 
-# Certificates at CERTIFICATE_VERSION 1; a change to any of these values
+# Certificates at CERTIFICATE_VERSION 2; a change to any of these values
 # changes what a checkpoint of that version means.
 PINNED = {
-    2: "cd3651860c99b15bc53026a5332d63bb36da6c96013a3391b3242a055d349873",
-    3: "4ccea7eec923cfc253056c443c02d156444de9069d70f981fb4934e6196e9f77",
-    4: "ad9b513b189c6c52a0c680c13e5d62a284424ae1e39ed4cc05adf56ca6db81d6",
-    5: "bee132438856d980d24026cf7dd150281ba6cc6a237de09c1cbee8b5352231ad",
+    2: "c61e66ed2da6aab20051f122b34a53cb71fe630180b0bfff00ac36a062342065",
+    3: "d321b73b2bb94eab4d6edcb5e69014525f2c941ebfb7c14f22b58200c7c38e2e",
+    4: "7928ea038f1c29549c2559f2105a99826b15a0e9447089ee594a5838d1e806c1",
+    5: "22505da51e15bf67f886bc2a5657bc3a327e251fcb1e23b403a0f12b7845beff",
 }
 
 
@@ -206,9 +206,36 @@ def test_search_stats_count_each_search(expansion2, expansion3):
     for st in stats:
         # every node is entered through at least one refinement round
         assert st.refinement_rounds >= st.nodes >= st.leaves >= 1
+        # each backjump leaves from a leaf; the root is not discrete, and
+        # every level below it is entered through at least one node
+        assert st.leaves >= st.backjumps and st.nodes > st.max_depth >= 1
     first = stats[0]
     # each automorphism comes from a leaf that ties the first best leaf
     assert first.automorphisms >= 1 and first.leaves > first.automorphisms
+    # the automorphisms found map some explored vertex onto a sibling
+    assert first.orbit_prunes >= 1 and first.backjumps >= 1
     stats = []
     assert are_isomorphic(expansion2, expansion3, stats=stats) is None
     assert stats == []
+
+
+def test_root_invariant_mismatch_answers_at_once():
+    # equal point, line and incidence counts; the line sizes differ, so
+    # the root invariants differ, one pair order above, the other below
+    s1 = IncidenceStructure(["p", "q", "r"], ["a", "b"],
+                            [(0, 0), (1, 0), (2, 0), (0, 1)])
+    s2 = IncidenceStructure(["p", "q", "r"], ["a", "b"],
+                            [(0, 0), (1, 0), (2, 1), (0, 1)])
+    for left, right in ((s1, s2), (s2, s1)):
+        stats = []
+        assert are_isomorphic(left, right, stats=stats) is None
+        assert len(stats) == 2 and stats[1].nodes == 1
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_bare_plane_canonical_form_is_fast(q):
+    import time
+    plane = affine_plane(field_from_order(q)).structure
+    form = canonical_form(plane, deadline=time.monotonic() + 10)
+    copy, _, _ = relabeled(plane, random.Random(q))
+    assert canonical_form(copy, deadline=time.monotonic() + 10) == form
