@@ -2,7 +2,9 @@
 quadrangle-yielding gains, the symplectic quadrangle W(q), the Payne
 derivation, and plain duality."""
 
-from itertools import combinations, product
+from itertools import combinations
+
+import numpy as np
 
 from .fields import field_from_order
 from .geometry import IncidenceStructure
@@ -123,16 +125,29 @@ def _normalize(field, vec):
     raise ValueError("zero vector")
 
 
-def _form(field, u, v):
-    """Alternating form u0 v1 - u1 v0 + u2 v3 - u3 v2."""
-    t1 = field.sub(field.mul(u[0], v[1]), field.mul(u[1], v[0]))
-    t2 = field.sub(field.mul(u[2], v[3]), field.mul(u[3], v[2]))
-    return field.add(t1, t2)
+def _form(tables, u, v):
+    """Alternating form u0 v1 - u1 v0 + u2 v3 - u3 v2 on code arrays whose
+    last axis holds the four coordinates, broadcast over the others."""
+    add, mul, neg = tables
+    t1 = add[mul[u[..., 0], v[..., 1]], neg[mul[u[..., 1], v[..., 0]]]]
+    t2 = add[mul[u[..., 2], v[..., 3]], neg[mul[u[..., 3], v[..., 2]]]]
+    return add[t1, t2]
+
+
+def _digits(q, width):
+    """Every tail of `width` codes, base-q digits of 0 .. q^width - 1 in
+    lexicographic order, as a (q^width, width) array."""
+    ranks = np.arange(q ** width, dtype=np.int64)
+    return ranks[:, None] // q ** np.arange(width - 1, -1, -1, dtype=np.int64) % q
 
 
 class SymplecticQuadrangle:
     """W(q): points are the 1-spaces of F_q^4, lines the 2-spaces on
-    which the alternating form vanishes."""
+    which the alternating form vanishes.
+
+    Coordinates are handled as codes, ranks in F.elements(), through the
+    field's code tables: `codes` holds one row per point.
+    """
 
     def __init__(self, q):
         if q > MAX_SYMPLECTIC_ORDER:
@@ -140,48 +155,53 @@ class SymplecticQuadrangle:
         F = field_from_order(q)
         self.q = q
         self.field = F
+        tables = F.code_tables
+        add, mul, _ = tables
         els = F.elements()
-        vectors = []
+        one = els.index(F.one)
+        # Points are normalized vectors, by leading position, then tail;
+        # those with lead k start at offset[k] and number q^(3-k).
+        offset = [0, q ** 3, q ** 3 + q ** 2, q ** 3 + q ** 2 + q]
+        blocks = []
         for lead in range(4):
-            free = 3 - lead
-            for tail in product(els, repeat=free):
-                vec = (F.zero,) * lead + (F.one,) + tail
-                vectors.append(vec)
-        self.vectors = vectors
-        self.point_ids = {v: i for i, v in enumerate(vectors)}
+            block = np.zeros((q ** (3 - lead), 4), dtype=np.int64)
+            block[:, lead] = one
+            block[:, lead + 1:] = _digits(q, 3 - lead)
+            blocks.append(block)
+        self.codes = codes = np.concatenate(blocks)
+        self.vectors = [tuple(els[c] for c in row) for row in codes.tolist()]
+        self.point_ids = {v: i for i, v in enumerate(self.vectors)}
 
         # Each 2-space has one reduced echelon basis (u, w), pivots c < d:
-        # w is normalized with lead d, and every u + t w with lead c.
+        # w is normalized with lead d, and every u + t w with lead c, as
+        # w vanishes before d.  One form evaluation per pivot pair finds
+        # every isotropic (w, u).
         lines = []
         for c, d in combinations(range(4), 2):
             free = [k for k in range(c + 1, 4) if k != d]
-            for w in vectors:
-                if w.index(F.one) != d:
-                    continue
-                for tail in product(els, repeat=len(free)):
-                    u = [F.zero] * 4
-                    u[c] = F.one
-                    for k, a in zip(free, tail):
-                        u[k] = a
-                    if _form(F, u, w) == F.zero:
-                        lines.append(frozenset(
-                            [self.point_ids[w]]
-                            + [self.point_ids[tuple(F.add(a, F.mul(t, b))
-                                                    for a, b in zip(u, w))]
-                               for t in els]))
-        self.line_sets = sorted(lines, key=sorted)
+            us = np.zeros((q ** len(free), 4), dtype=np.int64)
+            us[:, c] = one
+            us[:, free] = _digits(q, len(free))
+            ws = codes[offset[d]:offset[d] + q ** (3 - d)]
+            wi, ui = np.nonzero(_form(tables, ws[:, None, :], us[None, :, :]) == 0)
+            span = add[us[ui, None, :], mul[np.arange(q)[:, None], ws[wi, None, :]]]
+            tail = span[..., c + 1:] @ q ** np.arange(2 - c, -1, -1, dtype=np.int64)
+            lines.append(np.column_stack([offset[d] + wi, offset[c] + tail]))
+        # Every line has q + 1 points, so ordering the sorted rows
+        # lexicographically orders the lines by their sorted point lists.
+        rows = np.sort(np.concatenate(lines), axis=1)
+        rows = rows[np.lexsort(rows.T[::-1])].tolist()
+        self.line_sets = [frozenset(r) for r in rows]
 
-        r = F.render
-        point_labels = [f"<{','.join(r(c) for c in v)}>" for v in vectors]
-        line_labels = ["{" + ",".join(str(i) for i in sorted(ls)) + "}"
-                       for ls in self.line_sets]
-        pairs = [(p, li) for li, ls in enumerate(self.line_sets)
-                 for p in sorted(ls)]
+        names = [F.render(a) for a in els]
+        point_labels = [f"<{','.join(names[c] for c in row)}>" for row in codes.tolist()]
+        line_labels = ["{" + ",".join(map(str, r)) + "}" for r in rows]
+        pairs = [(p, li) for li, r in enumerate(rows) for p in r]
         self.structure = IncidenceStructure(point_labels, line_labels, pairs)
 
     def collinear(self, i, j):
         """Points of W(q) are collinear exactly when the form vanishes."""
-        return _form(self.field, self.vectors[i], self.vectors[j]) == self.field.zero
+        return bool(_form(self.field.code_tables, self.codes[i], self.codes[j]) == 0)
 
 
 def symplectic_quadrangle(q):

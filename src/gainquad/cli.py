@@ -121,7 +121,8 @@ def _note(args, message):
 
 def _isomorphism(args, s1, s2):
     """are_isomorphic under the --timeout budget.  With -v, one stderr
-    line of counters per search it ran, also when the budget ends it."""
+    line of counters and wall seconds per search it ran, also when the
+    budget ends it."""
     stats = []
     try:
         return are_isomorphic(s1, s2, deadline=_deadline(args.timeout), stats=stats)
@@ -131,7 +132,7 @@ def _isomorphism(args, s1, s2):
                         f"{st.leaves} leaves, {st.automorphisms} automorphisms, "
                         f"{st.refinement_rounds} refinement rounds, "
                         f"{st.orbit_prunes} orbit prunes, {st.backjumps} backjumps, "
-                        f"depth {st.max_depth}")
+                        f"depth {st.max_depth}, {st.seconds:.3f} s")
 
 
 # -- subcommands --------------------------------------------------------------
@@ -241,11 +242,15 @@ def cmd_isocheck(args):
 
 def cmd_payne_check(args):
     q = args.q
+    start = time.perf_counter()
     plane = catalog.affine_plane(field_from_order(q))
     left = expand(catalog.affine_gains(plane))
-    _note(args, f"built the affine expansion: {left.n_points}/{left.n_lines}")
+    _note(args, f"built the affine expansion: {left.n_points}/{left.n_lines}, "
+                f"{time.perf_counter() - start:.3f} s")
+    start = time.perf_counter()
     right = catalog.dual(catalog.payne_derivation(catalog.symplectic_quadrangle(q)))
-    _note(args, f"built the dual derivation: {right.n_points}/{right.n_lines}")
+    _note(args, f"built the dual derivation: {right.n_points}/{right.n_lines}, "
+                f"{time.perf_counter() - start:.3f} s")
     iso = _isomorphism(args, left, right)
     doc = {"q": q, "config": _config(args, "payne-check"),
            "left": {"points": left.n_points, "lines": left.n_lines},

@@ -87,7 +87,9 @@ class GF:
     otherwise.  Products and inverses read log/antilog tables, O(q) in
     memory, built on first use so that constructing a field stays cheap.
     They take field elements only; ``element()`` is where ints, lists and
-    unreduced coefficients are coerced to elements.
+    unreduced coefficients are coerced to elements.  ``code_tables`` holds
+    the same arithmetic as numpy tables on element ranks, also built on
+    first use.
     """
 
     finite = True
@@ -196,6 +198,21 @@ class GF:
         log = {a: k for k, a in enumerate(powers)}
         log[self.zero] = 2 * q1
         return log, powers * 2 + [self.zero] * (2 * q1 + 1)
+
+    @cached_property
+    def code_tables(self):
+        """(add, mul, neg) on codes, the ranks of elements in elements():
+        add[a, b] and mul[a, b] are q x q int64 tables, and neg[a] has q
+        entries, for arithmetic on whole arrays of codes at once."""
+        els = self.elements()
+        coeffs = np.array(els, dtype=np.int64)
+        place = self.p ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
+        add = (coeffs[:, None, :] + coeffs[None, :, :]) % self.p @ place
+        neg = -coeffs % self.p @ place
+        log, exp = self._tables
+        logs = np.array([log[a] for a in els], dtype=np.int64)
+        mul = (np.array(exp, dtype=np.int64) @ place)[logs[:, None] + logs[None, :]]
+        return add, mul, neg
 
     def _is_primitive(self, g):
         """Whether g^((q-1)/r) != 1 for every prime r dividing q - 1."""

@@ -6,8 +6,8 @@ never interchanged; duality is an explicit catalog operation).  Colors
 are assigned by sorting signatures, so the refined partition does not
 depend on the input labeling.  A vertex's signature is its color and
 its sorted neighbor colors; each round ranks the signature rows by
-lexsorting 1-D int64 keys, each packing as many columns as fit in
-base n + 1, which gives the order np.unique(axis=0) would.
+lexsorting 1-D int64 keys, each packing as many columns as fit in base
+(number of colors + 1), which gives the order np.unique(axis=0) would.
 
 One search routine serves both entry points, in the individualize-
 refine scheme of McKay & Piperno, "Practical graph isomorphism II"
@@ -17,7 +17,8 @@ leaf; large target cells give shallow trees, in which automorphism
 pruning cuts early.  Leaves that tie the current best yield
 automorphisms, and sibling branches in the same orbit of the discovered
 group are skipped; that pruning is what makes the very symmetric
-quadrangles tractable.
+quadrangles tractable.  Orbits are read off labels, the least vertex of
+each orbit, recomputed once whenever a leaf adds an automorphism.
 
 canonical_form runs the search to its end.  are_isomorphic runs it to
 the end on the first structure, then on the second with the first's
@@ -44,21 +45,23 @@ def _dense_rank(sig, base):
     [0, base): the inverse np.unique(sig, axis=0) would return.
 
     Runs of columns are packed in base `base` into as few int64 keys as
-    hold them; packing keeps the order of each run, so lexsorting the
-    keys sorts the rows, and a rank steps wherever any key changes.
+    hold them, one matrix product with the place values per run; packing
+    keeps the order of each run, so lexsorting the keys sorts the rows,
+    and a rank steps wherever any key changes.
     """
     n, m = sig.shape
     width = 1
     while base ** (width + 1) <= 1 << 63:
         width += 1
+    powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
     keys = []
     for start in range(0, m, width):
-        key = sig[:, start].copy()
-        for j in range(start + 1, min(start + width, m)):
-            key *= base
-            key += sig[:, j]
-        keys.append(key)
-    order = np.lexsort(keys[::-1])
+        run = sig[:, start:start + width]
+        keys.append(run @ powers[width - run.shape[1]:])
+    if len(keys) == 1:
+        order = np.argsort(keys[0], kind="stable")
+    else:
+        order = np.lexsort(keys[::-1])
     step = np.zeros(n, dtype=bool)
     for key in keys:
         run = key[order]
@@ -78,7 +81,8 @@ class _Refiner:
         degs = np.array([len(a) for a in adj], dtype=np.int64)
         maxdeg = int(degs.max())
         # Neighbor table padded with index n; slot n of the color buffer
-        # holds a sentinel that sorts after every real color id.
+        # holds a sentinel, the color count, that sorts after every real
+        # color id.
         pad = np.full((self.n, maxdeg), self.n, dtype=np.int64)
         for v, nbrs in enumerate(adj):
             pad[v, :len(nbrs)] = nbrs
@@ -86,6 +90,8 @@ class _Refiner:
         self.degs = degs
         self.edge_u = np.repeat(np.arange(self.n, dtype=np.int64), degs)
         self.edge_v = pad[pad < self.n]
+        flags = self.edge_u < self.n_points
+        self.flags = self.edge_u[flags], self.edge_v[flags]  # (point, line) pairs
         self.rounds = 0  # refinement rounds run, for SearchStats
 
     def initial_colors(self):
@@ -95,15 +101,15 @@ class _Refiner:
     def refine(self, colors):
         ncolors = int(colors.max()) + 1
         buf = np.empty(self.n + 1, dtype=np.int64)
-        buf[self.n] = self.n
         sig = np.empty((self.n, 1 + self.pad.shape[1]), dtype=np.int64)
         while True:
             self.rounds += 1
             buf[:self.n] = colors
+            buf[self.n] = ncolors
             sig[:, 0] = colors
             sig[:, 1:] = buf[self.pad]
             sig[:, 1:].sort(axis=1)
-            new = _dense_rank(sig, self.n + 1)
+            new = _dense_rank(sig, ncolors + 1)
             nnew = int(new.max()) + 1
             if nnew == ncolors:
                 return new
@@ -130,6 +136,21 @@ class _Refiner:
         h.update(counts.astype(np.int64).tobytes())
         return h.digest()
 
+    def matrix_bytes(self, colors):
+        """Bit-packed incidence matrix under a discrete coloring, whose
+        colors are positions, points first.  Row i, for the point at
+        position i, is a big-endian bit string in which bit j, counted
+        from the last bit, is set when the line at position n_points + j
+        meets that point."""
+        nbytes = (self.n - self.n_points + 7) // 8
+        p, b = self.flags
+        col = colors[b] - self.n_points
+        rows = np.zeros((self.n_points, nbytes), dtype=np.uint8)
+        # Each flag sets its own bit, so adding the bits ORs them.
+        np.add.at(rows, (colors[p], nbytes - 1 - col // 8),
+                  (1 << (col % 8)).astype(np.uint8))
+        return rows.tobytes()
+
     def target_cell(self, colors):
         """Color id of the first largest non-singleton cell, or None."""
         sizes = np.bincount(colors)
@@ -137,35 +158,25 @@ class _Refiner:
         return best if sizes[best] > 1 else None
 
 
-def _matrix_bytes(s, order):
-    """Bit-packed incidence matrix under a discrete vertex ordering."""
-    pts = [v for v in order if v < s.n_points]
-    lns = [v - s.n_points for v in order if v >= s.n_points]
-    col = {b: j for j, b in enumerate(lns)}
-    nbytes = (len(lns) + 7) // 8
-    rows = []
-    for p in pts:
-        m = 0
-        for b in s.lines_of_point[p]:
-            m |= 1 << col[b]
-        rows.append(m.to_bytes(nbytes, "big"))
-    return b"".join(rows)
+def _orbit_labels(gens, n):
+    """The least vertex of each vertex's orbit under the group generated
+    by the rows of gens, permutations of range(n).
 
-
-def _orbit_hits(v, explored, gens):
-    """True when v lies in the orbit of an already-explored sibling."""
-    if not gens:
-        return False
-    orbit = {v}
-    frontier = [v]
-    while frontier:
-        x = frontier.pop()
+    Min-label propagation: a pass lowers each label to the label of its
+    image under every generator in turn, then jumps pointers (labels of
+    labels).  A label always lies in its vertex's orbit and never rises,
+    so a pass that changes nothing leaves labels constant on every orbit,
+    each equal to its orbit's least vertex.
+    """
+    labels = np.arange(n)
+    while True:
+        new = labels
         for g in gens:
-            y = g[x]
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return any(w in orbit for w in explored)
+            new = np.minimum(new, new[g])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 @dataclass(frozen=True)
@@ -194,15 +205,17 @@ class SearchStats:
     """Counters of one search: nodes visited (pruned ones included),
     leaves reached, automorphisms found, refinement rounds run, siblings
     skipped as images of explored ones, backjumps taken from leaves that
-    tie the best, and the deepest individualization (the root is 0).
+    tie the best, and the deepest individualization (the root is 0);
+    then the search's wall seconds.
     A plain class, not a dataclass, so importing the module stays cheap."""
 
     __slots__ = ("nodes", "leaves", "automorphisms", "refinement_rounds",
-                 "orbit_prunes", "backjumps", "max_depth")
+                 "orbit_prunes", "backjumps", "max_depth", "seconds")
 
     def __init__(self):
         self.nodes = self.leaves = self.automorphisms = self.refinement_rounds = 0
         self.orbit_prunes = self.backjumps = self.max_depth = 0
+        self.seconds = 0.0
 
 
 class _Backjump(Exception):
@@ -235,10 +248,11 @@ def _search(s, target=None, deadline=None, stats=None):
     stats, when given, is a list that receives this search's SearchStats,
     filled in also when the search times out.
     """
+    start = time.perf_counter()
     ref = _Refiner(s)
     n = s.n_elements
     best = {"path": None, "cert": None, "order": None, "base": None}
-    autos = set()
+    autos = {}  # automorphism bytes -> the permutation as an int64 array
     counts = SearchStats()
     if stats is not None:
         stats.append(counts)
@@ -260,10 +274,8 @@ def _search(s, target=None, deadline=None, stats=None):
         cell = ref.target_cell(colors)
         if cell is None:
             counts.leaves += 1
-            order = [0] * n
-            for v, c in enumerate(colors):
-                order[c] = v
-            cert = _matrix_bytes(s, order)
+            order = np.argsort(colors).tolist()  # colors are a permutation
+            cert = ref.matrix_bytes(colors)
             if target is not None and path == target[0]:
                 # The invariant of a discrete partition digests every
                 # edge between two positions, so an equal path means an
@@ -274,10 +286,9 @@ def _search(s, target=None, deadline=None, stats=None):
             if best["path"] is None or key < (best["path"], best["cert"]):
                 best.update(path=path, cert=cert, order=order, base=fixed)
             elif key == (best["path"], best["cert"]):
-                perm = [0] * n
-                for i in range(n):
-                    perm[best["order"][i]] = order[i]
-                autos.add(tuple(perm))
+                perm = np.empty(n, dtype=np.int64)
+                perm[best["order"]] = order
+                autos.setdefault(perm.tobytes(), perm)
                 # This whole branch is the automorphic image of the best
                 # leaf's branch, so nothing new lives below the point
                 # where the two branches diverged.
@@ -287,18 +298,26 @@ def _search(s, target=None, deadline=None, stats=None):
                     counts.backjumps += 1
                     raise _Backjump(diverge)
             return
-        explored = []
-        gens, filtered = [], 0
-        for v in (int(x) for x in np.flatnonzero(colors == cell)):
-            if len(autos) > filtered:
+        # A sibling is skipped when its orbit label is that of an explored
+        # one; without labels, each vertex is its own label.
+        explored, seen = [], set()
+        labels, filtered = None, 0
+        for v in np.flatnonzero(colors == cell).tolist():
+            if explored and len(autos) > filtered:
                 # Only automorphisms fixing the base so far map siblings
-                # onto siblings; refilter only once a leaf has added one.
-                gens = [g for g in autos if all(g[w] == w for w in fixed)]
+                # onto siblings; relabel only once a leaf has added one
+                # and an explored sibling can make a label count.
+                perms = np.array(list(autos.values()))
+                gens = perms[(perms[:, fixed] == fixed).all(axis=1)]
+                labels = _orbit_labels(gens, n)
+                seen = set(labels[explored].tolist())
                 filtered = len(autos)
-            if _orbit_hits(v, explored, gens):
+            label = v if labels is None else int(labels[v])
+            if label in seen:
                 counts.orbit_prunes += 1
                 continue
             explored.append(v)
+            seen.add(label)
             try:
                 rec(ref.individualize(colors, v), path, fixed + (v,))
             except _Backjump as bj:
@@ -313,6 +332,7 @@ def _search(s, target=None, deadline=None, stats=None):
     finally:
         counts.automorphisms = len(autos)
         counts.refinement_rounds = ref.rounds
+        counts.seconds = time.perf_counter() - start
     return best if target is None else None
 
 

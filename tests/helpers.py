@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's own algorithms: chain
 counting enumerates sequences directly, isomorphism testing tries point
-permutations, and field arithmetic is redone with schoolbook polynomial
-division.
+permutations, orbits are walked one vertex at a time, and field
+arithmetic is redone with schoolbook polynomial division.
 """
 
 from itertools import combinations, permutations, product
@@ -157,6 +157,24 @@ def brute_force_isomorphic(s1, s2):
         if mapped == sets2:
             return True
     return False
+
+
+def orbit_hits(v, explored, gens):
+    """True when v lies in the orbit of an explored vertex under the group
+    the permutations gens generate, found by walking generator images out
+    from v one vertex at a time."""
+    if not len(gens):
+        return False
+    orbit = {v}
+    frontier = [v]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = int(g[x])
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return any(w in orbit for w in explored)
 
 
 # -- field oracle --------------------------------------------------------------

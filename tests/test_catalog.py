@@ -170,7 +170,7 @@ def test_symplectic_quadrangle(q, points):
         assert others == q * (q + 1)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_symplectic_matches_polynomial_oracle(q):
     w = symplectic_quadrangle(q)
     vectors, line_sets = naive_symplectic(w.field)

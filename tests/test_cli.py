@@ -199,7 +199,8 @@ def test_isocheck_timeout_exits_3_without_a_witness(tmp_path, capsys):
 
 SEARCH_COUNTERS = (r"search on the (first|second) structure: \d+ nodes, \d+ leaves, "
                    r"\d+ automorphisms, \d+ refinement rounds, \d+ orbit prunes, "
-                   r"\d+ backjumps, depth \d+")
+                   r"\d+ backjumps, depth \d+, \d+\.\d{3} s")
+BUILT = r"built the (affine expansion|dual derivation): \d+/\d+, \d+\.\d{3} s"
 
 
 @pytest.mark.parametrize("command", [("payne-check", "3"),
@@ -213,6 +214,10 @@ def test_verbose_prints_search_counters(command, capsys):
     lines = [line for line in loud.err.splitlines() if line.startswith("search ")]
     assert len(lines) == 2
     assert all(re.fullmatch(SEARCH_COUNTERS, line) for line in lines)
+    # every stage line ends with its wall seconds
+    built = [line for line in loud.err.splitlines() if not line.startswith("search ")]
+    assert len(built) == (2 if command[0] == "payne-check" else 0)
+    assert all(re.fullmatch(BUILT, line) for line in built)
 
 
 def test_payne_check_q3():

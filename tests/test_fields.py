@@ -91,6 +91,20 @@ def test_log_tables_at_large_orders(p, n):
     assert len(log) == F.order and len(exp) == 4 * (F.order - 1) + 1
 
 
+@pytest.mark.parametrize("q", SHIPPED_ORDERS)
+def test_code_tables_match_element_arithmetic(q):
+    F = field_from_order(q)
+    assert "code_tables" not in vars(F)  # built on first use only
+    add, mul, neg = F.code_tables
+    els = F.elements()
+    assert add.shape == mul.shape == (q, q) and neg.shape == (q,)
+    for i, a in enumerate(els):
+        assert els[neg[i]] == F.neg(a)
+        for j, b in enumerate(els):
+            assert els[add[i, j]] == F.add(a, b)
+            assert els[mul[i, j]] == oracle_mul(F.p, F.modulus, a, b)
+
+
 def test_products_take_elements_and_element_coerces():
     F = GF(3, 2)
     a, b = F.element(5), F.element(7)

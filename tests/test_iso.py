@@ -9,8 +9,8 @@ from gainquad import (IncidenceStructure, affine_gains, affine_plane, are_isomor
                       canonical_form, distinguishing_invariant, dual, expand,
                       field_from_order, payne_derivation, symplectic_quadrangle,
                       verify_isomorphism)
-from gainquad.iso import _dense_rank
-from helpers import (brute_force_isomorphic, grid_quadrangle, quadrilateral,
+from gainquad.iso import _dense_rank, _orbit_labels
+from helpers import (brute_force_isomorphic, grid_quadrangle, orbit_hits, quadrilateral,
                      random_structure, relabeled, tiny_base)
 
 
@@ -217,6 +217,72 @@ def test_search_stats_count_each_search(expansion2, expansion3):
     stats = []
     assert are_isomorphic(expansion2, expansion3, stats=stats) is None
     assert stats == []
+
+
+# SearchStats of are_isomorphic(expansion, dual derivation) at certificate
+# version 2, first search then second: (nodes, leaves, automorphisms,
+# refinement rounds, orbit prunes, backjumps, max depth).
+PAYNE_COUNTERS = {
+    3: ((20, 7, 6, 104, 87, 6, 4), (5, 1, 0, 21, 0, 0, 4)),
+    4: ((30, 10, 9, 175, 218, 9, 4), (5, 1, 0, 22, 0, 0, 4)),
+    5: ((45, 11, 9, 324, 628, 9, 3), (12, 6, 4, 80, 112, 4, 3)),
+}
+
+
+@pytest.mark.parametrize("q", sorted(PAYNE_COUNTERS))
+def test_payne_pair_search_counters_are_pinned(q):
+    left = expand(affine_gains(affine_plane(field_from_order(q))))
+    right = dual(payne_derivation(symplectic_quadrangle(q)))
+    stats = []
+    assert are_isomorphic(left, right, stats=stats) is not None
+    assert tuple((st.nodes, st.leaves, st.automorphisms, st.refinement_rounds,
+                  st.orbit_prunes, st.backjumps, st.max_depth)
+                 for st in stats) == PAYNE_COUNTERS[q]
+    assert all(st.seconds > 0 for st in stats)
+
+
+def _random_permutations(rng, n, k):
+    """k permutations of range(n) as a (k, n) array, each a product of
+    disjoint random cycles on a random subset; the rest stay fixed."""
+    gens = np.tile(np.arange(n, dtype=np.int64), (k, 1))
+    for g in gens:
+        moved = rng.sample(range(n), rng.randint(0, n))
+        while moved:
+            size = rng.randint(1, len(moved))
+            cycle, moved = moved[:size], moved[size:]
+            g[cycle] = cycle[1:] + cycle[:1]
+    return gens
+
+
+def _assert_orbit_labels(gens, n, rng):
+    labels = _orbit_labels(gens, n)
+    assert labels.shape == (n,)
+    for v in range(n):
+        least = int(labels[v])
+        # the label lies in v's orbit, and nothing in that orbit is smaller
+        assert least == v or (least < v and orbit_hits(v, [least], gens))
+        assert not orbit_hits(least, range(least), gens)
+    for _ in range(20):
+        v = rng.randrange(n)
+        explored = rng.sample([w for w in range(n) if w != v], rng.randint(0, n - 1))
+        assert orbit_hits(v, explored, gens) == (labels[v] in set(labels[explored].tolist()))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_orbit_labels_match_orbit_walk(seed):
+    rng = random.Random(seed)
+    n = rng.choice([1, 2, 5, rng.randint(6, 80)])
+    _assert_orbit_labels(_random_permutations(rng, n, rng.randint(1, 4)), n, rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_orbit_labels_without_moves(n):
+    rng = random.Random(n)
+    no_generators = np.empty((0, n), dtype=np.int64)
+    only_identity = np.arange(n, dtype=np.int64)[None, :]
+    for gens in (no_generators, only_identity):
+        assert np.array_equal(_orbit_labels(gens, n), np.arange(n))
+        _assert_orbit_labels(gens, n, rng)
 
 
 def test_root_invariant_mismatch_answers_at_once():
