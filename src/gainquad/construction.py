@@ -62,11 +62,14 @@ class Expansion(IncidenceStructure):
         for p in range(v):
             for t in range(k):
                 pairs.append((p, p * k + t))
+        # One action row per distinct gain: row[t] is the position of
+        # gain . lambdas[t].
+        rows = {}
         for (b, p), phi in gains.gains.items():
-            y_base = v + b * k
-            for t in range(k):
-                mu = group.act(phi, lambdas[t])
-                pairs.append((y_base + t, p * k + lam_pos[mu]))
+            row = rows.get(phi)
+            if row is None:
+                row = rows[phi] = [lam_pos[group.act(phi, lam)] for lam in lambdas]
+            pairs.extend(zip(range(v + b * k, v + b * k + k), [p * k + t for t in row]))
 
         super().__init__(point_labels, line_labels, pairs)
         self.gains = gains

@@ -9,6 +9,7 @@ everything here is safe to share across threads.
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -46,7 +47,10 @@ class IncidenceStructure:
         line_labels = tuple(line_labels)
         if not point_labels or not line_labels:
             raise ValueError("point and line sets must be nonempty")
-        pairs = sorted(set((int(p), int(b)) for p, b in incidence))
+        try:
+            pairs = sorted(set((index(p), index(b)) for p, b in incidence))
+        except TypeError as e:
+            raise ValueError(f"incidence entries must be integers: {e}") from None
         if not pairs:
             raise ValueError("incidence relation must be nonempty")
         v, nb = len(point_labels), len(line_labels)
@@ -272,8 +276,21 @@ def census_ngon(s, n):
     return Verdict(True)
 
 
-# Matrix cells held by one block of point rows in is_generalized_quadrangle.
-_GQ_BLOCK_CELLS = 1 << 22
+# Entries held by one block of point rows in is_generalized_quadrangle:
+# gathered table entries and counts, about 8 bytes each.  Blocks that
+# stay in cache are also the fastest.
+_GQ_BLOCK_CELLS = 1 << 18
+
+
+def _padded_lists(owner, member, n, pad):
+    """(table, length): row i of the int32 table lists member[owner == i]
+    in the given order, padded with pad to the longest list."""
+    length = np.bincount(owner, minlength=n)
+    order = np.argsort(owner, kind="stable")
+    owner, member = owner[order], member[order]
+    table = np.full((n, int(length.max())), pad, dtype=np.int32)
+    table[owner, np.arange(len(owner)) - (np.cumsum(length) - length)[owner]] = member
+    return table, length
 
 
 def is_generalized_quadrangle(s):
@@ -282,33 +299,67 @@ def is_generalized_quadrangle(s):
     line, and for p off a line L exactly one pair (M, x) has
     p I M I x I L, x != p.  (An isolated element would make that count
     0.)  They hold exactly when the census finds the structure connected
-    with girth >= 8 and diameter <= 4.  With N the incidence matrix,
-    N N^T counts common lines and, diagonal zeroed, times N counts the
-    pairs (M, x), in blocks of point rows: O(block * (v + b)) memory
-    beyond N.  A failure names its witness as census_ngon would, in eids:
-    ("uniqueness", p, q, count) for points on count > 1 common lines, and
-    for p off L joined by count pairs, ("distance", p, v + L) if count is
-    0, else ("uniqueness", p, v + L, count).
+    with girth >= 8 and diameter <= 4.
+
+    Per point p, gathers from padded tables of the lines of each point
+    and the points of each line list the points x != p on p's lines M,
+    then the lines through each x.  A bincount of (p, x) counts common
+    lines, and one of (p, L) the pairs (M, x).  Point rows go in blocks
+    of at most _GQ_BLOCK_CELLS gathered entries and counts, or of one
+    row.  A row gathers at most v * b entries per step, because the
+    second gather runs only once no x is repeated.  A failure names its
+    witness as census_ngon would, in eids: ("uniqueness", p, q, count)
+    for points on count > 1 common lines, and for p off L joined by
+    count pairs, ("distance", p, v + L) if count is 0, else
+    ("uniqueness", p, v + L, count).  Within a block the first such pair
+    of points comes before the first such point and line.
     """
     v, b = s.n_points, s.n_lines
-    # Every count is at most max(v, b): exact in float32 below 2^24.
-    n = np.zeros((v, b), dtype=np.float32 if max(v, b) < 1 << 24 else np.float64)
-    n[tuple(np.array(s.incidence).T)] = 1
-    step = max(1, _GQ_BLOCK_CELLS // (v + b))
-    for lo in range(0, v, step):
-        rows = n[lo:lo + step]
-        common = rows @ n.T
-        common[np.arange(len(rows)), np.arange(lo, lo + len(rows))] = 0
-        if common.max() > 1:
-            i, q = np.argwhere(common > 1)[0]
-            return Verdict(False, ("uniqueness", lo + int(i), int(q), int(common[i, q])))
-        joins = common @ n
-        if (joins[rows == 0] != 1).any():
-            i, line = np.argwhere((joins != 1) & (rows == 0))[0]
-            p, count = lo + int(i), int(joins[i, line])
-            return Verdict(False, ("uniqueness", p, v + int(line), count) if count
-                           else ("distance", p, v + int(line)))
+    pt, ln = np.array(s.incidence, dtype=np.int32).T
+    lines, degree = _padded_lists(pt, ln, v, b)
+    points, size = _padded_lists(ln, pt, b, v)
+    # Row p gathers the points on its lines, then the lines through each
+    # pair (M, x) with x != p, and holds v + b + 1 counts.
+    pairs = np.bincount(pt, weights=size[ln], minlength=v).astype(np.int64) - degree
+    ends = np.cumsum(degree * points.shape[1] + pairs * lines.shape[1] + v + b + 1)
+    lo = 0
+    while lo < v:
+        cap = (ends[lo - 1] if lo else 0) + _GQ_BLOCK_CELLS
+        hi = max(lo + 1, int(np.searchsorted(ends, cap, side="right")))
+        witness = _quadrangle_block(lines, points, lo, hi)
+        if witness:
+            return Verdict(False, witness)
+        lo = hi
     return Verdict(True)
+
+
+def _quadrangle_block(lines, points, lo, hi):
+    """The witness of a quadrangle axiom failing at the points in
+    [lo, hi), or None.  lines is padded with b and points with v."""
+    v, b = len(lines), len(points)
+    n = hi - lo
+    mine = lines[lo:hi]
+    own, col = np.nonzero(mine < b)
+    via = mine[own, col]
+    x = np.take(points, via, axis=0)
+    keep = (x < v) & (x != lo + own[:, None])
+    row, x = np.repeat(own, np.count_nonzero(keep, axis=1)), x[keep]
+    common = np.bincount(row * v + x, minlength=n * v).reshape(n, v)
+    if common.max() > 1:
+        i, q = (int(y) for y in np.argwhere(common > 1)[0])
+        return ("uniqueness", lo + i, q, int(common[i, q]))
+    del common
+    # Each x shares just M with p, so the lines through x other than M
+    # miss p; M itself and the padding b fall in bins that are not read.
+    keys = (row * (b + 1))[:, None] + np.take(lines, x, axis=0)
+    joins = np.bincount(keys.ravel(), minlength=n * (b + 1)).reshape(n, b + 1)[:, :b]
+    joins[own, via] = 1
+    if (joins != 1).any():
+        i, line = (int(y) for y in np.argwhere(joins != 1)[0])
+        count = int(joins[i, line])
+        return (("uniqueness", lo + i, v + line, count) if count
+                else ("distance", lo + i, v + line))
+    return None
 
 
 # -- structural classifiers -------------------------------------------------

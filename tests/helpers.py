@@ -89,6 +89,30 @@ def naive_linear_space(s):
     return True, None
 
 
+# -- expansion oracle ------------------------------------------------------------
+
+
+def reference_expansion(gains):
+    """(point labels, line labels, sorted incidence) of the expansion by
+    one action per edge and label, as the construction once ran."""
+    base, group = gains.base, gains.group
+    lambdas = tuple(group.lambdas())
+    k = len(lambdas)
+    lam_pos = {lam: t for t, lam in enumerate(lambdas)}
+    v = base.n_points
+    points = [f"x:{base.point_labels[p]}" for p in range(v)]
+    points += [f"y:{base.line_labels[b]};{group.render(lam)}"
+               for b in range(base.n_lines) for lam in lambdas]
+    lines = [f"z:{base.point_labels[p]};{group.render(lam)}"
+             for p in range(v) for lam in lambdas]
+    pairs = [(p, p * k + t) for p in range(v) for t in range(k)]
+    for (b, p), phi in gains.gains.items():
+        for t in range(k):
+            mu = group.act(phi, lambdas[t])
+            pairs.append((v + b * k + t, p * k + lam_pos[mu]))
+    return tuple(points), tuple(lines), tuple(sorted(pairs))
+
+
 # -- chain oracle -------------------------------------------------------------
 
 

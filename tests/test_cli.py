@@ -114,6 +114,14 @@ def test_verify_verbose_times_the_check_outside_the_report(tmp_path, capsys):
     assert set(read_json(report)) == {"config", "input", "check", "s", "t", "ok"}
 
 
+@pytest.mark.parametrize("spec, order", [("w:16", (16, 16)), ("payne-dual:16", (17, 15))])
+def test_verify_largest_shipped_quadrangles(spec, order, tmp_path):
+    report = tmp_path / "r.json"
+    assert run("verify", spec, "--as", "gq", "--report", report) == 0
+    doc = read_json(report)
+    assert doc["ok"] and (doc["s"], doc["t"]) == order
+
+
 def test_structure_file_name_with_a_colon(tmp_path):
     out = tmp_path / "m:2.json"
     assert run("build", "ag2", "2", "--with-gains", "-o", out) == 0

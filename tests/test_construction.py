@@ -14,7 +14,7 @@ from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, IncidenceStruct
                       lift_chain, switch, switching_isomorphism, verify_isomorphism,
                       walk_gain)
 from gainquad.construction import DetourKernel
-from helpers import tiny_base
+from helpers import reference_expansion, tiny_base
 
 
 def test_tiny_expansion_cardinalities():
@@ -47,6 +47,40 @@ def test_expansion_incidence_rules(plane3, expansion3):
             mu = c.group.act(phi, lam)
             t_mu = c.lambdas.index(mu)
             assert (c.y_point(b, t), c.z_line(p, t_mu)) in c.incidence_set
+
+
+def _assert_matches_reference(gains):
+    c = expand(gains)
+    assert (c.point_labels, c.line_labels, c.incidence) == reference_expansion(gains)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_expansion_matches_per_edge_reference_on_shipped_gains(q):
+    _assert_matches_reference(affine_gains(affine_plane(field_from_order(q))))
+
+
+@pytest.mark.parametrize("q, group", [(3, CyclicGroup(3)), (4, CyclicGroup(4)),
+                                      (4, AdditiveGroup(GF(2, 2)))])
+def test_expansion_matches_per_edge_reference_on_random_gains(q, group):
+    rng = random.Random(q)
+    base = affine_plane(field_from_order(q)).structure
+    elements = group.elements()
+    for _ in range(3):
+        gains = {(b, p): rng.choice(elements) for p, b in base.incidence}
+        _assert_matches_reference(GainGraph(base, group, gains))
+
+
+def test_expansion_acts_once_per_distinct_gain_and_label(plane2, monkeypatch):
+    group = CyclicGroup(997)
+    gains = identity_gains(plane2.structure, group)
+    calls = []
+    act = CyclicGroup.act
+    monkeypatch.setattr(CyclicGroup, "act",
+                        lambda self, g, lam: calls.append(g) or act(self, g, lam))
+    c = expand(gains)
+    assert len(calls) <= len(set(gains.gains.values())) * group.order == 997
+    monkeypatch.undo()
+    assert (c.point_labels, c.line_labels, c.incidence) == reference_expansion(gains)
 
 
 def test_expansion_requires_finite_labels(plane2):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 import gainquad.geometry as geometry
 from gainquad import (GF, CyclicGroup, GainGraph, IncidenceStructure, affine_gains,
                       affine_plane, count_shortest_chains, distance, dual,
-                      expand, field_from_order, is_chain, is_generalized_ngon,
-                      is_linear_space, is_ovoid, payne_derivation,
+                      expand, field_from_order, identity_gains, is_chain,
+                      is_generalized_ngon, is_linear_space, is_ovoid, payne_derivation,
                       steiner_parameters, structure_from_json, structure_to_json,
                       symplectic_quadrangle)
 from helpers import (assert_quadrangle_witness, enumerate_chains, grid_quadrangle,
@@ -25,6 +26,20 @@ def test_construction_validation():
         IncidenceStructure(["p"], ["b"], [])
     with pytest.raises(ValueError):
         IncidenceStructure(["p"], ["b"], [(0, 1)])
+
+
+@pytest.mark.parametrize("pairs", [[(0.9, 0), ("1", 0)], [(0, 0), (1, 0.0)],
+                                   [(0, None)], [(np.float64(1), 0)]])
+def test_construction_refuses_non_integer_entries(pairs):
+    with pytest.raises(ValueError, match="integers") as err:
+        IncidenceStructure(["a", "b"], ["L"], pairs)
+    assert "\n" not in str(err.value)
+
+
+def test_construction_accepts_numpy_integers():
+    s = IncidenceStructure(["a", "b"], ["L"], [(np.int64(1), np.int32(0)), (np.uint8(0), 0)])
+    assert s.incidence == ((0, 0), (1, 0))
+    assert all(type(x) is int for pair in s.incidence for x in pair)
 
 
 def test_affine_plane_graphs():
@@ -240,13 +255,21 @@ def _quadrangle_cases():
              IncidenceStructure(["p"], ["a"], [(0, 0)]),  # a single flag
              IncidenceStructure(["p", "q"], ["a", "b"],  # two points on two lines
                                 [(0, 0), (1, 0), (0, 1), (1, 1)]),
-             grid_quadrangle(3), quadrilateral()]
+             grid_quadrangle(3), quadrilateral(),
+             # skewed degrees: one point on every line, one line through
+             # every point, a triangle with a pendant and an isolated point
+             IncidenceStructure(range(6), range(5),
+                                [(0, b) for b in range(5)] + [(b + 1, b) for b in range(5)]),
+             IncidenceStructure(range(6), range(5),
+                                [(p, 0) for p in range(6)] + [(p, p) for p in range(1, 5)]),
+             IncidenceStructure(range(5), range(3),
+                                [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2), (3, 1)])]
     expansions = []
     for q in (2, 3, 4, 5, 7):
         plane = affine_plane(field_from_order(q))
         expansions.append(expand(affine_gains(plane)))
         cases += [plane.structure, expansions[-1]]
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, 5):
         w = symplectic_quadrangle(q)
         d = payne_derivation(w)
         cases += [w.structure, dual(w.structure), d, dual(d)]
@@ -283,11 +306,36 @@ def quadrangle_check(monkeypatch):
 
 def test_quadrangle_check_matches_census_oracle(quadrangle_check, monkeypatch):
     cases = _quadrangle_cases()
-    # 64 cells hold a few point rows, so most witnesses lie past the first block
-    for block_cells in (geometry._GQ_BLOCK_CELLS, 64):
+    # 64 entries hold a few point rows at most, so most witnesses lie past
+    # the first block; 1 puts every point row in a block of its own
+    for block_cells in (geometry._GQ_BLOCK_CELLS, 64, 1):
         monkeypatch.setattr(geometry, "_GQ_BLOCK_CELLS", block_cells)
         kinds = {quadrangle_check(s) for s in cases}
         assert kinds == {"pass", "distance", "uniqueness"}
+
+
+@pytest.mark.parametrize("block_cells", [None, 1])
+def test_quadrangle_check_pins_its_witnesses(block_cells, monkeypatch):
+    if block_cells:
+        monkeypatch.setattr(geometry, "_GQ_BLOCK_CELLS", block_cells)
+    plane = affine_plane(GF(11))
+    assert is_generalized_ngon(plane.structure, 4).witness == ("uniqueness", 0, 122, 11)
+    c = expand(identity_gains(plane.structure, CyclicGroup(11)))
+    assert is_generalized_ngon(c, 4).witness == ("uniqueness", 121, 1694, 11)
+
+
+def test_quadrangle_check_memory_stays_below_the_incidence_matrix(monkeypatch):
+    """With small blocks the check allocates less than a dense float32
+    incidence matrix would take."""
+    s = expand(affine_gains(affine_plane(GF(7))))
+    monkeypatch.setattr(geometry, "_GQ_BLOCK_CELLS", 1 << 12)
+    tracemalloc.start()
+    try:
+        assert is_generalized_ngon(s, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * s.n_points * s.n_lines
 
 
 def test_quadrangle_check_on_every_tiny_structure(quadrangle_check):
