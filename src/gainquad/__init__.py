@@ -25,6 +25,6 @@ from .catalog import (AffinePlane, SymplecticQuadrangle, affine_gains,
                       affine_plane, detour_formula, dual, payne_derivation,
                       symplectic_quadrangle)
 from .iso import CanonicalForm, are_isomorphic, canonical_form, distinguishing_invariant
-from .search import SearchReport, run_search, verify_known
+from .search import SearchReport, run_search
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import catalog
-from .construction import expand, gq_criterion, switching_isomorphism
+from .construction import expand, gq_criterion, gq_parameters, switching_isomorphism
 from .fields import GF, field_from_order
 from .gains import GainGraph, gains_from_json, gains_to_json, identity_gains
 from .geometry import (IncidenceStructure, census_ngon, is_generalized_ngon,
@@ -30,14 +30,18 @@ from .geometry import (IncidenceStructure, census_ngon, is_generalized_ngon,
                        verify_isomorphism)
 from .groups import CyclicGroup, group_from_spec
 from .iso import are_isomorphic, canonical_form, distinguishing_invariant
-from .search import run_search, verify_known
+from .search import run_search
 from .storage import atomic_write
 
 GENERATORS = ("ag2", "w", "payne-dual")
 
 
+def _json_text(doc):
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
 def _write_json(path, doc):
-    atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    atomic_write(path, _json_text(doc))
 
 
 def _field_from_args(args):
@@ -48,29 +52,27 @@ def _field_from_args(args):
     raise ValueError("ag2 takes one or two integer arguments: q or p n")
 
 
-def realize_base(tokens):
+def realize_base(spec):
     """Resolve a structure source: file path or generator spec.
 
     Generator specs are "ag2:q" (q a prime power) or "ag2:p:n" for the
     affine plane, "w:q" and "payne-dual:q".  Returns a dict with
     structure, optional tags, optional plane, name.
     """
-    if isinstance(tokens, str):
-        # a file name may itself contain ":"
-        tokens = [tokens] if os.path.isfile(tokens) else tokens.split(":")
-    name = tokens[0]
-    if os.path.exists(name) and len(tokens) == 1:
-        with open(name) as fh:
+    # a file name may itself contain ":"
+    if os.path.isfile(spec):
+        with open(spec) as fh:
             doc = json.load(fh)
         s, tags = structure_from_json(doc)
-        return {"structure": s, "tags": tags, "plane": None, "name": name}
+        return {"structure": s, "tags": tags, "plane": None, "name": spec}
+    name, *args = spec.split(":")
     if name not in GENERATORS:
         raise ValueError(f"{name!r} is neither a file nor one of {GENERATORS}")
-    args = [int(t) for t in tokens[1:]]
+    args = [int(t) for t in args]
     if name == "ag2":
         plane = catalog.affine_plane(_field_from_args(args))
         return {"structure": plane.structure, "tags": None, "plane": plane,
-                "name": ":".join(str(t) for t in tokens)}
+                "name": spec}
     if len(args) != 1:
         raise ValueError(f"{name} takes one integer argument: q")
     w = catalog.symplectic_quadrangle(args[0])
@@ -78,8 +80,7 @@ def realize_base(tokens):
         s = w.structure
     else:
         s = catalog.dual(catalog.payne_derivation(w))
-    return {"structure": s, "tags": None, "plane": None,
-            "name": ":".join(str(t) for t in tokens)}
+    return {"structure": s, "tags": None, "plane": None, "name": spec}
 
 
 def parse_group(spec):
@@ -139,13 +140,14 @@ def _isomorphism(args, s1, s2):
 
 
 def cmd_build(args):
-    tokens = list(args.base)
+    tokens = args.base
     gains_path = args.gains
     # "build base.json gains.json" as positional pair
     if (gains_path is None and len(tokens) == 2
             and os.path.exists(tokens[0]) and os.path.exists(tokens[1])):
-        tokens, gains_path = [tokens[0]], tokens[1]
-    base = realize_base(tokens)
+        tokens, gains_path = tokens[:1], tokens[1]
+    # "build ag2 3" is the spec "ag2:3"
+    base = realize_base(":".join(tokens))
     s = base["structure"]
     if gains_path:
         with open(gains_path) as fh:
@@ -298,12 +300,9 @@ def cmd_export(args):
     base = realize_base(args.structure)
     s, tags = base["structure"], base["tags"]
     if args.format == "json":
-        doc = structure_to_json(s, tags=tags)
-        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    elif args.format == "dot":
-        text = _to_dot(s, tags)
+        text = _json_text(structure_to_json(s, tags=tags))
     else:
-        raise ValueError(f"unknown format {args.format!r}")
+        text = _to_dot(s, tags)
     if args.output:
         atomic_write(args.output, text)
     else:
@@ -344,10 +343,12 @@ def cmd_selftest(args):
             failures += 1
 
     for q in (2, 3):
-        entry = verify_known(catalog.affine_plane(GF(q)))
-        check(f"shipped gains over GF({q}) give order "
-              f"({entry['s']},{entry['t']})",
-              entry["passed"] and [entry["s"], entry["t"]] == entry["expected"])
+        g = catalog.affine_gains(catalog.affine_plane(GF(q)))
+        c = expand(g)
+        verdicts = (("criterion", gq_criterion(g)), ("verifier", is_generalized_ngon(c, 4)))
+        rejected = "".join(f", {stage} witness {v.witness}" for stage, v in verdicts if not v)
+        check(f"shipped gains over GF({q}) give order ({q + 1},{q - 1}){rejected}",
+              not rejected and gq_parameters(c) == (q + 1, q - 1))
 
     plane = catalog.affine_plane(GF(2))
     g0 = catalog.affine_gains(plane)
@@ -415,7 +416,8 @@ def build_parser():
 
     p = sub.add_parser("build", help="expand a gain graph into a structure file")
     p.add_argument("base", nargs="+",
-                   help="structure file, or generator: ag2 q or ag2 p n")
+                   help="structure file or generator spec; tokens are joined "
+                        "with ':', so ag2 3 is ag2:3")
     p.add_argument("--gains", help="gain-function JSON file")
     p.add_argument("--with-gains", action="store_true",
                    help="use the shipped affine-plane gains (ag2 bases)")

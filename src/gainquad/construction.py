@@ -20,7 +20,7 @@ label_sweep and the generic n-gon verifier stay as independent oracles.
 import numpy as np
 
 from .geometry import (IncidenceStructure, Isomorphism, Verdict,
-                       is_linear_space, steiner_parameters,
+                       is_linear_space, quadrangle_order, steiner_parameters,
                        verify_isomorphism)
 from .gains import switch
 from .groups import code_dtype
@@ -307,22 +307,15 @@ def bijective_pair_count(gains):
 
 
 def gq_parameters(c):
-    """Order (s, t) of a verified quadrangle expansion.
-
-    s = (v-1)/(k-1) and t = k-1 from the base Steiner parameters,
-    cross-validated against the actual degree counts of the expansion.
+    """Order (s, t) of a verified quadrangle expansion: its
+    quadrangle_order, cross-validated against s = (v-1)/(k-1) and
+    t = k-1 from the base Steiner parameters.
     """
-    base = c.gains.base
-    sp = steiner_parameters(base)
+    sp = steiner_parameters(c.gains.base)
     if sp is None:
         raise ValueError("base line sizes are not constant")
     v, k = sp
-    if k < 2 or (v - 1) % (k - 1):
-        raise ValueError(f"parameters (v={v}, k={k}) do not divide evenly")
-    s = (v - 1) // (k - 1)
-    t = k - 1
-    line_sizes = {len(x) for x in c.points_of_line}
-    point_degs = {len(x) for x in c.lines_of_point}
-    if line_sizes != {s + 1} or point_degs != {t + 1}:
+    s, t = quadrangle_order(c)
+    if t != k - 1 or s * t != v - 1:
         raise ValueError("degree counts disagree with the parameter formulas")
     return s, t

@@ -13,8 +13,6 @@ from operator import index
 
 import numpy as np
 
-from .storage import is_int
-
 
 class Verdict(tuple):
     """A boolean check result carrying a witness when it fails."""
@@ -47,10 +45,19 @@ class IncidenceStructure:
         line_labels = tuple(line_labels)
         if not point_labels or not line_labels:
             raise ValueError("point and line sets must be nonempty")
-        try:
-            pairs = sorted(set((index(p), index(b)) for p, b in incidence))
-        except TypeError as e:
-            raise ValueError(f"incidence entries must be integers: {e}") from None
+        pairs = set()
+        add = pairs.add
+        for pair in incidence:
+            try:
+                p, b = pair
+                # operator.index takes bools as 0 and 1; refuse them
+                if type(p) is bool or type(b) is bool:
+                    raise TypeError
+                add((index(p), index(b)))
+            except (TypeError, ValueError):
+                raise ValueError(f"an incidence is a (point, line) pair of "
+                                 f"integers, not {pair!r}") from None
+        pairs = sorted(pairs)
         if not pairs:
             raise ValueError("incidence relation must be nonempty")
         v, nb = len(point_labels), len(line_labels)
@@ -456,11 +463,6 @@ def structure_from_json(doc):
             isinstance(doc.get(k), list) for k in ("points", "lines", "incidence")):
         raise ValueError("a structure is an object with 'points', 'lines' "
                          "and 'incidence' lists")
-    for pair in doc["incidence"]:
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(is_int(x) for x in pair)):
-            raise ValueError(f"an incidence is a [point, line] pair of "
-                             f"integers, not {pair!r}")
     s = IncidenceStructure(doc["points"], doc["lines"], doc["incidence"])
     tags = doc.get("tags")
     if tags is not None and not (isinstance(tags, dict) and all(

@@ -205,14 +205,21 @@ class AdditiveGroup(GroupAction):
         return self.field.render(g)
 
 
+def _spec_field(spec, key, default=None):
+    x = spec.get(key, default)
+    if not (is_int(x) and x > 0):
+        raise ValueError(f"group spec field {key!r} is a positive integer, not {x!r}")
+    return x
+
+
 def group_from_spec(spec):
     if not isinstance(spec, dict):
         raise ValueError(f"a group spec is a JSON object, not {spec!r}")
     kind = spec.get("kind")
     if kind == "Zn":
-        return CyclicGroup(int(spec["modulus"]))
+        return CyclicGroup(_spec_field(spec, "modulus"))
     if kind == "GFpn":
-        return AdditiveGroup(GF(int(spec["p"]), int(spec.get("n", 1))))
+        return AdditiveGroup(GF(_spec_field(spec, "p"), _spec_field(spec, "n", 1)))
     if kind == "Q":
         return AdditiveGroup(Rationals())
     raise ValueError(f"unknown group kind {kind!r}")

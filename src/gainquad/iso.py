@@ -58,10 +58,7 @@ def _dense_rank(sig, base):
     for start in range(0, m, width):
         run = sig[:, start:start + width]
         keys.append(run @ powers[width - run.shape[1]:])
-    if len(keys) == 1:
-        order = np.argsort(keys[0], kind="stable")
-    else:
-        order = np.lexsort(keys[::-1])
+    order = np.lexsort(keys[::-1])
     step = np.zeros(n, dtype=bool)
     for key in keys:
         run = key[order]

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import DetourKernel, expand, gq_criterion, gq_parameters
+from .construction import DetourKernel, expand, gq_parameters
 from .gains import GainGraph, gains_to_json, spanning_tree_edges, spanning_tree_gauge
 from .geometry import is_linear_space, structure_to_json
 from .iso import CERTIFICATE_VERSION, canonical_form
@@ -305,32 +305,3 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     counts.seconds = time.perf_counter() - started
     return report
 
-
-def verify_known(plane):
-    """Run the full pipeline on the shipped affine-plane gains.
-
-    Any failure here is an implementation bug, not mathematics, so the
-    stages raise instead of reporting.
-    """
-    from .catalog import affine_gains
-    from .geometry import is_generalized_ngon
-
-    g = affine_gains(plane)
-    verdict = gq_criterion(g)
-    if not verdict:
-        raise RuntimeError(f"criterion rejected the shipped gains: {verdict.witness}")
-    c = expand(g)
-    ngon = is_generalized_ngon(c, 4)
-    if not ngon:
-        raise RuntimeError(f"verifier rejected the expansion: {ngon.witness}")
-    s_par, t_par = gq_parameters(c)
-    q = plane.field.order
-    return {
-        "field_order": q,
-        "passed": True,
-        "s": s_par,
-        "t": t_par,
-        "expected": [q + 1, q - 1],
-        "points": c.n_points,
-        "lines": c.n_lines,
-    }

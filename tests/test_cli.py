@@ -5,8 +5,9 @@ import re
 
 import pytest
 
+import gainquad.cli as cli
 import gainquad.geometry as geometry
-from gainquad import GF, CyclicGroup, affine_plane
+from gainquad import GF, CyclicGroup, Verdict, affine_plane
 from gainquad.cli import main
 from gainquad.search import _config_digest
 from helpers import assert_quadrangle_witness
@@ -35,6 +36,24 @@ def test_build_larger_plane(tmp_path, capsys):
     out = tmp_path / "m3.json"
     assert run("build", "ag2", "3", "--with-gains", "-o", out) == 0
     assert "45 points, 27 lines" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec, tokens", [("ag2:3", ["ag2", "3"]), ("ag2:2:2", ["ag2", "4"])])
+def test_build_takes_a_generator_spec(tmp_path, spec, tokens):
+    docs = []
+    for i, base in enumerate(([spec], tokens)):
+        out = tmp_path / f"m{i}.json"
+        assert run("build", *base, "--with-gains", "-o", out) == 0
+        doc = read_json(out)
+        del doc["config"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
+def test_build_identity_gains_on_a_generator_spec(tmp_path):
+    out = tmp_path / "w2.json"
+    assert run("build", "w:2", "--identity-gains", "--group", "z:2", "-o", out) == 0
+    assert len(read_json(out)["points"]) == 15 * 2 + 15
 
 
 def test_build_emits_base_and_gains(tmp_path):
@@ -354,6 +373,23 @@ _BAD_INPUT = {
                             ["build", "ag2", "2", "--gains", "g.json"]),
     "gf2-gain-out-of-range": ({"g.json": _ag22_gains({"kind": "GFpn", "p": 2, "n": 1}, [7])},
                               ["build", "ag2", "2", "--gains", "g.json"]),
+    "incidence-entry-bool": ({"s.json": {"points": [0, 1], "lines": [0],
+                                         "incidence": [[True, 0], [1, 0]]}},
+                             ["verify", "s.json", "--as", "gq"]),
+    "incidence-entry-three-elements": ({"s.json": {"points": [0, 1], "lines": [0],
+                                                   "incidence": [[0, 0, 0], [1, 0]]}},
+                                       ["verify", "s.json", "--as", "gq"]),
+    "incidence-entry-scalar": ({"s.json": {"points": [0, 1], "lines": [0],
+                                           "incidence": [0, [1, 0]]}},
+                               ["verify", "s.json", "--as", "gq"]),
+    "group-modulus-float": ({"g.json": _ag22_gains({"kind": "Zn", "modulus": 2.7}, 1)},
+                            ["build", "ag2", "2", "--gains", "g.json"]),
+    "group-modulus-string": ({"g.json": _ag22_gains({"kind": "Zn", "modulus": "2"}, 1)},
+                             ["build", "ag2", "2", "--gains", "g.json"]),
+    "group-degree-float": ({"g.json": _ag22_gains({"kind": "GFpn", "p": 2, "n": 1.5}, [1])},
+                           ["build", "ag2", "2", "--gains", "g.json"]),
+    "group-without-modulus-field": ({"g.json": _ag22_gains({"kind": "Zn"}, 1)},
+                                    ["build", "ag2", "2", "--gains", "g.json"]),
     "checkpoint-not-an-object": ({"ck.json": [1, 2]},
                                  ["search", "--base", "ag2:2", "--group", "z:2",
                                   "--checkpoint", "ck.json"]),
@@ -394,6 +430,14 @@ def test_unknown_file_is_usage_error():
 
 def test_selftest():
     assert run("--seed", "1", "selftest") == 0
+
+
+def test_selftest_reports_a_failing_stage(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "gq_criterion", lambda g: Verdict(False, (0, 1)))
+    assert run("selftest") == 1
+    out = capsys.readouterr().out
+    assert "FAIL shipped gains over GF(2) give order (3,1), criterion witness (0, 1)\n" in out
+    assert out.endswith(" failed\n")
 
 
 def test_console_entry_point(tmp_path):

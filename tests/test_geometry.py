@@ -29,7 +29,7 @@ def test_construction_validation():
 
 
 @pytest.mark.parametrize("pairs", [[(0.9, 0), ("1", 0)], [(0, 0), (1, 0.0)],
-                                   [(0, None)], [(np.float64(1), 0)]])
+                                   [(0, None)], [(np.float64(1), 0)], [(0, 0), (True, 0)]])
 def test_construction_refuses_non_integer_entries(pairs):
     with pytest.raises(ValueError, match="integers") as err:
         IncidenceStructure(["a", "b"], ["L"], pairs)

@@ -11,7 +11,7 @@ import gainquad.storage as storage_module
 from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, affine_gains,
                       affine_plane, canonical_form, detour_gains, expand,
                       gq_criterion, label_sweep, run_search, spanning_tree_edges,
-                      switch, verify_known)
+                      switch)
 from gainquad.construction import DetourKernel
 from gainquad.search import BATCH_VALUES, _config_digest, _unrank, _unrank_batch
 from helpers import tiny_base
@@ -157,14 +157,6 @@ def test_verdict_is_switching_invariant(plane2):
 def test_search_rejects_non_linear_space():
     with pytest.raises(ValueError):
         run_search(tiny_base(), CyclicGroup(2))
-
-
-def test_verify_known_entries():
-    for q, expected in ((2, (3, 1)), (4, (5, 3)), (5, (6, 4))):
-        from gainquad import affine_plane, field_from_order
-        entry = verify_known(affine_plane(field_from_order(q)))
-        assert entry["passed"]
-        assert (entry["s"], entry["t"]) == expected
 
 
 def _scalar_good_pairs(g):
