@@ -117,14 +117,6 @@ def detour_formula(field, line_key, p, q):
 # -- symplectic quadrangle and the Payne derivation ---------------------------
 
 
-def _normalize(field, vec):
-    for c in vec:
-        if c != field.zero:
-            inv = field.inv(c)
-            return tuple(field.mul(inv, x) for x in vec)
-    raise ValueError("zero vector")
-
-
 def _form(tables, u, v):
     """Alternating form u0 v1 - u1 v0 + u2 v3 - u3 v2 on code arrays whose
     last axis holds the four coordinates, broadcast over the others."""
@@ -145,8 +137,9 @@ class SymplecticQuadrangle:
     """W(q): points are the 1-spaces of F_q^4, lines the 2-spaces on
     which the alternating form vanishes.
 
-    Coordinates are handled as codes, ranks in F.elements(), through the
-    field's code tables: `codes` holds one row per point.
+    Coordinates are handled as codes, ranks in F.elements() (code 0 is
+    zero), through the field's code tables: `codes` holds one normalized
+    row per point, and `structure` the incidences.
     """
 
     def __init__(self, q):
@@ -161,7 +154,8 @@ class SymplecticQuadrangle:
         one = els.index(F.one)
         # Points are normalized vectors, by leading position, then tail;
         # those with lead k start at offset[k] and number q^(3-k).
-        offset = [0, q ** 3, q ** 3 + q ** 2, q ** 3 + q ** 2 + q]
+        self._offset = offset = np.array([0, q ** 3, q ** 3 + q ** 2, q ** 3 + q ** 2 + q])
+        self._inverse = np.argmax(mul == one, axis=1)
         blocks = []
         for lead in range(4):
             block = np.zeros((q ** (3 - lead), 4), dtype=np.int64)
@@ -169,8 +163,6 @@ class SymplecticQuadrangle:
             block[:, lead + 1:] = _digits(q, 3 - lead)
             blocks.append(block)
         self.codes = codes = np.concatenate(blocks)
-        self.vectors = [tuple(els[c] for c in row) for row in codes.tolist()]
-        self.point_ids = {v: i for i, v in enumerate(self.vectors)}
 
         # Each 2-space has one reduced echelon basis (u, w), pivots c < d:
         # w is normalized with lead d, and every u + t w with lead c, as
@@ -185,13 +177,11 @@ class SymplecticQuadrangle:
             ws = codes[offset[d]:offset[d] + q ** (3 - d)]
             wi, ui = np.nonzero(_form(tables, ws[:, None, :], us[None, :, :]) == 0)
             span = add[us[ui, None, :], mul[np.arange(q)[:, None], ws[wi, None, :]]]
-            tail = span[..., c + 1:] @ q ** np.arange(2 - c, -1, -1, dtype=np.int64)
-            lines.append(np.column_stack([offset[d] + wi, offset[c] + tail]))
+            lines.append(np.column_stack([offset[d] + wi, self.point_index(span)]))
         # Every line has q + 1 points, so ordering the sorted rows
         # lexicographically orders the lines by their sorted point lists.
         rows = np.sort(np.concatenate(lines), axis=1)
         rows = rows[np.lexsort(rows.T[::-1])].tolist()
-        self.line_sets = [frozenset(r) for r in rows]
 
         names = [F.render(a) for a in els]
         point_labels = [f"<{','.join(names[c] for c in row)}>" for row in codes.tolist()]
@@ -199,9 +189,19 @@ class SymplecticQuadrangle:
         pairs = [(p, li) for li, r in enumerate(rows) for p in r]
         self.structure = IncidenceStructure(point_labels, line_labels, pairs)
 
-    def collinear(self, i, j):
-        """Points of W(q) are collinear exactly when the form vanishes."""
-        return bool(_form(self.field.code_tables, self.codes[i], self.codes[j]) == 0)
+    def point_index(self, vecs):
+        """Point ids of nonzero code vectors, the last axis holding the four
+        coordinates: each is scaled by the inverse of its first nonzero
+        coordinate and ranked as offset[lead] + its base-q tail."""
+        nonzero = vecs != 0
+        if not nonzero.any(axis=-1).all():
+            raise ValueError("zero vector")
+        lead = np.argmax(nonzero, axis=-1)
+        scale = self._inverse[np.take_along_axis(vecs, lead[..., None], axis=-1)]
+        scaled = self.field.code_tables[1][scale, vecs]
+        weights = self.q ** np.arange(3, -1, -1, dtype=np.int64)
+        tail = np.where(np.arange(4) > lead[..., None], scaled * weights, 0).sum(axis=-1)
+        return self._offset[lead] + tail
 
 
 def symplectic_quadrangle(q):
@@ -214,43 +214,40 @@ def payne_derivation(w, x_index=0):
     Points: the points of W(q) not collinear with x.  Lines: the lines
     of W(q) missing x, restricted to surviving points, together with the
     point sets of the projective lines through x spanned by x and a
-    surviving point, with x removed.  Every point of W(q) works, and the
-    output is re-certified by the generic verifier in the tests rather
-    than trusted.
+    surviving point, with x removed; each of those comes in the place of
+    its least survivor.  Every point of W(q) works, and the output is
+    re-certified by the generic verifier in the tests rather than
+    trusted.
     """
-    F = w.field
     q = w.q
-    x = w.vectors[x_index]
-    surviving = [i for i in range(len(w.vectors)) if not w.collinear(x_index, i)]
-    new_id = {old: new for new, old in enumerate(surviving)}
+    tables = w.field.code_tables
+    add, mul, _ = tables
+    x = w.codes[x_index]
+    surviving = np.flatnonzero(_form(tables, x, w.codes) != 0)
     if len(surviving) != q ** 3:
         raise ValueError("unexpected survivor count; base point not regular?")
+    new_id = np.full(len(w.codes), -1)
+    new_id[surviving] = np.arange(q ** 3)
 
-    line_sets = []
-    for ls in w.line_sets:
-        if x_index not in ls:
-            pts = frozenset(new_id[i] for i in ls if i in new_id)
-            assert len(pts) == q
-            line_sets.append(pts)
-    covered = set()
-    for old in surviving:
-        if new_id[old] in covered:
-            continue  # its line through x is already in line_sets
-        yvec = w.vectors[old]
-        pts = set()
-        for t in F.elements():
-            shifted = tuple(F.add(yvec[k], F.mul(t, x[k])) for k in range(4))
-            pts.add(new_id[w.point_ids[_normalize(F, shifted)]])
-        pts = frozenset(pts)
-        assert len(pts) == q
-        covered |= pts
-        line_sets.append(pts)
+    lines = np.array(w.structure.points_of_line)
+    missing = new_id[lines[~(lines == x_index).any(axis=1)]]
+    if not ((missing >= 0).sum(axis=1) == q).all():
+        raise ValueError("a line missing the base point does not meet its perp once")
+    missing = missing[missing >= 0].reshape(-1, q)
+    # The line through x and y holds y + t x for every t; it is kept from
+    # the row of its least survivor.
+    spans = add[w.codes[surviving, None, :], mul[np.arange(q)[:, None], x]]
+    through = np.sort(new_id[w.point_index(spans)], axis=1)
+    if (through[:, 0] < 0).any() or (np.diff(through, axis=1) == 0).any():
+        raise ValueError("a line through the base point lacks q distinct survivors")
+    through = through[through[:, 0] == np.arange(q ** 3)]
 
-    if len(line_sets) != q * q * (q + 2):
+    rows = np.concatenate([missing, through]).tolist()
+    if len(rows) != q * q * (q + 2):
         raise ValueError("unexpected line count in the derivation")
     point_labels = [w.structure.point_labels[i] for i in surviving]
-    line_labels = [f"d{j}" for j in range(len(line_sets))]
-    pairs = [(p, j) for j, ls in enumerate(line_sets) for p in sorted(ls)]
+    line_labels = [f"d{j}" for j in range(len(rows))]
+    pairs = [(p, j) for j, r in enumerate(rows) for p in r]
     return IncidenceStructure(point_labels, line_labels, pairs)
 
 

@@ -142,11 +142,10 @@ def _isomorphism(args, s1, s2):
 def cmd_build(args):
     tokens = args.base
     gains_path = args.gains
-    # "build base.json gains.json" as positional pair
-    if (gains_path is None and len(tokens) == 2
-            and os.path.exists(tokens[0]) and os.path.exists(tokens[1])):
+    # "build ag2 3" is the spec "ag2:3"; two tokens that do not start
+    # with a generator name are "build base.json gains.json"
+    if gains_path is None and len(tokens) == 2 and tokens[0] not in GENERATORS:
         tokens, gains_path = tokens[:1], tokens[1]
-    # "build ag2 3" is the spec "ag2:3"
     base = realize_base(":".join(tokens))
     s = base["structure"]
     if gains_path:

@@ -90,9 +90,6 @@ class IncidenceStructure:
     def line_eid(self, j):
         return self.n_points + j
 
-    def is_point_eid(self, e):
-        return 0 <= e < self.n_points
-
     def eid_index(self, e):
         """(kind, index) for an eid, kind in {"point", "line"}."""
         if not 0 <= e < self.n_elements:

@@ -236,13 +236,12 @@ def brute_force_inverse(F, a):
 # -- symplectic quadrangle oracle ------------------------------------------------
 
 
-def naive_symplectic(F):
-    """(vectors, line_sets) of W(q) from the polynomial product alone.
+def _naive_perp(F):
+    """(vectors, perp) of W(q) from the polynomial product alone.
 
     Points are the normalized nonzero vectors of F^4 ordered by leading
-    position, then coordinates.  The line through two orthogonal points
-    i, j is the set of points orthogonal to both: the span U of a totally
-    isotropic 2-space is its own perp, so {i, j}^perp = U.
+    position, then coordinates; perp[i, j] says the alternating form
+    vanishes on points i and j (so perp[i, i] holds).
     """
     els = F.elements()
     code = {a: k for k, a in enumerate(els)}
@@ -260,7 +259,37 @@ def naive_symplectic(F):
     x, y = u[:, None, :], u[None, :, :]
     form = add[sub[table[x[..., 0], y[..., 1]], table[x[..., 1], y[..., 0]]],
                sub[table[x[..., 2], y[..., 3]], table[x[..., 3], y[..., 2]]]]
-    perp = form == code[F.zero]
+    return vectors, form == code[F.zero]
+
+
+def naive_symplectic(F):
+    """(vectors, line_sets) of W(q) from the polynomial product alone.
+
+    The line through two orthogonal points i, j is the set of points
+    orthogonal to both: the span U of a totally isotropic 2-space is its
+    own perp, so {i, j}^perp = U.
+    """
+    vectors, perp = _naive_perp(F)
     lines = {frozenset(np.flatnonzero(perp[i] & perp[j]).tolist())
              for i, j in combinations(range(len(vectors)), 2) if perp[i, j]}
     return vectors, sorted(lines, key=sorted)
+
+
+def naive_payne(F, x):
+    """(survivors, lines) of the Payne derivation of W(q) at point x.
+
+    survivors are the points off x^perp, in W(q)'s order; lines is the
+    set of the derivation's lines as frozensets of indices into
+    survivors: the lines of W(q) missing x, restricted to survivors, and
+    for each survivor y the hyperbolic line {x, y}^perp perp minus x.
+    """
+    _, line_sets = naive_symplectic(F)
+    _, perp = _naive_perp(F)
+    survivors = np.flatnonzero(~perp[x]).tolist()
+    new = {old: k for k, old in enumerate(survivors)}
+    lines = {frozenset(new[p] for p in ls if p in new)
+             for ls in line_sets if x not in ls}
+    for y in survivors:
+        hyperbolic = np.flatnonzero(perp[:, perp[x] & perp[y]].all(axis=1))
+        lines.add(frozenset(new[p] for p in hyperbolic.tolist() if p != x))
+    return survivors, lines

@@ -1,17 +1,21 @@
 """Affine planes, their shipped gains and closed forms, the symplectic
 quadrangle, the Payne derivation, and duality."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gainquad import (GF, Rationals, affine_gains, affine_plane, are_isomorphic,
                       detour_formula, dual, field_from_order, gq_parameters,
                       is_generalized_ngon, is_linear_space, payne_derivation,
                       quadrangle_order, steiner_parameters,
-                      symplectic_quadrangle, walk_gain)
-from helpers import naive_symplectic
+                      structure_to_json, symplectic_quadrangle, walk_gain)
+from gainquad.catalog import _form
+from helpers import naive_payne, naive_symplectic
 
 
 def test_plane_counts():
@@ -163,19 +167,17 @@ def test_symplectic_quadrangle(q, points):
     assert s.n_lines == points
     assert is_generalized_ngon(s, 4).ok
     assert quadrangle_order(s) == (q, q)
-    # every point is collinear with 1 + q(q+1) others
-    for i in range(s.n_points):
-        others = sum(1 for j in range(s.n_points)
-                     if j != i and w.collinear(i, j))
-        assert others == q * (q + 1)
+    # every point is collinear with q(q+1) others and itself
+    form = _form(w.field.code_tables, w.codes[:, None, :], w.codes[None, :, :])
+    assert ((form == 0).sum(axis=1) == 1 + q * (q + 1)).all()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_symplectic_matches_polynomial_oracle(q):
     w = symplectic_quadrangle(q)
     vectors, line_sets = naive_symplectic(w.field)
-    assert w.vectors == vectors
-    assert w.line_sets == line_sets
+    els = w.field.elements()
+    assert [tuple(els[c] for c in row) for row in w.codes.tolist()] == vectors
     s = w.structure
     r = w.field.render
     assert s.point_labels == tuple(f"<{','.join(r(c) for c in v)}>" for v in vectors)
@@ -183,6 +185,20 @@ def test_symplectic_matches_polynomial_oracle(q):
                                   for ls in line_sets)
     assert s.incidence == tuple(sorted((p, j) for j, ls in enumerate(line_sets)
                                        for p in ls))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_point_index_ranks_every_scaling(q):
+    w = symplectic_quadrangle(q)
+    n = len(w.codes)
+    assert w.field.elements()[0] == w.field.zero  # code 0 is zero
+    assert (w.point_index(w.codes) == np.arange(n)).all()
+    scale = np.random.default_rng(q).integers(1, q, size=n)
+    scaled = w.field.code_tables[1][scale[:, None], w.codes]
+    assert q == 2 or (scaled != w.codes).any()
+    assert (w.point_index(scaled) == np.arange(n)).all()
+    with pytest.raises(ValueError, match="zero vector"):
+        w.point_index(np.zeros((1, 4), dtype=np.int64))
 
 
 def test_symplectic_rejects_oversized():
@@ -197,6 +213,56 @@ def test_payne_derivation(q):
     assert (d.n_points, d.n_lines) == (q ** 3, q * q * (q + 2))
     assert is_generalized_ngon(d, 4).ok
     assert quadrangle_order(d) == (q - 1, q + 1)
+
+
+# sha256 of json.dumps(structure_to_json(payne_derivation(w, x))) for x
+# in (0, n//2, n-1): the line order, and with it the payne-check witness
+# files, stay fixed.
+PAYNE_DIGESTS = {
+    2: ('3b915ad3ba46d50cd426b6484393078293f0f4cf9239cf121f880d8342290b52',
+         'efb2e0a41c6107fdf4837a45532e526171e45d71ba2a2bfdce2a373bcbbaeb64',
+         'edbf9ee729f34a0eae8121ccb8791e10f86e1d58c390b99a1eca949f9878bd07'),
+    3: ('8f8fb6daf6624b9c1d7a163bf756cd41a49b4d25856e7b5157bfd6ee19f3326e',
+         '06efca40a28764cb94dc31d8847121d6509b36e1a2059dabfc710190850ca8cf',
+         'adc5fb907d91d89d6945ee3029aac4a24bb91c6f0e81264b459a918061735f24'),
+    4: ('fa72651b671683ecec246f5cfb11b90e8363ff64e5b0094407d05359b5375f61',
+         'f19a3494d0535d7aef52f029c3ffd16fd82a50b8b82024da92e1fbc50464135a',
+         'b9a632bb06deb6e8d7209082fda4ffbe5373db7821590c619ba04735e68bc3a2'),
+    5: ('b673b6b4bb928a110638654c55c6b6e050ecdd74af400480179a308ac8455651',
+         '5ae1a8dfd3d60742e3a0fa6976fade03ea80829a7749baa05bcd5551cafa76a0',
+         'd1b9283e764e8824fcfc3fb612909f63ddf09a2886035726e2c927c8733e88d8'),
+    7: ('60ce71f7d40bfd0d6594a2b53a786e040c1d1749b2f4c88d068a2ce17ba1be7c',
+         '61eeaa926126b23560d5f8b509f41fe8e0cb092b3a5ac18232fe733abd9ef1ed',
+         'b6c39e0ddabf2d1ee3830585321dbb4aaf9cd9a03761c5e615517da14ab63697'),
+    8: ('e5798d1063586ee7ce0da73eb0aca1854855a5a43f048c7962b8b94796f4d109',
+         'b94e22e02c1ae65b4dc514034dcdf4b23c578bc9cf2e51209fd03f4e56a75cef',
+         '1f38ab9b5b1106497cc103adaa6277260e021082063d19e2aaa254c1a341c39f'),
+    9: ('6f4140274c9706c1d93c8e6ce8965c1d1063c81d7650f18159439e4d3408af52',
+         '53ceeb47362a68df7f12308920927bf84a5fb7fb77f6605ddfd72200a776e139',
+         '96d7018ca377907f0b8c9673a0e0e16f8a50cae2c7d0604309440d9567a9c383'),
+}
+
+
+@pytest.mark.parametrize("q", sorted(PAYNE_DIGESTS))
+def test_payne_derivation_bytes_are_pinned(q):
+    w = symplectic_quadrangle(q)
+    n = w.structure.n_points
+    got = tuple(hashlib.sha256(json.dumps(structure_to_json(
+                    payne_derivation(w, x))).encode()).hexdigest()
+                for x in (0, n // 2, n - 1))
+    assert got == PAYNE_DIGESTS[q]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_payne_derivation_matches_naive(q):
+    w = symplectic_quadrangle(q)
+    n = w.structure.n_points
+    for x in (0, n // 2, n - 1):
+        d = payne_derivation(w, x)
+        survivors, lines = naive_payne(w.field, x)
+        assert d.point_labels == tuple(w.structure.point_labels[i] for i in survivors)
+        assert d.n_lines == len(lines)
+        assert {frozenset(pts) for pts in d.points_of_line} == lines
 
 
 def test_payne_derivation_choice_independent():

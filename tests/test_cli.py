@@ -76,6 +76,17 @@ def test_build_emits_base_and_gains(tmp_path):
     assert read_json(out3)["incidence"] == read_json(out)["incidence"]
 
 
+def test_build_names_a_missing_gains_file(tmp_path, capsys):
+    base = tmp_path / "m2.json"
+    assert run("build", "ag2", "2", "--with-gains", "-o", tmp_path / "x.json",
+               "--emit-base", base) == 0
+    capsys.readouterr()
+    missing = tmp_path / "missing.json"
+    assert run("build", base, missing, "-o", tmp_path / "y.json") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(missing) in err and "m2.json" not in err
+
+
 def test_build_identity_gains_fails_verification(tmp_path):
     out = tmp_path / "bad.json"
     assert run("build", "ag2", "2", "--identity-gains", "-o", out) == 0

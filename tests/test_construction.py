@@ -453,7 +453,7 @@ def test_same_type_pairs_have_unique_midpoints(expansion2):
     c = expansion2
     for u in range(c.n_elements):
         for v in range(c.n_elements):
-            if u == v or c.is_point_eid(u) != c.is_point_eid(v):
+            if u == v or (u < c.n_points) != (v < c.n_points):
                 continue
             if distance(c, u, v) == 2:
                 assert count_shortest_chains(c, u, v) == 1

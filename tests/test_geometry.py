@@ -71,7 +71,7 @@ def test_distance_parity():
             for v in range(s.n_elements):
                 d = distance(s, u, v)
                 if d is not math.inf:
-                    same_type = s.is_point_eid(u) == s.is_point_eid(v)
+                    same_type = (u < s.n_points) == (v < s.n_points)
                     assert (d % 2 == 0) == same_type
 
 
