@@ -44,17 +44,13 @@ class AffinePlane:
             else:
                 line_labels.append(f"y={r(key[1])}x+{r(key[2])}")
 
-        pairs = []
-        for b in els:
-            li = self.line_ids[("v", b)]
-            for y in els:
-                pairs.append((self.point_ids[(b, y)], li))
-        for m in els:
-            for b in els:
-                li = self.line_ids[("s", m, b)]
-                for x in els:
-                    y = field.add(field.mul(m, x), b)
-                    pairs.append((self.point_ids[(x, y)], li))
+        # In codes (ranks in els), point (x, y) is x q + y, the vertical
+        # x = b is line b, and y = m x + b is line q + m q + b.
+        q = len(els)
+        add, mul, _ = field.code_tables
+        m, b, x = np.indices((q, q, q)).reshape(3, -1)
+        pairs = np.concatenate([np.column_stack([np.arange(q * q), np.arange(q * q) // q]),
+                                np.column_stack([x * q + add[mul[m, x], b], q + m * q + b])])
         self.structure = IncidenceStructure(point_labels, line_labels, pairs)
 
 
@@ -71,16 +67,16 @@ def affine_gains(plane):
     line's second coordinate (its y-intercept).
     """
     F = plane.field
-    group = AdditiveGroup(F)
-    gains = {}
-    for p, b in plane.structure.incidence:
-        key = plane.line_keys[b]
-        x, y = plane.point_coords[p]
-        if key[0] == "v":
-            gains[(b, p)] = F.neg(F.mul(key[1], y))
-        else:
-            gains[(b, p)] = F.mul(x, key[2])
-    return GainGraph(plane.structure, group, gains)
+    q = F.order
+    _, mul, neg = F.code_tables
+    p, b = plane.structure.pairs.T
+    # Codes as in AffinePlane: point (x, y) is x q + y, line b < q the
+    # vertical x = b, line q + m q + c the slanted line of intercept c.
+    x, y = np.divmod(p, q)
+    codes = np.where(b < q, neg[mul[b % q, y]], mul[x, (b - q) % q])
+    els = F.elements()
+    gains = {(b, p): els[c] for p, b, c in zip(p.tolist(), b.tolist(), codes.tolist())}
+    return GainGraph(plane.structure, AdditiveGroup(F), gains)
 
 
 def detour_formula(field, line_key, p, q):
@@ -181,12 +177,12 @@ class SymplecticQuadrangle:
         # Every line has q + 1 points, so ordering the sorted rows
         # lexicographically orders the lines by their sorted point lists.
         rows = np.sort(np.concatenate(lines), axis=1)
-        rows = rows[np.lexsort(rows.T[::-1])].tolist()
+        rows = rows[np.lexsort(rows.T[::-1])]
 
         names = [F.render(a) for a in els]
         point_labels = [f"<{','.join(names[c] for c in row)}>" for row in codes.tolist()]
-        line_labels = ["{" + ",".join(map(str, r)) + "}" for r in rows]
-        pairs = [(p, li) for li, r in enumerate(rows) for p in r]
+        line_labels = ["{" + ",".join(map(str, r)) + "}" for r in rows.tolist()]
+        pairs = np.column_stack([rows.ravel(), np.arange(rows.size) // (q + 1)])
         self.structure = IncidenceStructure(point_labels, line_labels, pairs)
 
     def point_index(self, vecs):
@@ -229,7 +225,8 @@ def payne_derivation(w, x_index=0):
     new_id = np.full(len(w.codes), -1)
     new_id[surviving] = np.arange(q ** 3)
 
-    lines = np.array(w.structure.points_of_line)
+    s = w.structure
+    lines = s.pairs[s.line_order, 0].reshape(s.n_lines, q + 1)
     missing = new_id[lines[~(lines == x_index).any(axis=1)]]
     if not ((missing >= 0).sum(axis=1) == q).all():
         raise ValueError("a line missing the base point does not meet its perp once")
@@ -242,17 +239,15 @@ def payne_derivation(w, x_index=0):
         raise ValueError("a line through the base point lacks q distinct survivors")
     through = through[through[:, 0] == np.arange(q ** 3)]
 
-    rows = np.concatenate([missing, through]).tolist()
+    rows = np.concatenate([missing, through])
     if len(rows) != q * q * (q + 2):
         raise ValueError("unexpected line count in the derivation")
-    point_labels = [w.structure.point_labels[i] for i in surviving]
+    point_labels = [s.point_labels[i] for i in surviving.tolist()]
     line_labels = [f"d{j}" for j in range(len(rows))]
-    pairs = [(p, j) for j, r in enumerate(rows) for p in r]
+    pairs = np.column_stack([rows.ravel(), np.arange(rows.size) // q])
     return IncidenceStructure(point_labels, line_labels, pairs)
 
 
 def dual(s):
     """Exchange the roles of points and lines."""
-    return IncidenceStructure(
-        s.line_labels, s.point_labels,
-        [(b, p) for p, b in s.incidence])
+    return IncidenceStructure(s.line_labels, s.point_labels, s.pairs[:, ::-1])

@@ -20,6 +20,8 @@ import random
 import sys
 import time
 
+import numpy as np
+
 from . import catalog
 from .construction import expand, gq_criterion, gq_parameters, switching_isomorphism
 from .fields import GF, field_from_order
@@ -37,7 +39,7 @@ GENERATORS = ("ag2", "w", "payne-dual")
 
 
 def _json_text(doc):
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _write_json(path, doc):
@@ -140,14 +142,20 @@ def _isomorphism(args, s1, s2):
 
 
 def cmd_build(args):
+    """With -v, one stderr line of wall seconds per stage: base, gains,
+    expansion, and the -o document written."""
     tokens = args.base
     gains_path = args.gains
     # "build ag2 3" is the spec "ag2:3"; two tokens that do not start
     # with a generator name are "build base.json gains.json"
     if gains_path is None and len(tokens) == 2 and tokens[0] not in GENERATORS:
         tokens, gains_path = tokens[:1], tokens[1]
+    start = time.perf_counter()
     base = realize_base(":".join(tokens))
     s = base["structure"]
+    _note(args, f"base {base['name']}: {s.n_points} points, {s.n_lines} lines "
+                f"in {time.perf_counter() - start:.3f} s")
+    start = time.perf_counter()
     if gains_path:
         with open(gains_path) as fh:
             g = gains_from_json(s, json.load(fh))
@@ -165,17 +173,24 @@ def cmd_build(args):
     else:
         raise ValueError("no gain source: give a gains file, --with-gains, "
                          "or --identity-gains")
+    _note(args, f"gains: {len(g.gains)} edges in {time.perf_counter() - start:.3f} s")
     if args.emit_base:
         _write_json(args.emit_base, structure_to_json(s))
     if args.emit_gains:
         _write_json(args.emit_gains, gains_to_json(g))
+    start = time.perf_counter()
     c = expand(g)
-    doc = structure_to_json(c, tags=c.tags_json())
-    doc["config"] = _config(args, "build")
+    _note(args, f"expansion: {c.n_points} points, {c.n_lines} lines "
+                f"in {time.perf_counter() - start:.3f} s")
     if args.output:
+        start = time.perf_counter()
+        doc = structure_to_json(c, tags=c.tags_json())
+        doc["config"] = _config(args, "build")
         _write_json(args.output, doc)
+        _note(args, f"document written to {args.output} "
+                    f"in {time.perf_counter() - start:.3f} s")
     print(f"built expansion: {c.n_points} points, {c.n_lines} lines, "
-          f"{len(c.incidence)} incidences")
+          f"{len(c.pairs)} incidences")
     return 0
 
 
@@ -325,7 +340,7 @@ def _to_dot(s, tags=None):
         if tags is not None:
             attrs.append(f"tag={_dot_quote(':'.join(str(x) for x in tags['lines'][j]))}")
         lines.append(f"  b{j} [{', '.join(attrs)}];")
-    for b, p in sorted((b, p) for p, b in s.incidence):
+    for p, b in s.pairs[s.line_order].tolist():
         lines.append(f"  b{b} -- p{p};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -378,16 +393,12 @@ def cmd_selftest(args):
     perm_lns = list(range(c.n_lines))
     rng.shuffle(perm_pts)
     rng.shuffle(perm_lns)
-    inv_p = [0] * len(perm_pts)
-    for i, j in enumerate(perm_pts):
-        inv_p[j] = i
-    inv_l = [0] * len(perm_lns)
-    for i, j in enumerate(perm_lns):
-        inv_l[j] = i
+    # New index i holds old element perm[i], so old j goes to argsort(perm)[j].
     shuffled = IncidenceStructure(
         [c.point_labels[j] for j in perm_pts],
         [c.line_labels[j] for j in perm_lns],
-        [(inv_p[p], inv_l[b]) for p, b in c.incidence])
+        np.column_stack([np.argsort(perm_pts)[c.pairs[:, 0]],
+                         np.argsort(perm_lns)[c.pairs[:, 1]]]))
     check("canonical form survives relabeling",
           canonical_form(c) == canonical_form(shuffled))
 

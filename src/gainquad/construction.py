@@ -43,33 +43,26 @@ class Expansion(IncidenceStructure):
         lam_pos = {lam: t for t, lam in enumerate(lambdas)}
         v, nb = base.n_points, base.n_lines
 
-        point_labels = [f"x:{base.point_labels[p]}" for p in range(v)]
+        names = [group.render(lam) for lam in lambdas]
+        point_labels = [f"x:{label}" for label in base.point_labels]
+        point_labels += [f"y:{label};{name}" for label in base.line_labels for name in names]
+        line_labels = [f"z:{label};{name}" for label in base.point_labels for name in names]
         point_tags = [("x", p, None) for p in range(v)]
-        for b in range(nb):
-            for t in range(k):
-                point_labels.append(
-                    f"y:{base.line_labels[b]};{group.render(lambdas[t])}")
-                point_tags.append(("y", b, t))
-        line_labels = []
-        line_tags = []
-        for p in range(v):
-            for t in range(k):
-                line_labels.append(
-                    f"z:{base.point_labels[p]};{group.render(lambdas[t])}")
-                line_tags.append(("z", p, t))
+        point_tags += [("y", b, t) for b in range(nb) for t in range(k)]
+        line_tags = [("z", p, t) for p in range(v) for t in range(k)]
 
-        pairs = []
-        for p in range(v):
-            for t in range(k):
-                pairs.append((p, p * k + t))
-        # One action row per distinct gain: row[t] is the position of
-        # gain . lambdas[t].
-        rows = {}
-        for (b, p), phi in gains.gains.items():
-            row = rows.get(phi)
-            if row is None:
-                row = rows[phi] = [lam_pos[group.act(phi, lam)] for lam in lambdas]
-            pairs.extend(zip(range(v + b * k, v + b * k + k), [p * k + t for t in row]))
+        # x_p lies on every z[p, t], and y[b, t] on z[p, row[t]], where
+        # row[t] is the position of gain(bp) . lambdas[t]: one action row
+        # per distinct gain.
+        rows = {phi: [lam_pos[group.act(phi, lam)] for lam in lambdas]
+                for phi in set(gains.gains.values())}
+        b, p = np.array(list(gains.gains)).T
+        row = np.array([rows[phi] for phi in gains.gains.values()])
+        z = np.arange(v * k)
+        pairs = np.concatenate([
+            np.column_stack([z // k, z]),
+            np.column_stack([(v + b[:, None] * k + np.arange(k)).ravel(),
+                             (p[:, None] * k + row).ravel()])])
 
         super().__init__(point_labels, line_labels, pairs)
         self.gains = gains
@@ -198,7 +191,7 @@ class DetourKernel:
         if not (group.finite and group.regular):
             raise ValueError(f"detour tables need a finite group acting regularly, "
                              f"not {group!r}")
-        eid = base.edge_ids()
+        eid = base.edge_ids
         line = base.line_table()
         incident = eid >= 0
         k = group.order

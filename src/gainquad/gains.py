@@ -97,7 +97,7 @@ def _tree_walk(base):
     its (line, point) indices.  Raises on a disconnected graph once the
     walk ends.
     """
-    adj = base.adjacency()
+    adj = base.adjacency
     n_points = base.n_points
     root = base.line_eid(0)
     seen = {root}

@@ -9,6 +9,8 @@ everything here is safe to share across threads.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from operator import index
 
 import numpy as np
@@ -38,49 +40,67 @@ class Verdict(tuple):
 
 
 class IncidenceStructure:
-    """Points, lines, and a symmetric incidence relation between them."""
+    """Points, lines, and a symmetric incidence relation between them,
+    held as `pairs`: an (m, 2) int32 array of distinct (point, line) rows
+    in sorted order.  Every other table is derived from it, the tuple
+    views and lookup tables on first use."""
 
     def __init__(self, point_labels, line_labels, incidence):
         point_labels = tuple(point_labels)
         line_labels = tuple(line_labels)
         if not point_labels or not line_labels:
             raise ValueError("point and line sets must be nonempty")
-        pairs = set()
-        add = pairs.add
-        for pair in incidence:
-            try:
-                p, b = pair
-                # operator.index takes bools as 0 and 1; refuse them
-                if type(p) is bool or type(b) is bool:
-                    raise TypeError
-                add((index(p), index(b)))
-            except (TypeError, ValueError):
-                raise ValueError(f"an incidence is a (point, line) pair of "
-                                 f"integers, not {pair!r}") from None
-        pairs = sorted(pairs)
-        if not pairs:
-            raise ValueError("incidence relation must be nonempty")
         v, nb = len(point_labels), len(line_labels)
-        for p, b in pairs:
-            if not (0 <= p < v and 0 <= b < nb):
-                raise ValueError(f"incidence pair ({p},{b}) out of range")
+        pairs = _pair_array(incidence)
+        if not len(pairs):
+            raise ValueError("incidence relation must be nonempty")
+        p, b = pairs.T
+        out = (p < 0) | (p >= v) | (b < 0) | (b >= nb)
+        if out.any():
+            bad = pairs[out]
+            p, b = bad[np.lexsort(bad.T[::-1])[0]].tolist()
+            raise ValueError(f"incidence pair ({p},{b}) out of range")
+        # A stable sort: np.unique and the default quicksort touch up to
+        # 1 MB more of numpy's code, which small runs pay in peak RSS.
+        key = np.sort(p.astype(np.int64, copy=False) * nb + b, kind="stable")
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
         self.point_labels = point_labels
         self.line_labels = line_labels
-        self.incidence = tuple(pairs)
-        self.incidence_set = frozenset(pairs)
+        self.pairs = np.empty((len(key), 2), dtype=np.int32)
+        self.pairs[:, 0], self.pairs[:, 1] = np.divmod(key, nb)
+        self.pairs.flags.writeable = False
+        self.degrees = np.bincount(self.pairs[:, 0], minlength=v)  # lines per point
+        self.sizes = np.bincount(self.pairs[:, 1], minlength=nb)  # points per line
         self.n_points = v
         self.n_lines = nb
         self.n_elements = v + nb
-        lines_of = [[] for _ in range(v)]
-        points_of = [[] for _ in range(nb)]
-        for p, b in pairs:
-            lines_of[p].append(b)
-            points_of[b].append(p)
-        self.lines_of_point = tuple(tuple(x) for x in lines_of)
-        self.points_of_line = tuple(tuple(x) for x in points_of)
-        self._adjacency = None
-        self._edge_ids = None
-        self._common = None
+
+    @cached_property
+    def incidence(self):
+        return tuple(map(tuple, self.pairs.tolist()))
+
+    @cached_property
+    def incidence_set(self):
+        return frozenset(self.incidence)
+
+    @cached_property
+    def lines_of_point(self):
+        return _cut(self.pairs[:, 1], self.degrees)
+
+    @cached_property
+    def points_of_line(self):
+        return _cut(self.pairs[self.line_order, 0], self.sizes)
+
+    @cached_property
+    def line_order(self):
+        """The permutation of pairs that sorts them by (line, point)."""
+        return np.argsort(self.pairs[:, 1], kind="stable")
+
+    def neighbours(self):
+        """Neighbour eids, ascending per eid, of eids 0, 1, ... in one flat
+        array: each point's lines offset by n_points, then each line's points."""
+        return np.concatenate([self.pairs[:, 1] + self.n_points,
+                               self.pairs[self.line_order, 0]])
 
     # -- element ids -----------------------------------------------------
 
@@ -98,47 +118,38 @@ class IncidenceStructure:
             return "point", e
         return "line", e - self.n_points
 
+    @cached_property
     def adjacency(self):
-        """adjacency[eid] -> tuple of neighbor eids, ascending: each point's
-        lines offset by n_points, then each line's points (cached)."""
-        if self._adjacency is None:
-            v = self.n_points
-            self._adjacency = tuple(tuple(v + b for b in lines)
-                                    for lines in self.lines_of_point) + self.points_of_line
-        return self._adjacency
+        """adjacency[eid]: the tuple of neighbours(), ascending."""
+        return _cut(self.neighbours(), np.concatenate([self.degrees, self.sizes]))
 
+    @cached_property
     def edge_ids(self):
         """(lines, points) int32 table: the index of edge (b, p) among all
-        edges in sorted (line, point) order, -1 where p is off b (cached)."""
-        if self._edge_ids is None:
-            inc = np.zeros((self.n_lines, self.n_points), dtype=bool)
-            p, b = np.array(self.incidence).T
-            inc[b, p] = True
-            table = np.full(inc.shape, -1, dtype=np.int32)
-            table[inc] = np.arange(len(self.incidence), dtype=np.int32)
-            self._edge_ids = table
-        return self._edge_ids
+        edges in sorted (line, point) order, -1 where p is off b."""
+        p, b = self.pairs[self.line_order].T
+        table = np.full((self.n_lines, self.n_points), -1, dtype=np.int32)
+        table[b, p] = np.arange(len(p), dtype=np.int32)
+        return table
 
+    @cached_property
     def _common_lines(self):
-        """(line, count, bad), cached.  line and count are (points, points)
+        """(line, count, bad).  line and count are (points, points)
         int32 tables of the line through two distinct points (-1 on the
         diagonal; meaningful where count is 1) and of their number of
         common lines (0 on the diagonal).  bad is the first pair p < q
         whose count is not 1, or None."""
-        if self._common is None:
-            v = self.n_points
-            line = np.full((v, v), -1, dtype=np.int32)
-            count = np.zeros((v, v), dtype=np.int32)
-            for b, pts in enumerate(self.points_of_line):
-                cell = np.ix_(pts, pts)
-                line[cell] = b
-                count[cell] += 1
-            np.fill_diagonal(line, -1)
-            np.fill_diagonal(count, 0)
-            bad = np.argwhere(np.triu(count != 1, 1))
-            self._common = (line, count,
-                           tuple(int(x) for x in bad[0]) if len(bad) else None)
-        return self._common
+        v = self.n_points
+        line = np.full((v, v), -1, dtype=np.int32)
+        count = np.zeros((v, v), dtype=np.int32)
+        for b, pts in enumerate(self.points_of_line):
+            cell = np.ix_(pts, pts)
+            line[cell] = b
+            count[cell] += 1
+        np.fill_diagonal(line, -1)
+        np.fill_diagonal(count, 0)
+        bad = np.argwhere(np.triu(count != 1, 1))
+        return line, count, tuple(int(x) for x in bad[0]) if len(bad) else None
 
     def line_table(self):
         """(points, points) int32 table of the common line of two distinct
@@ -147,7 +158,7 @@ class IncidenceStructure:
         Raises ValueError unless every two distinct points lie on exactly
         one common line.
         """
-        line, count, bad = self._common_lines()
+        line, count, bad = self._common_lines
         if bad is not None:
             p, q = bad
             raise ValueError(f"points {p},{q} lie on {count[p, q]} common lines")
@@ -155,7 +166,7 @@ class IncidenceStructure:
 
     def common_line(self, p, q):
         """The unique line through two distinct points; error otherwise."""
-        line, count, _ = self._common_lines()
+        line, count, _ = self._common_lines
         v = self.n_points
         n = int(count[p, q]) if 0 <= p < v and 0 <= q < v else 0
         if n != 1:
@@ -164,7 +175,41 @@ class IncidenceStructure:
 
     def __repr__(self):
         return (f"IncidenceStructure({self.n_points} points, "
-                f"{self.n_lines} lines, {len(self.incidence)} incidences)")
+                f"{self.n_lines} lines, {len(self.pairs)} incidences)")
+
+
+def _pair_array(incidence):
+    """The pairs as an (m, 2) integer array, range unchecked.  Unless
+    they are an integer array or pairs of ints already, a loop finds the
+    first entry that is not a pair of integers."""
+    if (isinstance(incidence, np.ndarray) and incidence.dtype.kind in "iu"
+            and incidence.shape[1:] == (2,)):
+        return incidence
+    entries = list(incidence)
+    if not (set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {2}
+            and set(map(type, chain.from_iterable(entries))) <= {int}):
+        for i, pair in enumerate(entries):
+            try:
+                p, b = pair
+                # operator.index takes bools as 0 and 1; refuse them
+                if type(p) is bool or type(b) is bool:
+                    raise TypeError
+                entries[i] = index(p), index(b)
+            except (TypeError, ValueError):
+                raise ValueError(f"an incidence is a (point, line) pair of "
+                                 f"integers, not {pair!r}") from None
+    try:
+        flat = np.fromiter(chain.from_iterable(entries), np.int64, 2 * len(entries))
+        return flat.reshape(-1, 2)
+    except OverflowError:  # past int64, so out of range: keep it to name it
+        return np.array(entries, dtype=object).reshape(-1, 2)
+
+
+def _cut(values, lengths):
+    """values cut into a tuple of consecutive tuples of the given lengths."""
+    values = values.tolist()
+    ends = np.cumsum(lengths).tolist()
+    return tuple(tuple(values[a:b]) for a, b in zip([0] + ends[:-1], ends))
 
 
 # -- chains and distances --------------------------------------------------
@@ -176,7 +221,7 @@ def is_chain(s, seq):
         return False
     for e in seq:
         s.eid_index(e)
-    adj = s.adjacency()
+    adj = s.adjacency
     return all(seq[i] in adj[seq[i - 1]] for i in range(1, len(seq)))
 
 
@@ -190,7 +235,7 @@ def _layered_walk(s, u, v):
     """
     s.eid_index(u)
     s.eid_index(v)
-    adj = s.adjacency()
+    adj = s.adjacency
     seen = {u}
     layer = {u: 1}
     d = 0
@@ -235,7 +280,7 @@ def chain_census(s, max_length):
     cap).  A count equal to cap stands for one at least that large.
     """
     n = s.n_elements
-    p, b = np.array(s.incidence).T
+    p, b = s.pairs.T
     a = np.zeros((n, n))
     a[p, s.n_points + b] = a[s.n_points + b, p] = 1.0
     cap = float((1 << 53) // int(a.sum(axis=1).max()))
@@ -286,15 +331,14 @@ def census_ngon(s, n):
 _GQ_BLOCK_CELLS = 1 << 18
 
 
-def _padded_lists(owner, member, n, pad):
-    """(table, length): row i of the int32 table lists member[owner == i]
-    in the given order, padded with pad to the longest list."""
-    length = np.bincount(owner, minlength=n)
-    order = np.argsort(owner, kind="stable")
-    owner, member = owner[order], member[order]
-    table = np.full((n, int(length.max())), pad, dtype=np.int32)
-    table[owner, np.arange(len(owner)) - (np.cumsum(length) - length)[owner]] = member
-    return table, length
+def padded_lists(member, length, pad):
+    """Row i of the table, of member's dtype, lists the next length[i]
+    entries of member, padded with pad to the longest list."""
+    start = np.cumsum(length) - length
+    row = np.repeat(np.arange(len(length)), length)
+    table = np.full((len(length), int(length.max())), pad, dtype=member.dtype)
+    table[row, np.arange(len(member)) - start[row]] = member
+    return table
 
 
 def is_generalized_quadrangle(s):
@@ -319,13 +363,13 @@ def is_generalized_quadrangle(s):
     of points comes before the first such point and line.
     """
     v, b = s.n_points, s.n_lines
-    pt, ln = np.array(s.incidence, dtype=np.int32).T
-    lines, degree = _padded_lists(pt, ln, v, b)
-    points, size = _padded_lists(ln, pt, b, v)
+    pt, ln = s.pairs.T
+    lines = padded_lists(ln, s.degrees, b)
+    points = padded_lists(pt[s.line_order], s.sizes, v)
     # Row p gathers the points on its lines, then the lines through each
     # pair (M, x) with x != p, and holds v + b + 1 counts.
-    pairs = np.bincount(pt, weights=size[ln], minlength=v).astype(np.int64) - degree
-    ends = np.cumsum(degree * points.shape[1] + pairs * lines.shape[1] + v + b + 1)
+    pairs = np.bincount(pt, weights=s.sizes[ln], minlength=v).astype(np.int64) - s.degrees
+    ends = np.cumsum(s.degrees * points.shape[1] + pairs * lines.shape[1] + v + b + 1)
     lo = 0
     while lo < v:
         cap = (ends[lo - 1] if lo else 0) + _GQ_BLOCK_CELLS
@@ -372,36 +416,33 @@ def _quadrangle_block(lines, points, lo, hi):
 def is_linear_space(s):
     """Two distinct points on exactly one common line, lines of size >= 2,
     and at least one non-incident point/line pair."""
-    for b, pts in enumerate(s.points_of_line):
-        if len(pts) < 2:
-            return Verdict(False, ("short-line", b))
-    _, count, bad = s._common_lines()
+    short = np.flatnonzero(s.sizes < 2)
+    if len(short):
+        return Verdict(False, ("short-line", int(short[0])))
+    _, count, bad = s._common_lines
     if bad is not None:
         p, q = bad
         if count[p, q] == 0:
             return Verdict(False, ("points-on-no-common-line", p, q))
         lines = tuple(sorted(set(s.lines_of_point[p]) & set(s.lines_of_point[q])))
         return Verdict(False, ("points-on-multiple-lines", p, q, lines))
-    if len(s.incidence) == s.n_points * s.n_lines:
+    if len(s.pairs) == s.n_points * s.n_lines:
         return Verdict(False, ("no-non-incident-pair",))
     return Verdict(True)
 
 
 def steiner_parameters(s):
     """(v, k) when every line of a linear space has the same size, else None."""
-    sizes = {len(pts) for pts in s.points_of_line}
-    if len(sizes) != 1:
+    if s.sizes.min() != s.sizes.max():
         return None
-    return s.n_points, sizes.pop()
+    return s.n_points, int(s.sizes[0])
 
 
 def is_ovoid(s, point_set):
     """True when every line meets the given point set exactly once."""
-    pts = set(point_set)
-    if not pts:
-        return False
-    return all(sum(1 for p in line_pts if p in pts) == 1
-               for line_pts in s.points_of_line)
+    pts = list(set(point_set))
+    on = np.isin(s.pairs[:, 0], pts)
+    return bool(pts) and bool((np.bincount(s.pairs[on, 1], minlength=s.n_lines) == 1).all())
 
 
 def quadrangle_order(s):
@@ -409,11 +450,9 @@ def quadrangle_order(s):
 
     Raises when degrees are not constant.
     """
-    line_sizes = {len(x) for x in s.points_of_line}
-    point_degs = {len(x) for x in s.lines_of_point}
-    if len(line_sizes) != 1 or len(point_degs) != 1:
+    if s.sizes.min() != s.sizes.max() or s.degrees.min() != s.degrees.max():
         raise ValueError("degrees are not constant")
-    return line_sizes.pop() - 1, point_degs.pop() - 1
+    return int(s.sizes[0]) - 1, int(s.degrees[0]) - 1
 
 
 # -- isomorphisms ------------------------------------------------------------
@@ -447,7 +486,7 @@ def structure_to_json(s, tags=None):
     doc = {
         "points": list(s.point_labels),
         "lines": list(s.line_labels),
-        "incidence": [list(pair) for pair in s.incidence],
+        "incidence": s.pairs.tolist(),
     }
     if tags is not None:
         doc["tags"] = tags

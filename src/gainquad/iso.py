@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Isomorphism, verify_isomorphism
+from .geometry import Isomorphism, padded_lists, verify_isomorphism
 
 # Bump on any change that can change certificates (refinement, invariant,
 # search order, matrix encoding): search checkpoints record it.
@@ -74,21 +74,15 @@ class _Refiner:
     def __init__(self, s):
         self.n = s.n_elements
         self.n_points = s.n_points
-        adj = s.adjacency()
-        degs = np.array([len(a) for a in adj], dtype=np.int64)
-        maxdeg = int(degs.max())
+        self.degs = np.concatenate([s.degrees, s.sizes])
+        self.edge_u = np.repeat(np.arange(self.n, dtype=np.int64), self.degs)
+        self.edge_v = s.neighbours().astype(np.int64)
         # Neighbor table padded with index n; slot n of the color buffer
         # holds a sentinel, the color count, that sorts after every real
         # color id.
-        pad = np.full((self.n, maxdeg), self.n, dtype=np.int64)
-        for v, nbrs in enumerate(adj):
-            pad[v, :len(nbrs)] = nbrs
-        self.pad = pad
-        self.degs = degs
-        self.edge_u = np.repeat(np.arange(self.n, dtype=np.int64), degs)
-        self.edge_v = pad[pad < self.n]
-        flags = self.edge_u < self.n_points
-        self.flags = self.edge_u[flags], self.edge_v[flags]  # (point, line) pairs
+        self.pad = padded_lists(self.edge_v, self.degs, self.n)
+        m = len(s.pairs)
+        self.flags = self.edge_u[:m], self.edge_v[:m]  # (point, line) pairs
         self.rounds = 0  # refinement rounds run, for SearchStats
 
     def initial_colors(self):
@@ -353,13 +347,11 @@ def distinguishing_invariant(s1, s2):
         return "point-count"
     if s1.n_lines != s2.n_lines:
         return "line-count"
-    if len(s1.incidence) != len(s2.incidence):
+    if len(s1.pairs) != len(s2.pairs):
         return "incidence-count"
-    if (sorted(len(x) for x in s1.lines_of_point)
-            != sorted(len(x) for x in s2.lines_of_point)):
+    if not np.array_equal(np.sort(s1.degrees), np.sort(s2.degrees)):
         return "point-degree-multiset"
-    if (sorted(len(x) for x in s1.points_of_line)
-            != sorted(len(x) for x in s2.points_of_line)):
+    if not np.array_equal(np.sort(s1.sizes), np.sort(s2.sizes)):
         return "line-degree-multiset"
     r1, r2 = _Refiner(s1), _Refiner(s2)
     if (r1.invariant(r1.refine(r1.initial_colors()))
@@ -381,7 +373,7 @@ def are_isomorphic(s1, s2, deadline=None, stats=None):
     or incidence counts differ, else one for each structure.
     """
     if (s1.n_points != s2.n_points or s1.n_lines != s2.n_lines
-            or len(s1.incidence) != len(s2.incidence)):
+            or len(s1.pairs) != len(s2.pairs)):
         return None
     best = _search(s1, deadline=deadline, stats=stats)
     order2 = _search(s2, (best["path"], best["cert"]), deadline=deadline,

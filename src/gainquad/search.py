@@ -192,7 +192,7 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
 
     # Kernel columns are the edges in sorted order, and code c stands for
     # elems[c]; the gauge-fixed scan keeps tree edges at the identity.
-    all_edges = sorted((b, p) for p, b in base.incidence)
+    all_edges = list(map(tuple, base.pairs[base.line_order, ::-1].tolist()))
     tree = set(spanning_tree_edges(base))
     free_columns = [i for i, e in enumerate(all_edges) if unreduced or e not in tree]
     free = [all_edges[i] for i in free_columns]
@@ -219,7 +219,7 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
 
     report = SearchReport(
         base={"points": base.n_points, "lines": base.n_lines,
-              "incidences": len(base.incidence)},
+              "incidences": len(base.pairs)},
         group=group.spec(), gauge_fixed=not unreduced, free_edges=free,
         total_space=total)
     if checkpoint_path is not None:

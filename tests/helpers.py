@@ -6,6 +6,7 @@ permutations, orbits are walked one vertex at a time, and field
 arithmetic is redone with schoolbook polynomial division.
 """
 
+import operator
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -64,6 +65,34 @@ def random_structure(rng, max_points=6, max_lines=6):
                  if rng.random() < 0.4]
         if pairs:
             return IncidenceStructure(list(range(v)), list(range(nb)), pairs)
+
+
+# -- constructor oracle ------------------------------------------------------
+
+
+def naive_incidence(n_points, n_lines, incidence):
+    """sorted(set(pairs)) with the per-entry checks IncidenceStructure
+    makes, one pair at a time: (incidence, lines_of_point,
+    points_of_line), or the ValueError it raises."""
+    pairs = set()
+    for pair in incidence:
+        try:
+            p, b = pair
+            if type(p) is bool or type(b) is bool:
+                raise TypeError
+            pairs.add((operator.index(p), operator.index(b)))
+        except (TypeError, ValueError):
+            raise ValueError(f"an incidence is a (point, line) pair of "
+                             f"integers, not {pair!r}") from None
+    pairs = sorted(pairs)
+    if not pairs:
+        raise ValueError("incidence relation must be nonempty")
+    for p, b in pairs:
+        if not (0 <= p < n_points and 0 <= b < n_lines):
+            raise ValueError(f"incidence pair ({p},{b}) out of range")
+    lines_of = tuple(tuple(b for q, b in pairs if q == p) for p in range(n_points))
+    points_of = tuple(tuple(p for p, c in pairs if c == b) for b in range(n_lines))
+    return tuple(pairs), lines_of, points_of
 
 
 # -- linear-space oracle -----------------------------------------------------
@@ -137,7 +166,7 @@ def enumerate_chains(s, u, v, k):
     """
     if k == 0:
         return 1 if u == v else 0
-    adj = s.adjacency()
+    adj = s.adjacency
     total = 0
     stack = [(u, 0)]
     while stack:

@@ -7,7 +7,9 @@ import pytest
 
 import gainquad.cli as cli
 import gainquad.geometry as geometry
-from gainquad import GF, CyclicGroup, Verdict, affine_plane
+from gainquad import (GF, CyclicGroup, Verdict, affine_gains, affine_plane, expand,
+                      is_generalized_ngon, quadrangle_order, structure_from_json,
+                      structure_to_json)
 from gainquad.cli import main
 from gainquad.search import _config_digest
 from helpers import assert_quadrangle_witness
@@ -104,6 +106,73 @@ def test_failing_verify_names_its_witness_without_the_census(tmp_path, monkeypat
     assert run("verify", out, "--as", "gq", "--report", report) == 1
     s = geometry.structure_from_json(read_json(out))[0]
     assert_quadrangle_witness(s, read_json(report)["witness"])
+
+
+BUILD_STAGES = (r"base ag2:3: 9 points, 12 lines in \d+\.\d{3} s\n"
+                r"gains: 36 edges in \d+\.\d{3} s\n"
+                r"expansion: 45 points, 27 lines in \d+\.\d{3} s\n"
+                r"document written to (.+) in \d+\.\d{3} s\n")
+
+
+def test_build_verbose_times_each_stage(tmp_path, capsys):
+    quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+    assert run("build", "ag2", "3", "--with-gains", "-o", quiet) == 0
+    assert capsys.readouterr().err == ""
+    assert run("-v", "build", "ag2", "3", "--with-gains", "-o", loud) == 0
+    out = capsys.readouterr()
+    assert out.out == "built expansion: 45 points, 27 lines, 135 incidences\n"
+    assert re.fullmatch(BUILD_STAGES, out.err).group(1) == str(loud)
+    # The config records the command line, -v included, and sorts first;
+    # every byte after it is the same.
+    first, second = quiet.read_bytes(), loud.read_bytes()
+    assert first[first.index(b',"incidence":'):] == second[second.index(b',"incidence":'):]
+    configs = [read_json(path)["config"] for path in (quiet, loud)]
+    assert {k: v for k, v in configs[0].items() if k not in ("argv", "verbose")} \
+        == {k: v for k, v in configs[1].items() if k not in ("argv", "verbose")}
+
+
+def test_build_writes_compact_json_and_reruns_byte_identical(tmp_path):
+    out = tmp_path / "m3.json"
+    assert run("build", "ag2", "3", "--with-gains", "-o", out) == 0
+    text = out.read_text()
+    assert run("build", "ag2", "3", "--with-gains", "-o", out) == 0
+    assert out.read_text() == text
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    assert read_json(indented) == doc
+
+
+def test_indented_files_of_earlier_versions_still_load(tmp_path, capsys):
+    m, base, gains = (tmp_path / name for name in ("m.json", "base.json", "gains.json"))
+    assert run("build", "ag2", "3", "--with-gains", "-o", m,
+               "--emit-base", base, "--emit-gains", gains) == 0
+    for path in (m, base, gains):
+        path.write_text(json.dumps(read_json(path), indent=1, sort_keys=True) + "\n")
+    assert "\n " in m.read_text()
+    assert run("verify", m, "--as", "gq") == 0
+    assert run("isocheck", m, "payne-dual:3") == 0
+    rebuilt = tmp_path / "rebuilt.json"
+    assert run("build", base, gains, "-o", rebuilt) == 0
+    assert read_json(rebuilt)["incidence"] == read_json(m)["incidence"]
+    capsys.readouterr()
+
+
+_TUPLE_VIEWS = {"incidence", "incidence_set", "lines_of_point", "points_of_line"}
+
+
+def test_build_and_verify_build_no_tuple_views(tmp_path):
+    c = expand(affine_gains(affine_plane(GF(5))))
+    doc = structure_to_json(c, tags=c.tags_json())
+    assert is_generalized_ngon(c, 4) and quadrangle_order(c) == (6, 4)
+    assert not _TUPLE_VIEWS & set(vars(c))
+    out = tmp_path / "m5.json"
+    assert run("build", "ag2", "5", "--with-gains", "-o", out) == 0
+    s, _ = structure_from_json(read_json(out))
+    assert structure_to_json(s)["incidence"] == doc["incidence"]
+    assert is_generalized_ngon(s, 4) and quadrangle_order(s) == (6, 4)
+    assert not _TUPLE_VIEWS & set(vars(s))
 
 
 def test_build_without_gain_source_errors(tmp_path):

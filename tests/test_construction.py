@@ -138,7 +138,7 @@ def test_lift_single_edge(plane2):
 
 
 def _random_chain(rng, s, length):
-    adj = s.adjacency()
+    adj = s.adjacency
     chain = [rng.randrange(s.n_elements)]
     for _ in range(length):
         chain.append(rng.choice(adj[chain[-1]]))

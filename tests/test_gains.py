@@ -127,7 +127,7 @@ def test_malformed_walk(plane2):
 
 
 def _random_walk(rng, s, length):
-    adj = s.adjacency()
+    adj = s.adjacency
     walk = [rng.randrange(s.n_elements)]
     for _ in range(length):
         walk.append(rng.choice(adj[walk[-1]]))
@@ -143,7 +143,7 @@ def test_walk_gain_concatenation_and_reverse(plane3):
         w1 = _random_walk(rng, s, rng.randrange(1, 6))
         w2 = [w1[-1]]  # continue from where w1 stopped
         for _ in range(rng.randrange(1, 6)):
-            w2.append(rng.choice(s.adjacency()[w2[-1]]))
+            w2.append(rng.choice(s.adjacency[w2[-1]]))
         joined = w1 + w2[1:]
         assert walk_gain(g, joined) == group.compose(walk_gain(g, w2),
                                                      walk_gain(g, w1))
@@ -188,7 +188,7 @@ def test_switch_requires_total_function(plane2):
 
 def _shortest_path(s, u, v):
     from collections import deque
-    adj = s.adjacency()
+    adj = s.adjacency
     prev = {u: None}
     queue = deque([u])
     while queue:

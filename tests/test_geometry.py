@@ -15,8 +15,8 @@ from gainquad import (GF, CyclicGroup, GainGraph, IncidenceStructure, affine_gai
                       steiner_parameters, structure_from_json, structure_to_json,
                       symplectic_quadrangle)
 from helpers import (assert_quadrangle_witness, enumerate_chains, grid_quadrangle,
-                     naive_linear_space, naive_shortest_count, quadrilateral,
-                     random_structure, tiny_base)
+                     naive_incidence, naive_linear_space, naive_shortest_count,
+                     quadrilateral, random_structure, tiny_base)
 
 
 def test_construction_validation():
@@ -40,6 +40,53 @@ def test_construction_accepts_numpy_integers():
     s = IncidenceStructure(["a", "b"], ["L"], [(np.int64(1), np.int32(0)), (np.uint8(0), 0)])
     assert s.incidence == ((0, 0), (1, 0))
     assert all(type(x) is int for pair in s.incidence for x in pair)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_construction_matches_the_naive_reference(seed):
+    rng = random.Random(seed)
+    v, nb = rng.randint(1, 7), rng.randint(1, 7)
+    pairs = [(rng.randrange(v), rng.randrange(nb)) for _ in range(rng.randint(1, 40))]
+    want = naive_incidence(v, nb, pairs)
+    for given in (pairs, [list(x) for x in pairs], iter(pairs),
+                  [(np.int64(p), np.uint8(b)) for p, b in pairs],
+                  np.array(pairs), np.array(pairs, dtype=np.uint16)):
+        s = IncidenceStructure(range(v), range(nb), given)
+        assert (s.incidence, s.lines_of_point, s.points_of_line) == want
+        assert s.incidence_set == frozenset(want[0])
+        assert s.pairs.dtype == np.int32 and s.pairs.tolist() == [list(x) for x in want[0]]
+        assert s.degrees.tolist() == [len(x) for x in want[1]]
+        assert s.sizes.tolist() == [len(x) for x in want[2]]
+
+
+@pytest.mark.parametrize("pairs", [[(0, 0), (3, 0), (2, 5), (-1, 9), (1, 1)],
+                                   [(1, 7), (1, 2), (0, 0), (1, 3)],
+                                   [(0, 0), (0, -1), (1, 0)],
+                                   [(0, 0), (2 ** 70, 0), (5, 0)],
+                                   [(0, -2 ** 80)]])
+def test_out_of_range_names_the_first_pair_in_point_line_order(pairs):
+    with pytest.raises(ValueError) as want:
+        naive_incidence(2, 3, pairs)
+    given = [pairs]
+    if max(abs(x) for pair in pairs for x in pair) < 2 ** 63:
+        given.append(np.array(pairs))
+    for incidence in given:
+        with pytest.raises(ValueError, match="out of range") as got:
+            IncidenceStructure("ab", "LMN", incidence)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("incidence", [
+    [(0, 0), (True, 0)], [(0, 0), (1, False)], [[1, 0], [0.5, 0]], [(0, 0.0)],
+    [("1", 0)], ["ab"], [0, (1, 0)], [(0, 0, 0), (1, 0)], [(0,)], [(0, None)],
+    np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[True, False]]), np.array([0, 1]),
+    np.array([[0, 0, 0]])])
+def test_bad_entries_give_the_reference_message(incidence):
+    with pytest.raises(ValueError) as want:
+        naive_incidence(2, 1, incidence)
+    with pytest.raises(ValueError, match="integers") as got:
+        IncidenceStructure(["a", "b"], ["L"], incidence)
+    assert str(got.value) == str(want.value) and "\n" not in str(got.value)
 
 
 def test_affine_plane_graphs():
@@ -109,7 +156,7 @@ def test_census_exact_fallback(expansion2):
     # pairs first reached by length 4 stay exact.
     n = expansion2.n_elements
     a = np.zeros((n, n))
-    for u, nbrs in enumerate(expansion2.adjacency()):
+    for u, nbrs in enumerate(expansion2.adjacency):
         a[u, list(nbrs)] = 1
     assert np.linalg.matrix_power(a, 60).max() > 2.0 ** 53
     dist, count = geometry.chain_census(expansion2, 60)

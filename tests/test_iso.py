@@ -9,7 +9,7 @@ from gainquad import (IncidenceStructure, affine_gains, affine_plane, are_isomor
                       canonical_form, distinguishing_invariant, dual, expand,
                       field_from_order, payne_derivation, symplectic_quadrangle,
                       verify_isomorphism)
-from gainquad.iso import _dense_rank, _orbit_labels
+from gainquad.iso import _Refiner, _dense_rank, _orbit_labels
 from helpers import (brute_force_isomorphic, grid_quadrangle, orbit_hits, quadrilateral,
                      random_structure, relabeled, tiny_base)
 
@@ -187,6 +187,23 @@ PINNED = {
     4: "7928ea038f1c29549c2559f2105a99826b15a0e9447089ee594a5838d1e806c1",
     5: "22505da51e15bf67f886bc2a5657bc3a327e251fcb1e23b403a0f12b7845beff",
 }
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_refiner_tables_list_each_vertex_neighbours(seed):
+    # The table built from pairs and degree offsets, against one loop
+    # over the incidence pairs per vertex.
+    s = random_structure(random.Random(seed))
+    ref = _Refiner(s)
+    v, n = s.n_points, s.n_elements
+    rows = [[v + b for p, b in s.incidence if p == e] for e in range(v)]
+    rows += [[p for p, b in s.incidence if b == e] for e in range(s.n_lines)]
+    width = max(map(len, rows))
+    assert ref.pad.tolist() == [row + [n] * (width - len(row)) for row in rows]
+    assert ref.degs.tolist() == [len(row) for row in rows]
+    assert list(zip(ref.edge_u.tolist(), ref.edge_v.tolist())) == [
+        (e, x) for e, row in enumerate(rows) for x in row]
+    assert [(p, b - v) for p, b in zip(*(x.tolist() for x in ref.flags))] == list(s.incidence)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
