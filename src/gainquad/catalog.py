@@ -30,10 +30,8 @@ class AffinePlane:
         self.field = field
         els = field.elements()
         self.point_coords = [(x, y) for x in els for y in els]
-        self.point_ids = {c: i for i, c in enumerate(self.point_coords)}
         self.line_keys = [("v", b) for b in els]
         self.line_keys += [("s", m, b) for m in els for b in els]
-        self.line_ids = {k: i for i, k in enumerate(self.line_keys)}
 
         r = field.render
         point_labels = [f"({r(x)},{r(y)})" for x, y in self.point_coords]

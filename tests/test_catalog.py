@@ -44,8 +44,8 @@ def test_shipped_gain_values_gf2():
     g = affine_gains(plane)
     one = F.one
     # vertical line x = 1 at the point (1, 1) carries -1*1 = 1
-    b = plane.line_ids[("v", one)]
-    p = plane.point_ids[(one, one)]
+    b = plane.line_keys.index(("v", one))
+    p = plane.point_coords.index((one, one))
     assert g.gain(b, p) == one
 
 
@@ -53,7 +53,7 @@ def test_shipped_gain_values_zero_intercept(plane3):
     F = plane3.field
     g = affine_gains(plane3)
     for m in F.elements():
-        li = plane3.line_ids[("s", m, F.zero)]
+        li = plane3.line_keys.index(("s", m, F.zero))
         for p in plane3.structure.points_of_line[li]:
             assert g.gain(li, p) == F.zero
 
@@ -62,8 +62,8 @@ def test_shipped_gain_values_gf3(plane3):
     F = plane3.field
     g = affine_gains(plane3)
     one, two = F.element(1), F.element(2)
-    b = plane3.line_ids[("s", one, two)]
-    p = plane3.point_ids[(two, F.add(F.mul(one, two), two))]  # (2, 1)
+    b = plane3.line_keys.index(("s", one, two))
+    p = plane3.point_coords.index((two, F.add(F.mul(one, two), two)))  # (2, 1)
     assert plane3.point_coords[p] == (two, one)
     assert g.gain(b, p) == F.mul(two, two)  # 2*2 = 1 mod 3
     assert g.gain(b, p) == one
