@@ -30,7 +30,7 @@ from .geometry import (IncidenceStructure, census_ngon, is_generalized_ngon,
                        is_linear_space, is_ovoid, quadrangle_order,
                        steiner_parameters, structure_from_json, structure_to_json,
                        verify_isomorphism)
-from .groups import CyclicGroup, group_from_spec
+from .groups import AdditiveGroup, CyclicGroup, group_from_spec
 from .iso import are_isomorphic, canonical_form, distinguishing_invariant
 from .search import run_search
 from .storage import atomic_write
@@ -166,7 +166,7 @@ def cmd_build(args):
     elif args.identity_gains:
         group = parse_group(args.group) if args.group else None
         if group is None and base["plane"] is not None:
-            group = catalog.affine_gains(base["plane"]).group
+            group = AdditiveGroup(base["plane"].field)
         if group is None:
             raise ValueError("--identity-gains needs --group for this base")
         g = identity_gains(s, group)

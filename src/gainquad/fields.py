@@ -81,40 +81,36 @@ def _find_irreducible(p, n):
 class GF:
     """The field GF(p^n) in a fixed polynomial basis.
 
-    Elements are coefficient tuples of length n.  The modulus defaults to
-    the shipped table for orders 4, 8, 9, 16, the unique degree-1 monic x
-    for prime fields, and the lexicographically smallest monic irreducible
-    otherwise.  Products and inverses read log/antilog tables, O(q) in
-    memory, built on first use so that constructing a field stays cheap.
-    They take field elements only; ``element()`` is where ints, lists and
-    unreduced coefficients are coerced to elements.  ``code_tables`` holds
-    the same arithmetic as numpy tables on element ranks, also built on
-    first use.
+    Elements are coefficient tuples of length n.  A field is fixed by
+    (p, n): its modulus is the shipped one for orders 4, 8, 9, 16, the
+    monic x for prime fields, and the lexicographically smallest monic
+    irreducible otherwise.  The order ceiling is checked before any other
+    arithmetic on p and n.  Products are the polynomial product mod the
+    modulus, and the inverse of a is a^(q-2); both take field elements
+    only, and ``element()`` is where ints, lists and unreduced
+    coefficients are coerced to elements.  ``code_tables`` holds the same
+    arithmetic as numpy tables on element ranks, built from the modulus
+    on first use.
     """
 
     finite = True
 
-    def __init__(self, p, n=1, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
+    def __init__(self, p, n=1):
         if n < 1:
             raise ValueError("extension degree must be positive")
-        if p ** n > MAX_ORDER:
+        # p ** n exceeds the ceiling for every p >= 2 once n reaches the
+        # ceiling's bit length, so a huge n is refused before p ** n is formed
+        if n >= MAX_ORDER.bit_length() or p ** n > MAX_ORDER:
             raise ValueError(f"order {p}^{n} exceeds the {MAX_ORDER} ceiling")
+        if not is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         self.p = p
         self.n = n
         self.order = p ** n
-        if modulus is None:
-            if n == 1:
-                modulus = (0, 1)
-            else:
-                modulus = _FIXED_MODULI.get((p, n)) or _find_irreducible(p, n)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree n")
-        if not _is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-        self.modulus = modulus
+        if n == 1:
+            self.modulus = (0, 1)
+        else:
+            self.modulus = _FIXED_MODULI.get((p, n)) or _find_irreducible(p, n)
         self.zero = (0,) * n
         self.one = (1,) + (0,) * (n - 1)
 
@@ -122,11 +118,10 @@ class GF:
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
 
     def __eq__(self, other):
-        return (isinstance(other, GF) and self.p == other.p
-                and self.n == other.n and self.modulus == other.modulus)
+        return isinstance(other, GF) and (self.p, self.n) == (other.p, other.n)
 
     def __hash__(self):
-        return hash((self.p, self.n, self.modulus))
+        return hash((self.p, self.n))
 
     # -- element construction ------------------------------------------------
 
@@ -154,6 +149,13 @@ class GF:
         """All elements in lexicographic coefficient order."""
         return list(product(range(self.p), repeat=self.n))
 
+    def _checked(self, a):
+        if not (isinstance(a, tuple) and len(a) == self.n
+                and all(is_int(c) and 0 <= c < self.p for c in a)):
+            raise TypeError(f"{a!r} is not an element of {self!r}; "
+                            "coerce it with element()")
+        return a
+
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
@@ -166,62 +168,12 @@ class GF:
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b):
-        log, exp = self._tables
-        return exp[log[a] + log[b]]
+        return self._poly_mul(self._checked(a), self._checked(b))
 
     def inv(self, a):
-        if a == self.zero:
+        if self._checked(a) == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        log, exp = self._tables
-        return exp[self.order - 1 - log[a]]
-
-    def _poly_mul(self, a, b):
-        """The polynomial product mod the modulus: the log tables' source
-        and test reference."""
-        prod = [0] * (2 * self.n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        rem = _poly_mod(prod, list(self.modulus), self.p)
-        rem += [0] * (self.n - len(rem))
-        return tuple(rem)
-
-    @cached_property
-    def _tables(self):
-        """(log, exp) to a primitive element g.  exp holds two periods of
-        the powers of g, so a sum of two logs needs no reduction; zero's
-        log points past them into a run of zeros every sum with it hits."""
-        q1 = self.order - 1
-        g = next(g for g in self.elements()[1:] if self._is_primitive(g))
-        powers = self._powers(g)
-        log = {a: k for k, a in enumerate(powers)}
-        log[self.zero] = 2 * q1
-        return log, powers * 2 + [self.zero] * (2 * q1 + 1)
-
-    @cached_property
-    def code_tables(self):
-        """(add, mul, neg) on codes, the ranks of elements in elements():
-        add[a, b] and mul[a, b] are q x q int64 tables, and neg[a] has q
-        entries, for arithmetic on whole arrays of codes at once."""
-        els = self.elements()
-        coeffs = np.array(els, dtype=np.int64)
-        place = self.p ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        add = (coeffs[:, None, :] + coeffs[None, :, :]) % self.p @ place
-        neg = -coeffs % self.p @ place
-        log, exp = self._tables
-        logs = np.array([log[a] for a in els], dtype=np.int64)
-        mul = (np.array(exp, dtype=np.int64) @ place)[logs[:, None] + logs[None, :]]
-        return add, mul, neg
-
-    def _is_primitive(self, g):
-        """Whether g^((q-1)/r) != 1 for every prime r dividing q - 1."""
-        q1 = self.order - 1
-        return all(self._poly_pow(g, q1 // r) != self.one
-                   for r in range(2, q1 + 1) if q1 % r == 0 and is_prime(r))
-
-    def _poly_pow(self, a, e):
-        result = self.one
+        result, e = self.one, self.order - 2
         while e:
             if e & 1:
                 result = self._poly_mul(result, a)
@@ -229,17 +181,38 @@ class GF:
             e >>= 1
         return result
 
-    def _powers(self, g):
-        """g^0 .. g^(q-2).  Each block of powers is followed by itself
-        times g^k, k its length: a linear map with rows g^k x^i."""
-        x = self.element(self.p)
-        rows = np.array([self.one])
-        while len(rows) < self.order - 1:
-            basis = [self._poly_mul(tuple(rows[-1].tolist()), g)]
-            for _ in range(self.n - 1):
-                basis.append(self._poly_mul(basis[-1], x))
-            rows = np.concatenate([rows, rows @ np.array(basis) % self.p])
-        return [tuple(r) for r in rows[:self.order - 1].tolist()]
+    def _poly_mul(self, a, b):
+        """The polynomial product mod the modulus."""
+        prod = [0] * (2 * self.n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        rem = _poly_mod(prod, self.modulus, self.p)
+        return tuple(rem + [0] * (self.n - len(rem)))
+
+    @cached_property
+    def code_tables(self):
+        """(add, mul, neg) on codes, the ranks of elements in elements():
+        add[a, b] and mul[a, b] are q x q int64 tables, and neg[a] has q
+        entries, for arithmetic on whole arrays of codes at once.
+
+        The product is shift-and-add: row i of shifts holds x^i b for every
+        b, reduced by the modulus, and a b is the sum of a_i (x^i b)."""
+        p = self.p
+        coeffs = np.array(self.elements(), dtype=np.int64)
+        place = p ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
+        add = (coeffs[:, None, :] + coeffs[None, :, :]) % p @ place
+        neg = -coeffs % p @ place
+        low = np.array(self.modulus[:-1], dtype=np.int64)
+        shifts = [coeffs]
+        for _ in range(self.n - 1):
+            b = shifts[-1]
+            # x b moves each coefficient up a place; x^n folds back as -low
+            up = np.concatenate([np.zeros_like(b[:, :1]), b[:, :-1]], axis=1)
+            shifts.append((up - b[:, -1:] * low) % p)
+        mul = np.tensordot(coeffs, np.array(shifts), axes=(1, 0)) % p @ place
+        return add, mul, neg
 
     # -- encoding ------------------------------------------------------------
 
@@ -323,6 +296,8 @@ def field_from_order(q):
     """GF(q) for a prime power q, factoring q deterministically."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
+    if q > MAX_ORDER:
+        raise ValueError(f"order {q} exceeds the {MAX_ORDER} ceiling")
     p = 2
     while q % p:
         p += 1

@@ -177,19 +177,10 @@ class CanonicalForm:
 
     n_points: int
     n_lines: int
-    point_order: tuple
-    line_order: tuple
+    point_order: tuple = field(compare=False)
+    line_order: tuple = field(compare=False)
     matrix: bytes = field(repr=False)
-    certificate: str
-
-    def __eq__(self, other):
-        return (isinstance(other, CanonicalForm)
-                and self.n_points == other.n_points
-                and self.n_lines == other.n_lines
-                and self.matrix == other.matrix)
-
-    def __hash__(self):
-        return hash((self.n_points, self.n_lines, self.matrix))
+    certificate: str = field(compare=False)
 
 
 class SearchStats:

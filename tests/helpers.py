@@ -259,7 +259,7 @@ def all_elements(p, n):
 
 def brute_force_inverse(F, a):
     """The b with a * b = 1 under the polynomial product, by trial."""
-    return next(b for b in F.elements() if F._poly_mul(a, b) == F.one)
+    return next(b for b in F.elements() if oracle_mul(F.p, F.modulus, a, b) == F.one)
 
 
 # -- symplectic quadrangle oracle ------------------------------------------------
@@ -274,7 +274,7 @@ def _naive_perp(F):
     """
     els = F.elements()
     code = {a: k for k, a in enumerate(els)}
-    table = np.array([[code[F._poly_mul(a, b)] for b in els] for a in els])
+    table = np.array([[code[oracle_mul(F.p, F.modulus, a, b)] for b in els] for a in els])
     sub = np.array([[code[F.sub(a, b)] for b in els] for a in els])
     add = np.array([[code[F.add(a, b)] for b in els] for a in els])
 

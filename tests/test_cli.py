@@ -484,6 +484,13 @@ _BAD_INPUT = {
     "ag2-not-a-prime-power": ({}, ["verify", "ag2:6", "--as", "linear-space"]),
     "ag2-not-a-prime-power-build": ({}, ["build", "ag2", "6", "--with-gains"]),
     "ag2-three-arguments": ({}, ["verify", "ag2:2:2:2", "--as", "linear-space"]),
+    # orders past the ceiling are refused before any factoring or primality test
+    "ag2-order-past-ceiling": ({}, ["verify", "ag2:2305843009213693951", "--as", "gq"]),
+    "group-characteristic-past-ceiling": ({}, ["search", "--base", "ag2:2", "--group",
+                                               "gf:2305843009213693951", "--budget", "1"]),
+    "group-degree-past-ceiling": (
+        {"g.json": _ag22_gains({"kind": "GFpn", "p": 2, "n": 1000000000}, [1])},
+        ["build", "ag2", "2", "--gains", "g.json"]),
     "negative-budget": ({}, ["search", "--base", "ag2:2", "--group", "z:2",
                              "--budget", "-5"]),
     "timeout-zero": ({}, ["isocheck", "ag2:2", "ag2:2", "--timeout", "0"]),

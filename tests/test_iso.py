@@ -1,6 +1,7 @@
 """Canonical forms and isomorphism witnesses."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,6 +143,11 @@ def test_canonical_certificates_are_strings(expansion2):
     assert cf.n_points == 16 and cf.n_lines == 8
     assert sorted(cf.point_order) == list(range(16))
     assert sorted(cf.line_order) == list(range(8))
+    # equality and hash read the matrix and its shape, not how it was reached
+    other = replace(cf, point_order=cf.point_order[::-1],
+                    line_order=cf.line_order[::-1], certificate="")
+    assert other == cf and hash(other) == hash(cf)
+    assert cf != cf.matrix and cf != (cf.n_points, cf.n_lines, cf.matrix)
 
 
 def test_timeout_raises(expansion3):
