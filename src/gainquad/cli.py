@@ -13,6 +13,7 @@ accepted: "ag2:q" for the affine plane over GF(q), q a prime power, or
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -294,9 +295,10 @@ def cmd_search(args):
     report = run_search(base["structure"], group, budget=args.budget,
                         unreduced=args.unreduced, near_miss=not args.fast,
                         checkpoint_path=args.checkpoint, stats=stats)
-    _note(args, f"scan: {report.scanned} scanned, {stats[0].rows} evaluated, "
+    rows, seconds = stats[0].rows, stats[0].seconds
+    _note(args, f"scan: {report.scanned} scanned, {rows} evaluated, "
                 f"{report.gq_count} survivors, {len(report.representatives)} classes "
-                f"in {stats[0].seconds:.3f} s")
+                f"in {seconds:.3f} s, {rows / max(seconds, 1e-9):.0f} assignments/s")
     report.config = _config(args, "search")
     doc = report.to_json()
     if args.report:
@@ -413,7 +415,9 @@ def cmd_selftest(args):
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process on the first main call."""
     ap = argparse.ArgumentParser(
         prog="gainquad",
         description="Build and verify generalized quadrangles from gain "

@@ -175,9 +175,10 @@ def detour_gains(gains, b, p):
 class DetourKernel:
     """Every detour table of a linear space at once, for arrays of gains.
 
-    Edges are numbered in sorted (line, point) order, so one gain
-    assignment is a row of group codes (see GroupAction.code) with one
-    column per edge, and a batch of assignments is a (B, edges) array.
+    Edges are numbered in sorted (line, point) order, and a batch of B
+    assignments is an edge-major (edges, B) array of group codes (see
+    GroupAction.code), one column per assignment, so that every gather
+    copies whole contiguous rows of B codes instead of single bytes.
     Non-incident pairs (b, p) are numbered line-major, then by point.
     ``sized`` lists the pairs whose line has |group| points; bq, b2q and
     b2p have one column per sized pair and one row per point q on its
@@ -205,8 +206,6 @@ class DetourKernel:
         points = np.nonzero(incident[full])[1].reshape(len(full), k)
         row = np.zeros(base.n_lines, dtype=np.intp)
         row[full] = np.arange(len(full))
-        # Tables are laid out (k, pairs), so that comparing two entries of
-        # every table is one elementwise operation over contiguous rows.
         # Flat takes: two-dimensional fancy indexing is several times slower.
         v = base.n_points
         b = self.pairs[self.sized, 0]
@@ -218,7 +217,7 @@ class DetourKernel:
         self.b2p = np.take(eid, b2 * v + p)
 
     def codes(self, gains):
-        """The code row of one gain graph on this kernel's base."""
+        """The codes of one gain graph on this kernel's base, one per edge."""
         code = self.group.code
         return np.array([code(gains.gains[e]) for e in map(tuple, self.edges.tolist())],
                         dtype=self.dtype)
@@ -226,22 +225,23 @@ class DetourKernel:
     def bijective(self, codes):
         """Whether each pair's detour table is a bijection onto the group.
 
-        codes has shape (..., edges); the result is a bool array of shape
-        (..., pairs).
+        codes has shape (edges, ...); the result is a bool array of shape
+        (pairs, ...).
         """
         group = self.group
         inverse = group.inverse_codes(codes)
+        # (k, sized pairs, ...): entry i of every table is one contiguous row.
         values = group.compose_codes(
-            np.take(codes, self.b2p, axis=-1),
-            group.compose_codes(np.take(inverse, self.b2q, axis=-1),
-                                np.take(codes, self.bq, axis=-1)))
+            np.take(codes, self.b2p, axis=0),
+            group.compose_codes(np.take(inverse, self.b2q, axis=0),
+                                np.take(codes, self.bq, axis=0)))
         # k values in a group of order k are a bijection iff they differ
         # pairwise: each entry against every later one.
-        distinct = np.ones(values.shape[:-2] + values.shape[-1:], dtype=bool)
-        for i in range(values.shape[-2] - 1):
-            distinct &= (values[..., i + 1:, :] != values[..., i:i + 1, :]).all(axis=-2)
-        ok = np.zeros(codes.shape[:-1] + (len(self.pairs),), dtype=bool)
-        ok[..., self.sized] = distinct
+        distinct = np.ones(values.shape[1:], dtype=bool)
+        for i in range(len(values) - 1):
+            distinct &= (values[i + 1:] != values[i]).all(axis=0)
+        ok = np.zeros((len(self.pairs),) + codes.shape[1:], dtype=bool)
+        ok[self.sized] = distinct
         return ok
 
 

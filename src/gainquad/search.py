@@ -11,19 +11,19 @@ each switching class is expanded and canonicalised.
 
 Scans are deterministic: free edges are ordered, group elements are
 enumerated in their canonical order, and assignment number k maps to the
-mixed-radix digits of k.  Assignments are evaluated in batches, one row
-of group codes per assignment, by DetourKernel; only survivors of the
-criterion are turned back into gain graphs.  The scan's state is its
-SearchReport; a checkpoint stores the report's next index, survivor
-count, representatives and near-miss tally, so an interrupted scan
-resumes bit-identically.
+mixed-radix digits of k.  DetourKernel evaluates edge-major batches, one
+column of codes per assignment, and only survivors of the criterion are
+turned back into gain graphs.  The scan's state is its SearchReport; a
+checkpoint stores the report's next index, survivor count,
+representatives and near-miss tally, so an interrupted scan resumes
+bit-identically.
 
 The near-miss scan counts the bijective pairs of every assignment.  The
 fast scan (near_miss=False) needs only the survivors, so it skips
 assignments proven to fail: a pair's detour table reads a fixed set of
 edges, so its verdict is settled by the leading digits up to the deepest
 free edge it reads, and every assignment sharing those digits with a
-failing row fails the same pair.
+failing one fails the same pair.
 """
 
 import hashlib
@@ -89,8 +89,8 @@ class SearchReport:
 
 
 class ScanStats:
-    """Counters of one scan: assignments the detour kernel evaluated
-    (rows) and wall seconds.  They are not part of the report or the
+    """Counters of one scan: rows, the assignments the detour kernel
+    evaluated, and wall seconds.  They are not part of the report or the
     checkpoint, so reruns stay byte-identical."""
 
     __slots__ = ("rows", "seconds")
@@ -109,20 +109,19 @@ def _unrank(index, radix, width):
 
 
 def _unrank_batch(start, count, radix, width):
-    """Digits of assignments start .. start+count-1, one row each.
+    """Digits of assignments start .. start+count-1, one column each.
 
-    Only start is unranked, in Python integers; the row offsets are then
+    Only start is unranked, in Python integers; the column offsets are then
     added with carries, so spaces beyond 2^63 assignments stay exact.
     """
-    digits = np.tile(np.array(_unrank(start, radix, width), dtype=np.int64),
-                     (count, 1))
+    digits = np.array(_unrank(start, radix, width), dtype=np.int64)[:, None].repeat(count, 1)
     carry = np.arange(count, dtype=np.int64)
     for j in range(width - 1, -1, -1):
         if not carry.any():
             break
-        column = digits[:, j] + carry
-        digits[:, j] = column % radix
-        carry = column // radix
+        row = digits[j] + carry
+        digits[j] = row % radix
+        carry = row // radix
     return digits
 
 
@@ -181,6 +180,8 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     assignments examined, counted from the start of the scan (a resumed
     scan included); a capped report is flagged partial.  stats, when
     given, is a list that receives this scan's ScanStats.
+    A batch is edge-major, an (edges, B) array of codes with one column
+    per assignment, so the kernel's gathers copy whole rows of B codes.
     """
     ls = is_linear_space(base)
     if not ls:
@@ -190,12 +191,12 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, not {budget}")
 
-    # Kernel columns are the edges in sorted order, and code c stands for
-    # elems[c]; the gauge-fixed scan keeps tree edges at the identity.
+    # Batch rows are the kernel's edges in sorted order, and code c stands
+    # for elems[c]; the gauge-fixed scan keeps tree edges at the identity.
     all_edges = list(map(tuple, base.pairs[base.line_order, ::-1].tolist()))
     tree = set(spanning_tree_edges(base))
-    free_columns = [i for i, e in enumerate(all_edges) if unreduced or e not in tree]
-    free = [all_edges[i] for i in free_columns]
+    free_rows = [i for i, e in enumerate(all_edges) if unreduced or e not in tree]
+    free = [all_edges[i] for i in free_rows]
     elems = group.elements()
     radix = len(elems)
     total = radix ** len(free)
@@ -203,12 +204,12 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     kernel = DetourKernel(base, group)
     identity = group.code(group.identity())
     n_pairs = len(kernel.pairs)
-    rows = max(1, BATCH_VALUES // max(1, n_pairs * radix))
+    width = max(1, BATCH_VALUES // max(1, n_pairs * radix))
     # A pair's depth is the number of leading digits that settle its
     # verdict: the position of the deepest free edge its detour table
     # reads, 0 for a pair on a line of another size (never bijective).
     position = np.zeros(len(all_edges), dtype=np.intp)
-    position[free_columns] = np.arange(1, len(free) + 1)
+    position[free_rows] = np.arange(1, len(free) + 1)
     depth = np.zeros(n_pairs, dtype=np.intp)
     depth[kernel.sized] = np.take(
         position, np.concatenate((kernel.bq, kernel.b2q, kernel.b2p))).max(axis=0)
@@ -274,28 +275,27 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
             break
         # Batches end at budget and checkpoint boundaries, so both fall
         # exactly where a one-at-a-time scan would put them.
-        stop = min(end, index + rows)
+        stop = min(end, index + width)
         if checkpoint_path is not None:
             stop = min(stop, (index // CHECKPOINT_EVERY + 1) * CHECKPOINT_EVERY)
-        digits = _unrank_batch(index, stop - index, radix, len(free))
-        codes = np.full((len(digits), len(all_edges)), identity, dtype=kernel.dtype)
-        codes[:, free_columns] = digits
+        codes = np.full((len(all_edges), stop - index), identity, dtype=kernel.dtype)
+        codes[free_rows] = _unrank_batch(index, stop - index, radix, len(free))
         ok = kernel.bijective(codes)
-        good = ok.sum(axis=1)
+        good = ok.sum(axis=0)
         passed = good == n_pairs
-        counts.rows += len(codes)
+        counts.rows += stop - index
         if near_miss:
             for k, count in enumerate(np.bincount(good[~passed]).tolist()):
                 if count:
                     report.near_miss[k] += count
         elif not passed[-1]:
-            # The last row's first m digits already fail a pair, and so
+            # The last column's first m digits already fail a pair, and so
             # does every assignment up to the end of their aligned block.
-            block = radix ** (len(free) - int(depth[~ok[-1]].min()))
+            block = radix ** (len(free) - int(depth[~ok[:, -1]].min()))
             stop = min(end, ((stop - 1) // block + 1) * block)
         for r in np.flatnonzero(passed).tolist():
             report.gq_count += 1
-            survivor(index + r, codes[r].tolist())
+            survivor(index + r, codes[:, r].tolist())
         report.scanned = stop
         # A skip may pass several checkpoint boundaries; every assignment
         # it passed failed, so one save at its end is exact.

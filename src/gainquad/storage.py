@@ -1,6 +1,7 @@
 """Crash-safe file output shared by the CLI and the search checkpoint,
 and the integer check that JSON input is validated with."""
 
+import contextlib
 import os
 
 
@@ -12,8 +13,13 @@ def is_int(x):
 def atomic_write(path, text):
     """Replace path with text in one step: readers, and a rerun after the
     writer is killed, see either the old content or the new, never a
-    partial file."""
+    partial file.  A failed write removes its temporary file."""
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, str(path)) from None

@@ -391,7 +391,8 @@ def test_search_budget_exit_code(tmp_path):
                "--budget", "3", "--report", tmp_path / "r.json") == 3
 
 
-SCAN_COUNTERS = r"scan: (\d+) scanned, (\d+) evaluated, (\d+) survivors, (\d+) classes in \d+\.\d{3} s"
+SCAN_COUNTERS = (r"scan: (\d+) scanned, (\d+) evaluated, (\d+) survivors, (\d+) classes "
+                 r"in \d+\.\d{3} s, (\d+) assignments/s")
 
 
 def test_search_verbose_prints_scan_counters_outside_the_report(tmp_path, capsys):
@@ -403,16 +404,40 @@ def test_search_verbose_prints_scan_counters_outside_the_report(tmp_path, capsys
     err = capsys.readouterr().err
     match = re.fullmatch(SCAN_COUNTERS + "\n", err)
     assert match
-    scanned, evaluated, survivors, classes = map(int, match.groups())
+    scanned, evaluated, survivors, classes, rate = map(int, match.groups())
     doc = read_json(report)
     assert (scanned, survivors, classes) == (doc["scanned"], doc["gq_count"],
                                              doc["class_count"]) == (3 ** 16, 2, 1)
-    assert 0 < evaluated < scanned
+    assert 0 < evaluated < scanned and rate > 0
     assert run(*argv) == 0
     assert report.read_bytes() == first
     capsys.readouterr()
     assert run("search", "--base", "ag2:2", "--group", "z:2") == 0
     assert capsys.readouterr().err == ""
+
+
+def test_successive_main_calls_carry_no_state(tmp_path, capsys):
+    fast, plain = tmp_path / "fast.json", tmp_path / "plain.json"
+    assert run("-v", "search", "--base", "ag2:2", "--group", "z:2", "--fast",
+               "--report", fast) == 0
+    assert capsys.readouterr().err.startswith("scan: ")
+    assert run("search", "--base", "ag2:2", "--group", "z:2", "--report", plain) == 0
+    assert capsys.readouterr().err == ""
+    assert read_json(fast)["near_miss"] == {}
+    assert read_json(plain)["near_miss"] != {}
+    assert read_json(plain)["config"]["verbose"] is False
+
+
+@pytest.mark.parametrize("target", ["existing-directory", "missing-directory/x.json"])
+def test_failed_write_names_the_path_and_leaves_no_temp_file(tmp_path, capsys, target):
+    out = tmp_path / target
+    if target == "existing-directory":
+        out.mkdir()
+    assert run("export", "ag2:2", "--format", "json", "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{out}'" in err and ".tmp" not in err
+    assert not list(tmp_path.rglob("*.tmp*"))
 
 
 def test_verify_reruns_are_byte_identical(tmp_path):

@@ -1,6 +1,7 @@
 """The expansion construction, its isomorphisms, detour tables, and the
 quadrangle criterion."""
 
+import itertools
 import random
 
 import numpy as np
@@ -356,24 +357,29 @@ def _kernel_cases():
 
 def test_kernel_matches_scalar_oracle():
     passing = failing = 0
-    for g in _kernel_cases():
-        oracle = _oracle_pairs(g)
-        kernel = DetourKernel(g.base, g.group)
-        codes = kernel.codes(g)
-        mask = kernel.bijective(codes)
-        assert list(zip(map(tuple, kernel.pairs.tolist()), mask.tolist())) == oracle
-        # a batch of rows gives the same answer row by row
-        batch = kernel.bijective(np.stack([codes, codes[::-1]]))
-        assert batch[0].tolist() == mask.tolist()
-        bad = [bp for bp, ok in oracle if not ok]
-        verdict = gq_criterion(g)
-        assert verdict.ok == (not bad)
-        if bad:
-            assert verdict.witness == bad[0]
-            failing += 1
-        else:
-            passing += 1
-        assert bijective_pair_count(g) == (len(oracle) - len(bad), len(oracle))
+    for _, cases in itertools.groupby(_kernel_cases(),
+                                      key=lambda g: (id(g.base), id(g.group))):
+        cases = list(cases)
+        kernel = DetourKernel(cases[0].base, cases[0].group)
+        pairs = list(map(tuple, kernel.pairs.tolist()))
+        # a batch has one column per assignment, and every column answers
+        # as its own assignment does alone
+        batch = kernel.bijective(np.stack([kernel.codes(g) for g in cases], axis=-1))
+        assert batch.shape == (len(pairs), len(cases))
+        assert len({tuple(kernel.codes(g).tolist()) for g in cases}) == len(cases)
+        for g, column in zip(cases, batch.T.tolist()):
+            oracle = _oracle_pairs(g)
+            assert list(zip(pairs, column)) == oracle
+            assert kernel.bijective(kernel.codes(g)).tolist() == column
+            bad = [bp for bp, ok in oracle if not ok]
+            verdict = gq_criterion(g)
+            assert verdict.ok == (not bad)
+            if bad:
+                assert verdict.witness == bad[0]
+                failing += 1
+            else:
+                passing += 1
+            assert bijective_pair_count(g) == (len(oracle) - len(bad), len(oracle))
     assert passing >= 6 and failing >= 100
 
 

@@ -1,5 +1,6 @@
 """Gauge-fixed and unreduced scans over gain assignments."""
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -46,6 +47,27 @@ def test_representatives_unique_and_verified(plane2):
         g = GainGraph(plane2.structure, CyclicGroup(2),
                       {(b, p): int(v) for p, b, v in rep["gains"]["gains"]})
         assert gq_criterion(g).ok
+
+
+# sha256 of json.dumps(report.to_json(), sort_keys=True), so that a change
+# to the kernel's layout or to batching cannot move a byte of the near-miss
+# tally, the survivors or the representatives.
+REPORT_DIGESTS = [
+    ("plane3", 3, 2500, False,
+     "073667cac4e31bda3f7ffe1c195735f3eb13b8032e9718030b09f6691aecfbbb"),
+    ("plane2", 2, None, False,
+     "ad6dc45429b70a87defd8fd8c887b3f735e0fd67fb63aa58a9d9c589f266c3ff"),
+    ("plane2", 2, None, True,
+     "d22cab9bed84fa0ea48b71763dc23f2ac92263d65926056c028e1f5ce018a75a"),
+]
+
+
+@pytest.mark.parametrize("plane, n, budget, unreduced, digest", REPORT_DIGESTS)
+def test_report_bytes_are_pinned(request, plane, n, budget, unreduced, digest):
+    base = request.getfixturevalue(plane).structure
+    report = run_search(base, CyclicGroup(n), budget=budget, unreduced=unreduced)
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_unreduced_matches_gauge_fixed(plane2):
@@ -208,7 +230,7 @@ def test_unrank_batch_carries_past_int64():
     assert total > 2 ** 63
     for start in (0, 5, total - 300, 2 ** 63 - 7, radix ** 30 - 2):
         count = min(300, total - start)
-        rows = _unrank_batch(start, count, radix, width).tolist()
+        rows = _unrank_batch(start, count, radix, width).T.tolist()
         assert rows == [_unrank(start + r, radix, width) for r in range(count)]
 
 
@@ -447,7 +469,7 @@ def test_fast_scan_evaluates_one_batch(plane3, monkeypatch):
     real = DetourKernel.bijective
 
     def counting(self, codes):
-        rows.append(len(codes))
+        rows.append(codes.shape[-1])
         return real(self, codes)
 
     monkeypatch.setattr(DetourKernel, "bijective", counting)
