@@ -25,34 +25,29 @@ import numpy as np
 
 from . import catalog
 from .construction import expand, gq_criterion, gq_parameters, switching_isomorphism
-from .fields import GF, field_from_order
+from .fields import GF, Rationals, field_from_order
 from .gains import GainGraph, gains_from_json, gains_to_json, identity_gains
 from .geometry import (IncidenceStructure, census_ngon, is_generalized_ngon,
                        is_linear_space, is_ovoid, quadrangle_order,
-                       steiner_parameters, structure_from_json, structure_to_json,
-                       verify_isomorphism)
-from .groups import AdditiveGroup, CyclicGroup, group_from_spec
+                       steiner_parameters, structure_from_json, structure_to_json)
+from .groups import AdditiveGroup, CyclicGroup
 from .iso import are_isomorphic, canonical_form, distinguishing_invariant
 from .search import run_search
-from .storage import atomic_write
+from .storage import atomic_write, json_text
 
 GENERATORS = ("ag2", "w", "payne-dual")
 
 
-def _json_text(doc):
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _write_json(path, doc):
-    atomic_write(path, _json_text(doc))
+    atomic_write(path, json_text(doc))
 
 
-def _field_from_args(args):
+def _field_from_args(name, args):
     if len(args) == 1:
         return field_from_order(args[0])
     if len(args) == 2:
         return GF(args[0], args[1])
-    raise ValueError("ag2 takes one or two integer arguments: q or p n")
+    raise ValueError(f"{name} takes one or two integer arguments: q or p n")
 
 
 def realize_base(spec):
@@ -73,7 +68,7 @@ def realize_base(spec):
         raise ValueError(f"{name!r} is neither a file nor one of {GENERATORS}")
     args = [int(t) for t in args]
     if name == "ag2":
-        plane = catalog.affine_plane(_field_from_args(args))
+        plane = catalog.affine_plane(_field_from_args(name, args))
         return {"structure": plane.structure, "tags": None, "plane": plane,
                 "name": spec}
     if len(args) != 1:
@@ -87,16 +82,16 @@ def realize_base(spec):
 
 
 def parse_group(spec):
-    """Group spec: "z:n", "gf:p[:n]", or "q"."""
+    """Group spec: "z:n", "gf:q" or "gf:p:n" (the field named as ag2
+    names it), or "q"."""
     kind, *args = spec.lower().split(":")
-    if kind in ("z", "zn") and len(args) == 1:
+    if kind == "z" and len(args) == 1:
         return CyclicGroup(int(args[0]))
-    if kind == "gf" and len(args) in (1, 2):
-        return group_from_spec({"kind": "GFpn", "p": int(args[0]),
-                                "n": int(args[1]) if len(args) > 1 else 1})
+    if kind == "gf":
+        return AdditiveGroup(_field_from_args(kind, [int(t) for t in args]))
     if kind == "q" and not args:
-        return group_from_spec({"kind": "Q"})
-    raise ValueError(f"unknown group spec {spec!r}: expected z:n, gf:p[:n] or q")
+        return AdditiveGroup(Rationals())
+    raise ValueError(f"unknown group spec {spec!r}: expected z:n, gf:q, gf:p:n or q")
 
 
 def _config(args, command):
@@ -248,7 +243,6 @@ def cmd_isocheck(args):
         inv = distinguishing_invariant(s1, s2) or "search-exhausted"
         print(f"non-isomorphic ({inv})")
         return 1
-    assert verify_isomorphism(s1, s2, iso)
     doc = {"point_map": list(iso.point_map), "line_map": list(iso.line_map),
            "config": _config(args, "isocheck")}
     if args.witness:
@@ -295,10 +289,10 @@ def cmd_search(args):
     report = run_search(base["structure"], group, budget=args.budget,
                         unreduced=args.unreduced, near_miss=not args.fast,
                         checkpoint_path=args.checkpoint, stats=stats)
-    rows, seconds = stats[0].rows, stats[0].seconds
-    _note(args, f"scan: {report.scanned} scanned, {rows} evaluated, "
+    rate = stats[0].rows / max(stats[0].kernel_seconds, 1e-9)
+    _note(args, f"scan: {report.scanned} scanned, {stats[0].rows} evaluated, "
                 f"{report.gq_count} survivors, {len(report.representatives)} classes "
-                f"in {seconds:.3f} s, {rows / max(seconds, 1e-9):.0f} assignments/s")
+                f"in {stats[0].seconds:.3f} s, {rate:.0f} assignments/s")
     report.config = _config(args, "search")
     doc = report.to_json()
     if args.report:
@@ -316,7 +310,7 @@ def cmd_export(args):
     base = realize_base(args.structure)
     s, tags = base["structure"], base["tags"]
     if args.format == "json":
-        text = _json_text(structure_to_json(s, tags=tags))
+        text = json_text(structure_to_json(s, tags=tags))
     else:
         text = _to_dot(s, tags)
     if args.output:
@@ -468,7 +462,7 @@ def build_parser():
     p.add_argument("--base", required=True,
                    help="structure file or generator spec: ag2:q, ag2:p:n, "
                         "w:q, payne-dual:q")
-    p.add_argument("--group", required=True, help="z:n, gf:p[:n]")
+    p.add_argument("--group", required=True, help="z:n, gf:q, gf:p:n or q")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--unreduced", action="store_true",
                    help="scan every assignment instead of one per switching class")

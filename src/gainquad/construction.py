@@ -30,7 +30,7 @@ class Expansion(IncidenceStructure):
     """The expanded structure, with tags tying every element to its origin.
 
     Point tags are ("x", p, None) or ("y", b, t); line tags are
-    ("z", p, t), where t indexes into ``lambdas``.
+    ("z", p, t), where t, ``lambda_index[lam]``, indexes into ``lambdas``.
     """
 
     def __init__(self, gains):
@@ -40,7 +40,7 @@ class Expansion(IncidenceStructure):
             raise ValueError("expansion needs a finite label set")
         lambdas = tuple(group.lambdas())
         k = len(lambdas)
-        lam_pos = {lam: t for t, lam in enumerate(lambdas)}
+        lambda_index = {lam: t for t, lam in enumerate(lambdas)}
         v, nb = base.n_points, base.n_lines
 
         names = [group.render(lam) for lam in lambdas]
@@ -54,7 +54,7 @@ class Expansion(IncidenceStructure):
         # x_p lies on every z[p, t], and y[b, t] on z[p, row[t]], where
         # row[t] is the position of gain(bp) . lambdas[t]: one action row
         # per distinct gain.
-        rows = {phi: [lam_pos[group.act(phi, lam)] for lam in lambdas]
+        rows = {phi: [lambda_index[group.act(phi, lam)] for lam in lambdas]
                 for phi in set(gains.gains.values())}
         b, p = np.array(list(gains.gains)).T
         row = np.array([rows[phi] for phi in gains.gains.values()])
@@ -68,6 +68,7 @@ class Expansion(IncidenceStructure):
         self.gains = gains
         self.group = group
         self.lambdas = lambdas
+        self.lambda_index = lambda_index
         self.point_tags = tuple(point_tags)
         self.line_tags = tuple(line_tags)
 
@@ -106,7 +107,7 @@ def switching_isomorphism(gains, f):
     base, group = gains.base, gains.group
     c1 = expand(gains)
     c2 = expand(switch(gains, f))
-    lam_pos = {lam: t for t, lam in enumerate(c1.lambdas)}
+    lam_pos = c1.lambda_index
 
     point_map = list(c1.x_points())
     for b in range(base.n_lines):
@@ -134,15 +135,14 @@ def lift_chain(gains, chain, lam0):
     if len(chain) == 0:
         raise ValueError("empty chain")
     c = expand(gains)
-    lam_pos = {lam: t for t, lam in enumerate(c.lambdas)}
-    if lam0 not in lam_pos:
+    if lam0 not in c.lambda_index:
         raise ValueError("unknown label")
 
     def lifted_eid(u, lam):
         kind, i = base.eid_index(u)
         if kind == "line":
-            return c.point_eid(c.y_point(i, lam_pos[lam]))
-        return c.line_eid(c.z_line(i, lam_pos[lam]))
+            return c.point_eid(c.y_point(i, c.lambda_index[lam]))
+        return c.line_eid(c.z_line(i, c.lambda_index[lam]))
 
     lam = lam0
     out = [lifted_eid(chain[0], lam)]
@@ -184,11 +184,15 @@ class DetourKernel:
     b2p have one column per sized pair and one row per point q on its
     line b, and hold the edge ids of (b, q), (b', q) and (b', p), with b'
     the line through p and q.  A pair on a line of any other size is
-    never bijective.  The group must act regularly, so that a table
-    permutes the labels exactly when it is a bijection onto the group.
+    never bijective.  The base must be a linear space, and the group
+    must act regularly, so that a table permutes the labels exactly when
+    it is a bijection onto the group; ValueError otherwise.
     """
 
     def __init__(self, base, group):
+        ls = is_linear_space(base)
+        if not ls:
+            raise ValueError(f"base is not a linear space: {ls.witness}")
         if not (group.finite and group.regular):
             raise ValueError(f"detour tables need a finite group acting regularly, "
                              f"not {group!r}")
@@ -275,9 +279,6 @@ def gq_criterion(gains):
     is the first failing pair (b, p), line-major.
     """
     base = gains.base
-    ls = is_linear_space(base)
-    if not ls:
-        raise ValueError(f"base is not a linear space: {ls.witness}")
     kernel = DetourKernel(base, gains.group)
     ok = kernel.bijective(kernel.codes(gains))
     if not ok.all():

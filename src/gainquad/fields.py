@@ -42,9 +42,6 @@ def _poly_mod(num, den, p):
     """Remainder of num / den over GF(p); polys are low-first coefficient lists."""
     num = [c % p for c in num]
     dn = len(den) - 1
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-        dn -= 1
     assert den[-1] == 1, "divisor must be monic"
     for k in range(len(num) - 1, dn - 1, -1):
         c = num[k]
@@ -59,8 +56,6 @@ def _is_irreducible(mod, p):
     n = len(mod) - 1
     if n < 1 or mod[-1] != 1:
         return False
-    if n == 1:
-        return True
     # Trial division by every monic polynomial of degree 1..n//2.
     for d in range(1, n // 2 + 1):
         for tail in product(range(p), repeat=d):
@@ -107,10 +102,7 @@ class GF:
         self.p = p
         self.n = n
         self.order = p ** n
-        if n == 1:
-            self.modulus = (0, 1)
-        else:
-            self.modulus = _FIXED_MODULI.get((p, n)) or _find_irreducible(p, n)
+        self.modulus = _FIXED_MODULI.get((p, n)) or _find_irreducible(p, n)
         self.zero = (0,) * n
         self.one = (1,) + (0,) * (n - 1)
 

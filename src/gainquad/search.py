@@ -36,9 +36,9 @@ import numpy as np
 
 from .construction import DetourKernel, expand, gq_parameters
 from .gains import GainGraph, gains_to_json, spanning_tree_edges, spanning_tree_gauge
-from .geometry import is_linear_space, structure_to_json
+from .geometry import structure_to_json
 from .iso import CERTIFICATE_VERSION, canonical_form
-from .storage import atomic_write, is_int
+from .storage import atomic_write, is_int, json_text
 
 # A batch holds at most this many detour values, one byte each for the
 # groups a scan can afford, so its temporaries stay near 128 kB.
@@ -90,13 +90,15 @@ class SearchReport:
 
 class ScanStats:
     """Counters of one scan: rows, the assignments the detour kernel
-    evaluated, and wall seconds.  They are not part of the report or the
-    checkpoint, so reruns stay byte-identical."""
+    evaluated, kernel_seconds, the wall seconds spent evaluating them,
+    and seconds, the whole scan's.  They are not part of the report or
+    the checkpoint, so reruns stay byte-identical."""
 
-    __slots__ = ("rows", "seconds")
+    __slots__ = ("rows", "kernel_seconds", "seconds")
 
     def __init__(self):
         self.rows = 0
+        self.kernel_seconds = 0.0
         self.seconds = 0.0
 
 
@@ -136,11 +138,13 @@ def _config_digest(base, group, unreduced, near_miss):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _read_checkpoint(path, digest, total):
+def _read_checkpoint(path, digest, total, n_pairs, near_miss):
     """The saved state of this search, or None when path does not exist.
 
     Raises ValueError unless the file is a well-formed checkpoint written
-    by this same search.  Keys other than the ones read here (older
+    by this same search: a near-miss scan's tally counts every failing
+    assignment before next_index in a bucket below n_pairs, and a fast
+    scan's tally is empty.  Keys other than the ones read here (older
     checkpoints also hold "scanned" and "certificates") are ignored.
     """
     try:
@@ -162,7 +166,10 @@ def _read_checkpoint(path, digest, total):
             or not all(isinstance(r, dict) and isinstance(r.get("certificate"), str)
                        and isinstance(r.get("structure"), dict) for r in reps)
             or not isinstance(misses, dict)
-            or not all(k.isdigit() and is_int(v) for k, v in misses.items())):
+            or not all(k.isascii() and k.isdigit() and int(k) < n_pairs
+                       and is_int(v) and v >= 0 for k, v in misses.items())
+            or sum(misses.values()) != (state["next_index"] - state["gq_count"]
+                                        if near_miss else 0)):
         raise ValueError(f"checkpoint {path} is malformed")
     return state
 
@@ -183,17 +190,13 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     A batch is edge-major, an (edges, B) array of codes with one column
     per assignment, so the kernel's gathers copy whole rows of B codes.
     """
-    ls = is_linear_space(base)
-    if not ls:
-        raise ValueError(f"search base is not a linear space: {ls.witness}")
-    if not group.finite:
-        raise ValueError("search needs a finite group")
+    kernel = DetourKernel(base, group)
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, not {budget}")
 
-    # Batch rows are the kernel's edges in sorted order, and code c stands
-    # for elems[c]; the gauge-fixed scan keeps tree edges at the identity.
-    all_edges = list(map(tuple, base.pairs[base.line_order, ::-1].tolist()))
+    # Batch rows are the kernel's edges, and code c stands for elems[c];
+    # the gauge-fixed scan keeps tree edges at the identity.
+    all_edges = list(map(tuple, kernel.edges.tolist()))
     tree = set(spanning_tree_edges(base))
     free_rows = [i for i, e in enumerate(all_edges) if unreduced or e not in tree]
     free = [all_edges[i] for i in free_rows]
@@ -201,7 +204,6 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     radix = len(elems)
     total = radix ** len(free)
     digest = _config_digest(base, group, unreduced, near_miss)
-    kernel = DetourKernel(base, group)
     identity = group.code(group.identity())
     n_pairs = len(kernel.pairs)
     width = max(1, BATCH_VALUES // max(1, n_pairs * radix))
@@ -224,7 +226,7 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
         group=group.spec(), gauge_fixed=not unreduced, free_edges=free,
         total_space=total)
     if checkpoint_path is not None:
-        state = _read_checkpoint(checkpoint_path, digest, total)
+        state = _read_checkpoint(checkpoint_path, digest, total, n_pairs, near_miss)
         if state is not None:
             report.scanned = state["next_index"]
             report.gq_count = state["gq_count"]
@@ -234,12 +236,12 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
 
     def save_checkpoint():
         if checkpoint_path is not None:
-            atomic_write(checkpoint_path, json.dumps({
+            atomic_write(checkpoint_path, json_text({
                 "digest": digest, "next_index": report.scanned,
                 "gq_count": report.gq_count,
                 "representatives": report.representatives,
                 "near_miss": {str(k): v for k, v in report.near_miss.items()},
-            }, sort_keys=True))
+            }))
 
     # Gauge-fixed tables of the survivors already canonicalised (unreduced
     # mode): equal tables mean switching-equivalent gains, hence
@@ -280,7 +282,9 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
             stop = min(stop, (index // CHECKPOINT_EVERY + 1) * CHECKPOINT_EVERY)
         codes = np.full((len(all_edges), stop - index), identity, dtype=kernel.dtype)
         codes[free_rows] = _unrank_batch(index, stop - index, radix, len(free))
+        tick = time.perf_counter()
         ok = kernel.bijective(codes)
+        counts.kernel_seconds += time.perf_counter() - tick
         good = ok.sum(axis=0)
         passed = good == n_pairs
         counts.rows += stop - index

@@ -1,13 +1,19 @@
-"""Crash-safe file output shared by the CLI and the search checkpoint,
-and the integer check that JSON input is validated with."""
+"""Crash-safe file output in one JSON layout, shared by the CLI and the
+search checkpoint, and the integer check that JSON input is validated with."""
 
 import contextlib
+import json
 import os
 
 
 def is_int(x):
     """True for a plain integer; bools and floats are refused."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def json_text(doc):
+    """doc as compact JSON: keys sorted, no spaces, one trailing newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def atomic_write(path, text):

@@ -296,6 +296,16 @@ def test_payne_check(tmp_path, capsys):
     assert doc["isomorphic"] and len(doc["point_map"]) == 16
 
 
+def test_payne_check_writes_a_failed_match(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_isomorphism", lambda args, s1, s2: None)
+    witness = tmp_path / "w.json"
+    assert run("payne-check", "2", "--witness", witness) == 1
+    assert capsys.readouterr().out == "q=2: NOT isomorphic (search-exhausted)\n"
+    doc = read_json(witness)
+    assert doc["isomorphic"] is False and doc["distinguishing"] == "search-exhausted"
+    assert "point_map" not in doc and "line_map" not in doc
+
+
 def test_isocheck_timeout_exits_3_without_a_witness(tmp_path, capsys):
     witness = tmp_path / "w.json"
     assert run("isocheck", "payne-dual:3", "payne-dual:3", "--timeout", "1e-9",
@@ -384,6 +394,17 @@ def test_search_reruns_are_byte_identical(tmp_path):
     assert run(*argv) == 0
     assert report.read_bytes() == first
     assert set(read_json(report)["config"]) == {"command", "seed", "verbose", "argv"}
+
+
+def test_gf_q_and_gf_p_n_name_the_same_group(tmp_path):
+    docs = []
+    for spec in ("gf:4", "gf:2:2"):
+        report = tmp_path / "scan.json"
+        assert run("search", "--base", "ag2:4", "--group", spec, "--budget", "5",
+                   "--report", report) == 3
+        docs.append(read_json(report))
+    argvs = [doc["config"].pop("argv") for doc in docs]
+    assert argvs[0] != argvs[1] and docs[0] == docs[1]
 
 
 def test_search_budget_exit_code(tmp_path):
@@ -506,6 +527,7 @@ _BAD_INPUT = {
                      "near_miss": {}}},
         ["search", "--base", "ag2:2", "--group", "z:2", "--checkpoint", "ck.json"]),
     "group-without-modulus": ({}, ["search", "--base", "ag2:2", "--group", "z"]),
+    "group-zn-alias": ({}, ["search", "--base", "ag2:2", "--group", "zn:3"]),
     "ag2-not-a-prime-power": ({}, ["verify", "ag2:6", "--as", "linear-space"]),
     "ag2-not-a-prime-power-build": ({}, ["build", "ag2", "6", "--with-gains"]),
     "ag2-three-arguments": ({}, ["verify", "ag2:2:2:2", "--as", "linear-space"]),

@@ -3,6 +3,7 @@ quadrangle criterion."""
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, IncidenceStruct
                       count_shortest_chains, detour_formula, detour_gains, distance,
                       expand, field_from_order, gq_criterion, gq_parameters,
                       identity_gains, is_chain, is_generalized_ngon, label_sweep,
-                      lift_chain, switch, switching_isomorphism, verify_isomorphism,
-                      walk_gain)
+                      lift_chain, run_search, switch, switching_isomorphism,
+                      verify_isomorphism, walk_gain)
 from gainquad.construction import DetourKernel
 from helpers import reference_expansion, tiny_base
 
@@ -387,6 +388,20 @@ def test_kernel_rejects_non_linear_space():
     with pytest.raises(ValueError):
         DetourKernel(IncidenceStructure([0, 1, 2], [0, 1], [(0, 0), (1, 0), (1, 1), (2, 1)]),
                      CyclicGroup(2))
+
+
+def test_criterion_entry_points_refuse_a_short_line(plane2):
+    # AG(2,2) plus a line through one point: the kernel refuses it for
+    # every entry point, with the linear-space witness
+    s = plane2.structure
+    base = IncidenceStructure(s.point_labels, [*s.line_labels, "short"],
+                              [*s.incidence, (0, s.n_lines)])
+    g = identity_gains(base, CyclicGroup(2))
+    message = re.escape("base is not a linear space: ('short-line', 6)")
+    for call in (lambda: DetourKernel(base, g.group), lambda: gq_criterion(g),
+                 lambda: bijective_pair_count(g), lambda: run_search(base, g.group)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class _TrivialAction(CyclicGroup):

@@ -131,6 +131,23 @@ def test_distinguishing_invariants():
     assert distinguishing_invariant(s1, s2) == "line-degree-multiset"
 
 
+@pytest.mark.parametrize("second, expected", [
+    ([(0, 0), (1, 0), (2, 1)], "line-count"),
+    ([(0, 0), (1, 0), (2, 1), (3, 2)], "incidence-count"),
+    ([(0, 0), (1, 0), (2, 0), (0, 1), (3, 1), (0, 2), (4, 2)], "point-degree-multiset"),
+    ([(0, 0), (1, 0), (2, 0), (0, 1), (3, 1), (1, 2), (4, 2)], "refinement-invariant"),
+    ([(0, 0), (1, 0), (2, 0), (4, 1), (0, 1), (4, 2), (3, 2)], None),
+])
+def test_distinguishing_invariant_after_the_point_count(second, expected):
+    # lines {0,1,2}, {0,3}, {3,4}; the refinement-invariant case has the
+    # same degrees but lines {0,1,2}, {0,3}, {1,4}
+    first = [(0, 0), (1, 0), (2, 0), (0, 1), (3, 1), (3, 2), (4, 2)]
+    lines = 1 + max(b for _, b in second)
+    s1 = IncidenceStructure(range(5), range(3), first)
+    s2 = IncidenceStructure(range(5), range(lines), second)
+    assert distinguishing_invariant(s1, s2) == expected
+
+
 def test_non_isomorphic_same_parameters():
     # the grid and the dual-grid expansion disagree once parameters do
     g33 = grid_quadrangle(3)

@@ -144,22 +144,62 @@ def test_checkpoint_of_another_certificate_version_exits_2(tmp_path, monkeypatch
     assert capsys.readouterr().err == "error: checkpoint does not match this search\n"
 
 
-@pytest.mark.parametrize("change", [
-    {"next_index": -1}, {"next_index": 9}, {"representatives": [1]}, {"gq_count": None},
-    {"representatives": [{"certificate": 7}]}, {"representatives": 0},
-    {"near_miss": {"x": 1}}, {"near_miss": {"1": 2.5}},
-    {"representatives": [{"certificate": "abc"}]}, {"gq_count": 5},
-    {"representatives": [{"certificate": "abc", "structure": {}}]}])
-def test_malformed_checkpoint_rejected(tmp_path, plane2, change):
+# (change to a checkpoint of 4 failing assignments, near_miss); AG(2,2)
+# has 12 non-incident pairs
+MALFORMED = [
+    ({"next_index": -1}, True), ({"next_index": 9}, True), ({"representatives": [1]}, True),
+    ({"gq_count": None}, True), ({"representatives": [{"certificate": 7}]}, True),
+    ({"representatives": 0}, True), ({"near_miss": {"x": 1}}, True),
+    ({"near_miss": {"1": 2.5}}, True), ({"representatives": [{"certificate": "abc"}]}, True),
+    ({"gq_count": 5}, True),
+    ({"representatives": [{"certificate": "abc", "structure": {}}]}, True),
+    ({"near_miss": {"1": 5, "2": -1}}, True), ({"near_miss": {"12": 4}}, True),
+    ({"near_miss": {"1": 3}}, True), ({"near_miss": {"1": 4}}, False),
+    ({"near_miss": {"\u00b2": 4}}, True)]
+
+
+@pytest.mark.parametrize("change, near_miss", MALFORMED,
+                         ids=[f"change{i}" for i in range(len(MALFORMED))])
+def test_malformed_checkpoint_rejected(tmp_path, plane2, change, near_miss):
     ck = tmp_path / "scan.ck"
-    state = {"digest": _config_digest(plane2.structure, CyclicGroup(2), False, True),
+    state = {"digest": _config_digest(plane2.structure, CyclicGroup(2), False, near_miss),
              "next_index": 4, "scanned": 4, "gq_count": 0, "certificates": [],
-             "representatives": [], "near_miss": {"1": 4}}
+             "representatives": [], "near_miss": {"1": 4} if near_miss else {}}
     ck.write_text(json.dumps(state))
-    assert run_search(plane2.structure, CyclicGroup(2), checkpoint_path=str(ck)).scanned == 8
+    assert run_search(plane2.structure, CyclicGroup(2), near_miss=near_miss,
+                      checkpoint_path=str(ck)).scanned == 8
     ck.write_text(json.dumps({**state, **change}))
     with pytest.raises(ValueError, match="malformed"):
-        run_search(plane2.structure, CyclicGroup(2), checkpoint_path=str(ck))
+        run_search(plane2.structure, CyclicGroup(2), near_miss=near_miss,
+                   checkpoint_path=str(ck))
+
+
+def test_checkpoint_is_compact_json_with_one_trailing_newline(tmp_path, plane2):
+    ck = tmp_path / "scan.ck"
+    run_search(plane2.structure, CyclicGroup(2), budget=3, checkpoint_path=str(ck))
+    text = ck.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_checkpoint_in_the_spaced_layout_resumes(tmp_path, plane2, monkeypatch):
+    # earlier versions wrote checkpoints with ", " and ": " as separators
+    # and no trailing newline
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 1000)
+    base, group = plane2.structure, CyclicGroup(2)
+    oneshot, ck = tmp_path / "oneshot.ck", tmp_path / "scan.ck"
+    run_search(base, group, unreduced=True, checkpoint_path=str(oneshot))
+    assert run_search(base, group, unreduced=True, budget=1500,
+                      checkpoint_path=str(ck)).partial
+    ck.write_text(json.dumps(json.loads(ck.read_text()), sort_keys=True))
+    run_search(base, group, unreduced=True, checkpoint_path=str(ck))
+    assert ck.read_bytes() == oneshot.read_bytes()
+
+
+def test_scan_stats_time_the_kernel_within_the_scan(plane2):
+    stats = []
+    run_search(plane2.structure, CyclicGroup(2), unreduced=True, stats=stats)
+    assert stats[0].rows == 2 ** 12
+    assert 0 < stats[0].kernel_seconds < stats[0].seconds
 
 
 def test_verdict_is_switching_invariant(plane2):
@@ -241,16 +281,17 @@ def test_resume_near_the_end_of_a_space_beyond_int64(tmp_path):
     free = len(base.incidence) - (base.n_elements - 1)
     total = group.order ** free
     ck = tmp_path / "scan.ck"
+    # every assignment before the window counted as a failure in bucket 0
     ck.write_text(json.dumps({
         "digest": _config_digest(base, group, False, True),
         "next_index": total - 300, "scanned": 0, "gq_count": 0,
-        "certificates": [], "representatives": [], "near_miss": {}}))
+        "certificates": [], "representatives": [], "near_miss": {"0": total - 300}}))
     report = run_search(base, group, checkpoint_path=str(ck))
     # the scan resumes at next_index; scanned is that index, not a tally
     assert report.total_space == total and report.scanned == total
     assert not report.partial
     misses, survivors = _scalar_scan(base, group, range(total - 300, total))
-    assert report.near_miss == misses
+    assert report.near_miss - Counter({0: total - 300}) == misses
     assert report.gq_count == survivors
     assert json.loads(ck.read_text())["next_index"] == total
 
@@ -395,13 +436,15 @@ def test_fast_scan_matches_scalar_loop(plane3):
 
 def _resumed_scans(tmp_path, base, group, start, budget=None):
     """The fast and the near-miss scan, each resumed at index start from a
-    checkpoint with no survivors before it, and the fast scan's stats."""
+    checkpoint with no survivors before it (the near-miss scan's tally
+    puts them all in bucket 0), and the fast scan's stats."""
     reports, stats = [], []
     for near_miss in (False, True):
         ck = tmp_path / f"scan-{near_miss}.ck"
         ck.write_text(json.dumps({
             "digest": _config_digest(base, group, False, near_miss),
-            "next_index": start, "gq_count": 0, "representatives": [], "near_miss": {}}))
+            "next_index": start, "gq_count": 0, "representatives": [],
+            "near_miss": {"0": start} if near_miss else {}}))
         reports.append(run_search(base, group, budget=budget, near_miss=near_miss,
                                   checkpoint_path=str(ck), stats=stats))
         assert json.loads(ck.read_text())["next_index"] == reports[-1].scanned
