@@ -241,6 +241,9 @@ def cmd_isocheck(args):
     iso = _isomorphism(args, s1, s2)
     if iso is None:
         inv = distinguishing_invariant(s1, s2) or "search-exhausted"
+        if args.witness:
+            _write_json(args.witness, {"isomorphic": False, "distinguishing": inv,
+                                       "config": _config(args, "isocheck")})
         print(f"non-isomorphic ({inv})")
         return 1
     doc = {"point_map": list(iso.point_map), "line_map": list(iso.line_map),

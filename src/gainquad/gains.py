@@ -8,6 +8,8 @@ gains multiply right-to-left so that they compose with a left action.
 
 from collections import deque
 
+import numpy as np
+
 from .storage import is_int
 
 
@@ -130,7 +132,8 @@ def spanning_tree_gauge(g):
     """Switch so that every spanning-tree edge carries the identity gain.
 
     Returns (switched gain graph, switching function used).  The output
-    is switching-equivalent to the input by construction.
+    is switching-equivalent to the input by construction.  This is the
+    scalar reference for spanning_tree_gauge_codes.
     """
     base, group = g.base, g.group
     f = {base.line_eid(0): group.identity()}
@@ -139,6 +142,22 @@ def spanning_tree_gauge(g):
         phi = g.gain(b, p)
         f[v] = group.compose(f[u], group.inverse(phi) if v == p else phi)
     return switch(g, f), f
+
+
+def spanning_tree_gauge_codes(base, group, edges, codes):
+    """spanning_tree_gauge of many assignments at once.  Row i of the
+    (edges, S) array codes holds the gain codes of edges[i] = (line,
+    point), one column per assignment; column j of the result is column
+    j gauge-fixed, code for code."""
+    edges = np.asarray(edges)
+    row = {e: i for i, e in enumerate(map(tuple, edges.tolist()))}
+    f = np.empty((base.n_elements, codes.shape[1]), dtype=codes.dtype)
+    f[base.line_eid(0)] = group.code(group.identity())
+    for u, v, b, p in _tree_walk(base):
+        phi = codes[row[b, p]]
+        f[v] = group.compose_codes(f[u], group.inverse_codes(phi) if v == p else phi)
+    fb = group.inverse_codes(f[base.n_points + edges[:, 0]])
+    return group.compose_codes(f[edges[:, 1]], group.compose_codes(codes, fb))
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -6,8 +6,9 @@ identity, so each switching class is visited exactly once (switching a
 gain function never changes the expansion up to isomorphism).  The
 unreduced mode scans every assignment and exists to cross-check that
 reduction; it is feasible only for the smallest spaces.  There each
-surviving assignment is gauge-fixed, and only the first survivor of
-each switching class is expanded and canonicalised.
+batch's survivors are gauge-fixed together as code columns, and only
+the first survivor of each switching class becomes a gain graph and is
+expanded and canonicalised.
 
 Scans are deterministic: free edges are ordered, group elements are
 enumerated in their canonical order, and assignment number k maps to the
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import DetourKernel, expand, gq_parameters
-from .gains import GainGraph, gains_to_json, spanning_tree_edges, spanning_tree_gauge
+from .gains import GainGraph, gains_to_json, spanning_tree_edges, spanning_tree_gauge_codes
 from .geometry import structure_to_json
 from .iso import CERTIFICATE_VERSION, canonical_form
 from .storage import atomic_write, is_int, json_text
@@ -243,19 +244,13 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
                 "near_miss": {str(k): v for k, v in report.near_miss.items()},
             }))
 
-    # Gauge-fixed tables of the survivors already canonicalised (unreduced
-    # mode): equal tables mean switching-equivalent gains, hence
-    # isomorphic expansions and the same certificate.
+    # Gauge-fixed code columns of the survivors already canonicalised
+    # (unreduced mode): equal columns mean switching-equivalent gains,
+    # hence isomorphic expansions and the same certificate.
     gauged = set()
 
     def survivor(index, row):
         g = GainGraph(base, group, {e: elems[c] for e, c in zip(all_edges, row)})
-        if unreduced:
-            table = spanning_tree_gauge(g)[0].gains
-            key = tuple(table[e] for e in all_edges)
-            if key in gauged:
-                return
-            gauged.add(key)
         c = expand(g)
         cf = canonical_form(c)
         if cf.certificate not in seen:
@@ -297,8 +292,16 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
             # does every assignment up to the end of their aligned block.
             block = radix ** (len(free) - int(depth[~ok[:, -1]].min()))
             stop = min(end, ((stop - 1) // block + 1) * block)
-        for r in np.flatnonzero(passed).tolist():
-            report.gq_count += 1
+        cols = np.flatnonzero(passed)
+        report.gq_count += len(cols)
+        if unreduced:
+            keys = spanning_tree_gauge_codes(base, group, kernel.edges, codes[:, cols]).T
+        for j, r in enumerate(cols.tolist()):
+            if unreduced:
+                key = keys[j].tobytes()
+                if key in gauged:
+                    continue
+                gauged.add(key)
             survivor(index + r, codes[:, r].tolist())
         report.scanned = stop
         # A skip may pass several checkpoint boundaries; every assignment

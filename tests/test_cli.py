@@ -288,6 +288,16 @@ def test_isocheck(tmp_path):
     assert run("isocheck", a, "payne-dual:3") == 1
 
 
+def test_isocheck_writes_a_failed_match(tmp_path, capsys):
+    witness = tmp_path / "w.json"
+    assert run("isocheck", "ag2:2", "payne-dual:3", "--witness", witness) == 1
+    assert capsys.readouterr().out == "non-isomorphic (point-count)\n"
+    doc = read_json(witness)
+    assert doc["isomorphic"] is False and doc["distinguishing"] == "point-count"
+    assert doc["config"]["command"] == "isocheck"
+    assert "point_map" not in doc and "line_map" not in doc
+
+
 def test_payne_check(tmp_path, capsys):
     witness = tmp_path / "w.json"
     assert run("payne-check", "2", "--witness", witness) == 0

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, Rationals,
-                      affine_gains, gains_from_json, gains_to_json,
-                      group_from_spec, identity_gains, spanning_tree_edges,
-                      spanning_tree_gauge, switch, walk_gain)
+                      affine_gains, affine_plane, field_from_order,
+                      gains_from_json, gains_to_json, group_from_spec,
+                      identity_gains, spanning_tree_edges, spanning_tree_gauge,
+                      switch, walk_gain)
+from gainquad.gains import spanning_tree_gauge_codes
 from gainquad.groups import code_dtype
 
 
@@ -248,6 +250,64 @@ def test_gauge_on_trivial_gains_is_identity(plane2):
     normalized, f = spanning_tree_gauge(g)
     assert normalized.gains == g.gains
     assert all(v == group.identity() for v in f.values())
+
+
+def _columns(group, edges, graphs):
+    """Gain codes of each gain graph, one column each, rows in edges order."""
+    return np.array([[group.code(g.gains[e]) for e in edges] for g in graphs],
+                    dtype=code_dtype(group.order)).reshape(len(graphs), len(edges)).T
+
+
+def _gauge_case(q, group, columns, seed):
+    """A base, its edges in a seeded order, and (edges, S) gain codes: every
+    assignment when columns is None, else that many seeded random ones."""
+    base = affine_plane(field_from_order(q)).structure
+    edges = sorted((b, p) for p, b in base.incidence)
+    rng = random.Random(seed)
+    rng.shuffle(edges)
+    if columns is None:
+        digits = np.array(list(product(range(group.order), repeat=len(edges)))).T
+    else:
+        digits = np.array([[rng.randrange(group.order) for _ in range(columns)]
+                           for _ in edges]).reshape(len(edges), columns)
+    return base, edges, digits.astype(code_dtype(group.order))
+
+
+# AG(2,2)/Z2 in full, seeded batches on larger planes, and no columns.
+GAUGE_CASES = [
+    pytest.param(2, CyclicGroup(2), None, id="ag2-2-Z2-all"),
+    pytest.param(3, CyclicGroup(3), 200, id="ag2-3-Z3"),
+    pytest.param(4, AdditiveGroup(GF(2, 2)), 100, id="ag2-4-GF4"),
+    pytest.param(5, CyclicGroup(5), 60, id="ag2-5-Z5"),
+    pytest.param(3, CyclicGroup(3), 0, id="ag2-3-Z3-empty"),
+]
+
+
+@pytest.mark.parametrize("q, group, columns", GAUGE_CASES)
+def test_gauge_codes_match_the_scalar_gauge(q, group, columns):
+    base, edges, codes = _gauge_case(q, group, columns, seed=q)
+    els = group.elements()
+    graphs = [GainGraph(base, group, {e: els[c] for e, c in zip(edges, col)})
+              for col in codes.T.tolist()]
+    expected = _columns(group, edges, [spanning_tree_gauge(g)[0] for g in graphs])
+    gauged = spanning_tree_gauge_codes(base, group, edges, codes)
+    assert gauged.shape == codes.shape
+    assert gauged.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("q, group, columns", GAUGE_CASES[1:4])
+def test_gauge_codes_ignore_switching(q, group, columns):
+    base, edges, codes = _gauge_case(q, group, columns, seed=10 + q)
+    els = group.elements()
+    rng = random.Random(q)
+    switched = []
+    for col in codes.T.tolist():
+        g = GainGraph(base, group, {e: els[c] for e, c in zip(edges, col)})
+        switched.append(switch(g, {e: rng.choice(els) for e in range(base.n_elements)}))
+    switched = _columns(group, edges, switched)
+    assert switched.tolist() != codes.tolist()
+    assert (spanning_tree_gauge_codes(base, group, edges, switched).tolist()
+            == spanning_tree_gauge_codes(base, group, edges, codes).tolist())
 
 
 def test_gauge_rejects_disconnected():

@@ -391,11 +391,22 @@ def test_unreduced_canonicalises_once_per_switching_class(plane2, monkeypatch):
         calls.append(s)
         return real(s, *args, **kwargs)
 
+    graphs = []
+    real_graph = search_module.GainGraph
+
+    def counting_graph(*args, **kwargs):
+        graphs.append(args)
+        return real_graph(*args, **kwargs)
+
     monkeypatch.setattr(search_module, "canonical_form", counting)
+    monkeypatch.setattr(search_module, "GainGraph", counting_graph)
     report = run_search(base, group, unreduced=True)
     assert report.gq_count == 512
     assert set(report.certificates) == direct
     assert len(calls) == 1
+    # the survivors are gauge-fixed as code columns; only the new class
+    # becomes a gain graph
+    assert len(graphs) == 1
 
 
 # The full gauge-fixed AG(2,3)/Z3 space and its one class of quadrangles.
