@@ -8,22 +8,19 @@ derivation for cross-checks, verifiers for the structural consequences,
 isomorphism tooling, and a search over gain assignments on small bases.
 """
 
-from .fields import GF, Rationals, field_from_order
+from .fields import GF, field_from_order
 from .groups import AdditiveGroup, CyclicGroup, GroupAction, group_from_spec
 from .geometry import (IncidenceStructure, Isomorphism, Verdict, census_ngon,
-                       chain_census, count_shortest_chains, distance, is_chain,
-                       is_generalized_ngon, is_generalized_quadrangle,
+                       chain_census, is_generalized_ngon, is_generalized_quadrangle,
                        is_linear_space, is_ovoid, quadrangle_order,
                        steiner_parameters, structure_from_json, structure_to_json,
                        verify_isomorphism)
 from .gains import (GainGraph, gains_from_json, gains_to_json, identity_gains,
-                    spanning_tree_edges, spanning_tree_gauge, switch, walk_gain)
+                    spanning_tree_edges, switch)
 from .construction import (Expansion, bijective_pair_count, detour_gains, expand,
-                           gq_criterion, gq_parameters, label_sweep, lift_chain,
-                           switching_isomorphism)
+                           gq_criterion, gq_parameters, switching_isomorphism)
 from .catalog import (AffinePlane, SymplecticQuadrangle, affine_gains,
-                      affine_plane, detour_formula, dual, payne_derivation,
-                      symplectic_quadrangle)
+                      affine_plane, dual, payne_derivation, symplectic_quadrangle)
 from .iso import CanonicalForm, are_isomorphic, canonical_form, distinguishing_invariant
 from .search import SearchReport, run_search
 

@@ -19,14 +19,12 @@ class AffinePlane:
     and slanted lines y = m x + b.
 
     Line keys are ("v", b) for verticals and ("s", m, b) otherwise.
-    Only finite fields can be enumerated; the rationals are served by
-    the closed-form helpers instead.
+    Only finite fields can be enumerated.
     """
 
     def __init__(self, field):
         if not field.finite:
-            raise ValueError("plane enumeration needs a finite field; "
-                             "use detour_formula for the rationals")
+            raise ValueError("plane enumeration needs a finite field")
         self.field = field
         els = field.elements()
         self.point_coords = [(x, y) for x in els for y in els]
@@ -75,37 +73,6 @@ def affine_gains(plane):
     els = F.elements()
     gains = {(b, p): els[c] for p, b, c in zip(p.tolist(), b.tolist(), codes.tolist())}
     return GainGraph(plane.structure, AdditiveGroup(F), gains)
-
-
-def detour_formula(field, line_key, p, q):
-    """Closed form of the detour gain from a line to an off-line point p,
-    detouring through the on-line point q, under the shipped gains.
-
-    Vertical line x = b with p = (x, y) and q = (b, y1):
-        x*y1 - y*b - b*y1
-    Slanted line y = m x + b with p = (x, y) and q = (x1, y1):
-        x*y1 - x1*y + x1*b
-
-    Works over any field, including the rationals.
-    """
-    x, y = p
-    if line_key[0] == "v":
-        b = line_key[1]
-        if q[0] != b:
-            raise ValueError("q is not on the vertical line")
-        if x == b:
-            raise ValueError("p is on the line")
-        y1 = q[1]
-        return field.sub(field.sub(field.mul(x, y1), field.mul(y, b)),
-                         field.mul(b, y1))
-    _, m, b = line_key
-    x1, y1 = q
-    if y1 != field.add(field.mul(m, x1), b):
-        raise ValueError("q is not on the slanted line")
-    if y == field.add(field.mul(m, x), b):
-        raise ValueError("p is on the line")
-    return field.add(field.sub(field.mul(x, y1), field.mul(x1, y)),
-                     field.mul(x1, b))
 
 
 # -- symplectic quadrangle and the Payne derivation ---------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import catalog
 from .construction import expand, gq_criterion, gq_parameters, switching_isomorphism
-from .fields import GF, Rationals, field_from_order
+from .fields import GF, field_from_order
 from .gains import GainGraph, gains_from_json, gains_to_json, identity_gains
 from .geometry import (IncidenceStructure, census_ngon, is_generalized_ngon,
                        is_linear_space, is_ovoid, quadrangle_order,
@@ -83,15 +83,13 @@ def realize_base(spec):
 
 def parse_group(spec):
     """Group spec: "z:n", "gf:q" or "gf:p:n" (the field named as ag2
-    names it), or "q"."""
+    names it)."""
     kind, *args = spec.lower().split(":")
     if kind == "z" and len(args) == 1:
         return CyclicGroup(int(args[0]))
     if kind == "gf":
         return AdditiveGroup(_field_from_args(kind, [int(t) for t in args]))
-    if kind == "q" and not args:
-        return AdditiveGroup(Rationals())
-    raise ValueError(f"unknown group spec {spec!r}: expected z:n, gf:q, gf:p:n or q")
+    raise ValueError(f"unknown group spec {spec!r}: expected z:n, gf:q or gf:p:n")
 
 
 def _config(args, command):
@@ -465,7 +463,7 @@ def build_parser():
     p.add_argument("--base", required=True,
                    help="structure file or generator spec: ag2:q, ag2:p:n, "
                         "w:q, payne-dual:q")
-    p.add_argument("--group", required=True, help="z:n, gf:q, gf:p:n or q")
+    p.add_argument("--group", required=True, help="z:n, gf:q or gf:p:n")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--unreduced", action="store_true",
                    help="scan every assignment instead of one per switching class")

@@ -13,8 +13,8 @@ b I p and mu = gain(bp) . lam.
 When the base is a linear space, the expansion is a generalized
 quadrangle if and only if every detour-gain table (see detour_gains) is
 a bijection; that criterion is implemented by gq_criterion, which
-evaluates every table at once through DetourKernel.  The scalar
-label_sweep and the generic n-gon verifier stay as independent oracles.
+evaluates every table at once through DetourKernel.  detour_gains is its
+scalar reference, and the generic n-gon verifier an independent oracle.
 """
 
 import numpy as np
@@ -124,34 +124,6 @@ def switching_isomorphism(gains, f):
     return iso
 
 
-def lift_chain(gains, chain, lam0):
-    """Lift a base chain to the expansion, starting at label lam0.
-
-    A base element u with running label lam becomes y[u,lam] when u is a
-    line and z[u,lam] when u is a point; the label is transported by the
-    step gains.  Returns the lifted chain as expansion eids.
-    """
-    base, group = gains.base, gains.group
-    if len(chain) == 0:
-        raise ValueError("empty chain")
-    c = expand(gains)
-    if lam0 not in c.lambda_index:
-        raise ValueError("unknown label")
-
-    def lifted_eid(u, lam):
-        kind, i = base.eid_index(u)
-        if kind == "line":
-            return c.point_eid(c.y_point(i, c.lambda_index[lam]))
-        return c.line_eid(c.z_line(i, c.lambda_index[lam]))
-
-    lam = lam0
-    out = [lifted_eid(chain[0], lam)]
-    for i in range(1, len(chain)):
-        lam = group.act(gains.step_gain(chain[i - 1], chain[i]), lam)
-        out.append(lifted_eid(chain[i], lam))
-    return out
-
-
 def detour_gains(gains, b, p):
     """Gain table of the three-step detours from line b to a point p off b.
 
@@ -247,28 +219,6 @@ class DetourKernel:
         ok = np.zeros((len(self.pairs),) + codes.shape[1:], dtype=bool)
         ok[self.sized] = distinct
         return ok
-
-
-def label_sweep(gains):
-    """The scalar criterion by labels: the reference gq_criterion and
-    bijective_pair_count are tested against.
-
-    Yields (b, p, lam) for each non-incident pair, line-major, whose
-    detour table fails to permute the labels, lam being the first label
-    it fails on.
-    """
-    base, group = gains.base, gains.group
-    lambdas = tuple(group.lambdas())
-    for b in range(base.n_lines):
-        for p in range(base.n_points):
-            if (p, b) in base.incidence_set:
-                continue
-            values = list(detour_gains(gains, b, p).values())
-            for lam in lambdas:
-                images = {group.act(v, lam) for v in values}
-                if not (len(images) == len(values) == len(lambdas)):
-                    yield b, p, lam
-                    break
 
 
 def gq_criterion(gains):

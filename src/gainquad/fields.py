@@ -1,13 +1,11 @@
-"""Arithmetic for small prime-power fields GF(p^n) and exact rationals.
+"""Arithmetic for small prime-power fields GF(p^n).
 
 Field elements of GF(p^n) are coefficient tuples of length n in the
 polynomial basis, lowest degree first, reduced mod p.  Tuples are value
 types with a total (lexicographic) order, which keeps every enumeration
-in the package byte-reproducible.  Rationals are ``fractions.Fraction``
-instances, always in lowest terms with positive denominator.
+in the package byte-reproducible.
 """
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
@@ -221,67 +219,6 @@ class GF:
 
     def render(self, a):
         return str(self.to_int(a))
-
-
-class Rationals:
-    """Exact rational arithmetic; the one infinite field we ship."""
-
-    finite = False
-    order = None
-    p = 0
-    n = 1
-
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
-    def __repr__(self):
-        return "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Q")
-
-    def element(self, x, den=None):
-        if den is not None:
-            return Fraction(x, den)
-        return Fraction(x)
-
-    def elements(self):
-        raise ValueError("the rationals cannot be enumerated")
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-
-    def encode(self, a):
-        return [a.numerator, a.denominator]
-
-    def decode(self, d):
-        """The rational whose JSON form is d: [numerator, denominator]."""
-        if (not isinstance(d, (list, tuple)) or len(d) != 2
-                or not all(is_int(x) for x in d) or d[1] == 0):
-            raise ValueError("a rational is [numerator, nonzero denominator] "
-                             f"in integers, not {d!r}")
-        return Fraction(d[0], d[1])
-
-    def render(self, a):
-        return str(a)
 
 
 def field_from_order(q):

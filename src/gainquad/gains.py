@@ -1,9 +1,8 @@
-"""Gain assignments on incidence graphs: walks, switching, gauge fixing.
+"""Gain assignments on incidence graphs: switching and gauge fixing.
 
 Edges of an incidence graph are oriented line -> point, and a gain graph
 stores exactly one group element per edge in that orientation; the gain
-of a reversed traversal is the group inverse, computed on demand.  Walk
-gains multiply right-to-left so that they compose with a left action.
+of a reversed traversal is the group inverse.
 """
 
 from collections import deque
@@ -32,40 +31,8 @@ class GainGraph:
         """Gain of the edge from line b to point p (indices, not eids)."""
         return self.gains[(b, p)]
 
-    def step_gain(self, u, v):
-        """Gain of traversing the edge from eid u to eid v, orientation-aware."""
-        ku, iu = self.base.eid_index(u)
-        kv, iv = self.base.eid_index(v)
-        if ku == "line" and kv == "point":
-            key = (iu, iv)
-            if key not in self.gains:
-                raise ValueError(f"no edge between eids {u} and {v}")
-            return self.gains[key]
-        if ku == "point" and kv == "line":
-            key = (iv, iu)
-            if key not in self.gains:
-                raise ValueError(f"no edge between eids {u} and {v}")
-            return self.group.inverse(self.gains[key])
-        raise ValueError(f"eids {u} and {v} are not adjacent element types")
-
     def __repr__(self):
         return f"GainGraph({self.base!r}, group={self.group!r})"
-
-
-def walk_gain(g, walk):
-    """Gain of a walk given as a sequence of eids.
-
-    The result is gain(e_k)^(d_k) ... gain(e_1)^(d_1), with d = +1 on
-    line -> point steps and -1 otherwise.  A single-vertex walk has the
-    identity gain.
-    """
-    if len(walk) == 0:
-        raise ValueError("malformed walk: empty sequence")
-    g.base.eid_index(walk[0])
-    total = g.group.identity()
-    for i in range(1, len(walk)):
-        total = g.group.compose(g.step_gain(walk[i - 1], walk[i]), total)
-    return total
 
 
 def switch(g, f):
@@ -128,32 +95,19 @@ def spanning_tree_edges(base):
     return sorted((b, p) for _, _, b, p in _tree_walk(base))
 
 
-def spanning_tree_gauge(g):
-    """Switch so that every spanning-tree edge carries the identity gain.
-
-    Returns (switched gain graph, switching function used).  The output
-    is switching-equivalent to the input by construction.  This is the
-    scalar reference for spanning_tree_gauge_codes.
-    """
-    base, group = g.base, g.group
-    f = {base.line_eid(0): group.identity()}
-    for u, v, b, p in _tree_walk(base):
-        # new gain f(p) phi f(b)^-1 = id  =>  f(p) = f(b) phi^-1, f(b) = f(p) phi
-        phi = g.gain(b, p)
-        f[v] = group.compose(f[u], group.inverse(phi) if v == p else phi)
-    return switch(g, f), f
-
-
 def spanning_tree_gauge_codes(base, group, edges, codes):
-    """spanning_tree_gauge of many assignments at once.  Row i of the
-    (edges, S) array codes holds the gain codes of edges[i] = (line,
-    point), one column per assignment; column j of the result is column
-    j gauge-fixed, code for code."""
+    """Switch many assignments at once so that every spanning-tree edge
+    carries the identity gain.  Row i of the (edges, S) array codes holds
+    the gain codes of edges[i] = (line, point), one column per
+    assignment; column j of the result is column j gauge-fixed, code for
+    code.  Two columns gauge to the same codes exactly when their
+    assignments are switching-equivalent."""
     edges = np.asarray(edges)
     row = {e: i for i, e in enumerate(map(tuple, edges.tolist()))}
     f = np.empty((base.n_elements, codes.shape[1]), dtype=codes.dtype)
     f[base.line_eid(0)] = group.code(group.identity())
     for u, v, b, p in _tree_walk(base):
+        # new gain f(p) phi f(b)^-1 = id  =>  f(p) = f(b) phi^-1, f(b) = f(p) phi
         phi = codes[row[b, p]]
         f[v] = group.compose_codes(f[u], group.inverse_codes(phi) if v == p else phi)
     fb = group.inverse_codes(f[base.n_points + edges[:, 0]])

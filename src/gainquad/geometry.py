@@ -1,4 +1,4 @@
-"""Incidence structures, chains, distances, and the structural verifiers.
+"""Incidence structures, the chain census, and the structural verifiers.
 
 A structure owns two disjoint index spaces: points 0..v-1 and lines
 0..b-1.  For graph-flavored operations every element also has a vertex
@@ -7,7 +7,6 @@ immutable after construction, so derived tables are cached freely and
 everything here is safe to share across threads.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -110,14 +109,6 @@ class IncidenceStructure:
     def line_eid(self, j):
         return self.n_points + j
 
-    def eid_index(self, e):
-        """(kind, index) for an eid, kind in {"point", "line"}."""
-        if not 0 <= e < self.n_elements:
-            raise ValueError(f"unknown element id {e}")
-        if e < self.n_points:
-            return "point", e
-        return "line", e - self.n_points
-
     @cached_property
     def adjacency(self):
         """adjacency[eid]: the tuple of neighbours(), ascending."""
@@ -210,61 +201,6 @@ def _cut(values, lengths):
     values = values.tolist()
     ends = np.cumsum(lengths).tolist()
     return tuple(tuple(values[a:b]) for a, b in zip([0] + ends[:-1], ends))
-
-
-# -- chains and distances --------------------------------------------------
-
-
-def is_chain(s, seq):
-    """True when consecutive entries are incident (so types alternate)."""
-    if len(seq) == 0:
-        return False
-    for e in seq:
-        s.eid_index(e)
-    adj = s.adjacency
-    return all(seq[i] in adj[seq[i - 1]] for i in range(1, len(seq)))
-
-
-def _layered_walk(s, u, v):
-    """(d(u, v), number of chains of that length), or (math.inf, 0) when
-    u and v are disconnected.
-
-    A breadth-first walk one layer at a time that sums into each newly
-    reached element the ways of its neighbours in the layer before.
-    Shortest chains never repeat an element, so the sum is exact.
-    """
-    s.eid_index(u)
-    s.eid_index(v)
-    adj = s.adjacency
-    seen = {u}
-    layer = {u: 1}
-    d = 0
-    while layer:
-        if v in layer:
-            return d, layer[v]
-        nxt = {}
-        for x, ways in layer.items():
-            for y in adj[x]:
-                if y not in seen:
-                    nxt[y] = nxt.get(y, 0) + ways
-        seen.update(nxt)
-        layer = nxt
-        d += 1
-    return math.inf, 0
-
-
-def distance(s, u, v):
-    """Length of a shortest chain from u to v; math.inf when disconnected."""
-    return _layered_walk(s, u, v)[0]
-
-
-def count_shortest_chains(s, u, v):
-    """Number of chains of length d(u,v) from u to v; ValueError when
-    u and v are disconnected."""
-    ways = _layered_walk(s, u, v)[1]
-    if not ways:
-        raise ValueError(f"elements {u} and {v} are disconnected")
-    return ways
 
 
 def chain_census(s, max_length):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import GF, Rationals
+from .fields import GF
 from .storage import is_int
 
 
@@ -191,8 +191,6 @@ class AdditiveGroup(GroupAction):
         return self.field.elements()
 
     def spec(self):
-        if isinstance(self.field, Rationals):
-            return {"kind": "Q"}
         return {"kind": "GFpn", "p": self.field.p, "n": self.field.n}
 
     def encode(self, g):
@@ -220,6 +218,4 @@ def group_from_spec(spec):
         return CyclicGroup(_spec_field(spec, "modulus"))
     if kind == "GFpn":
         return AdditiveGroup(GF(_spec_field(spec, "p"), _spec_field(spec, "n", 1)))
-    if kind == "Q":
-        return AdditiveGroup(Rationals())
     raise ValueError(f"unknown group kind {kind!r}")

@@ -143,7 +143,8 @@ def _read_checkpoint(path, digest, total, n_pairs, near_miss):
     """The saved state of this search, or None when path does not exist.
 
     Raises ValueError unless the file is a well-formed checkpoint written
-    by this same search: a near-miss scan's tally counts every failing
+    by this same search: each representative names an assignment_index
+    below next_index, a near-miss scan's tally counts every failing
     assignment before next_index in a bucket below n_pairs, and a fast
     scan's tally is empty.  Keys other than the ones read here (older
     checkpoints also hold "scanned" and "certificates") are ignored.
@@ -165,7 +166,9 @@ def _read_checkpoint(path, digest, total, n_pairs, near_miss):
             or not isinstance(reps, list)
             or len(reps) > state["gq_count"]
             or not all(isinstance(r, dict) and isinstance(r.get("certificate"), str)
-                       and isinstance(r.get("structure"), dict) for r in reps)
+                       and isinstance(r.get("structure"), dict)
+                       and is_int(r.get("assignment_index"))
+                       and 0 <= r["assignment_index"] < state["next_index"] for r in reps)
             or not isinstance(misses, dict)
             or not all(k.isascii() and k.isdigit() and int(k) < n_pairs
                        and is_int(v) and v >= 0 for k, v in misses.items())
@@ -234,6 +237,17 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
             report.representatives = state["representatives"]
             report.near_miss.update({int(k): v for k, v in state["near_miss"].items()})
     seen = {r["certificate"] for r in report.representatives}
+    # Gauge-fixed code columns of the survivors already canonicalised
+    # (unreduced mode): equal columns mean switching-equivalent gains,
+    # hence isomorphic expansions and the same certificate.  A resumed
+    # scan restores those of its representatives: with every edge free,
+    # the digits of an assignment index are its code column.
+    gauged = set()
+    if unreduced and report.representatives:
+        restored = np.array([_unrank(r["assignment_index"], radix, len(free))
+                             for r in report.representatives], dtype=kernel.dtype).T
+        keys = spanning_tree_gauge_codes(base, group, kernel.edges, restored).T
+        gauged.update(key.tobytes() for key in keys)
 
     def save_checkpoint():
         if checkpoint_path is not None:
@@ -243,11 +257,6 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
                 "representatives": report.representatives,
                 "near_miss": {str(k): v for k, v in report.near_miss.items()},
             }))
-
-    # Gauge-fixed code columns of the survivors already canonicalised
-    # (unreduced mode): equal columns mean switching-equivalent gains,
-    # hence isomorphic expansions and the same certificate.
-    gauged = set()
 
     def survivor(index, row):
         g = GainGraph(base, group, {e: elems[c] for e, c in zip(all_edges, row)})

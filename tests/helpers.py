@@ -1,17 +1,24 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own algorithms: chain
-counting enumerates sequences directly, isomorphism testing tries point
-permutations, orbits are walked one vertex at a time, and field
-arithmetic is redone with schoolbook polynomial division.
+counting enumerates sequences directly or walks one breadth-first layer
+at a time, isomorphism testing tries point permutations, orbits are
+walked one vertex at a time, field arithmetic is redone with schoolbook
+polynomial division, detour gains are walked one step at a time, and the
+quadrangle criterion is swept label by label.  Exact rationals carry the
+closed-form detour values over an infinite field.
 """
 
+import math
 import operator
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import numpy as np
 
-from gainquad.geometry import IncidenceStructure, count_shortest_chains, distance
+from gainquad.construction import detour_gains, expand
+from gainquad.gains import _tree_walk, switch
+from gainquad.geometry import IncidenceStructure
 
 
 def quadrilateral():
@@ -145,6 +152,67 @@ def reference_expansion(gains):
 # -- chain oracle -------------------------------------------------------------
 
 
+def eid_index(s, e):
+    """(kind, index) for an eid of s, kind in {"point", "line"}."""
+    if not 0 <= e < s.n_elements:
+        raise ValueError(f"unknown element id {e}")
+    if e < s.n_points:
+        return "point", e
+    return "line", e - s.n_points
+
+
+def is_chain(s, seq):
+    """True when consecutive entries are incident (so types alternate)."""
+    if len(seq) == 0:
+        return False
+    for e in seq:
+        eid_index(s, e)
+    adj = s.adjacency
+    return all(seq[i] in adj[seq[i - 1]] for i in range(1, len(seq)))
+
+
+def _layered_walk(s, u, v):
+    """(d(u, v), number of chains of that length), or (math.inf, 0) when
+    u and v are disconnected.
+
+    A breadth-first walk one layer at a time that sums into each newly
+    reached element the ways of its neighbours in the layer before.
+    Shortest chains never repeat an element, so the sum is exact.
+    """
+    eid_index(s, u)
+    eid_index(s, v)
+    adj = s.adjacency
+    seen = {u}
+    layer = {u: 1}
+    d = 0
+    while layer:
+        if v in layer:
+            return d, layer[v]
+        nxt = {}
+        for x, ways in layer.items():
+            for y in adj[x]:
+                if y not in seen:
+                    nxt[y] = nxt.get(y, 0) + ways
+        seen.update(nxt)
+        layer = nxt
+        d += 1
+    return math.inf, 0
+
+
+def distance(s, u, v):
+    """Length of a shortest chain from u to v; math.inf when disconnected."""
+    return _layered_walk(s, u, v)[0]
+
+
+def count_shortest_chains(s, u, v):
+    """Number of chains of length d(u,v) from u to v; ValueError when
+    u and v are disconnected."""
+    ways = _layered_walk(s, u, v)[1]
+    if not ways:
+        raise ValueError(f"elements {u} and {v} are disconnected")
+    return ways
+
+
 def assert_quadrangle_witness(s, witness):
     """Confirm a failing quadrangle witness with the breadth-first
     distance and chain count: a "distance" pair is more than 4 apart, and
@@ -189,6 +257,183 @@ def naive_shortest_count(s, u, v, max_k=12):
         if c:
             return k, c
     return None, 0
+
+
+# -- gain oracles ----------------------------------------------------------------
+
+
+def step_gain(g, u, v):
+    """Gain of traversing the edge from eid u to eid v of a gain graph:
+    the stored gain from line to point, its inverse from point to line."""
+    ku, iu = eid_index(g.base, u)
+    kv, iv = eid_index(g.base, v)
+    if ku == "line" and kv == "point":
+        key = (iu, iv)
+        if key not in g.gains:
+            raise ValueError(f"no edge between eids {u} and {v}")
+        return g.gains[key]
+    if ku == "point" and kv == "line":
+        key = (iv, iu)
+        if key not in g.gains:
+            raise ValueError(f"no edge between eids {u} and {v}")
+        return g.group.inverse(g.gains[key])
+    raise ValueError(f"eids {u} and {v} are not adjacent element types")
+
+
+def walk_gain(g, walk):
+    """Gain of a walk given as a sequence of eids.
+
+    The result is gain(e_k)^(d_k) ... gain(e_1)^(d_1), with d = +1 on
+    line -> point steps and -1 otherwise, so that walk gains compose
+    with a left action.  A single-vertex walk has the identity gain.
+    """
+    if len(walk) == 0:
+        raise ValueError("malformed walk: empty sequence")
+    eid_index(g.base, walk[0])
+    total = g.group.identity()
+    for i in range(1, len(walk)):
+        total = g.group.compose(step_gain(g, walk[i - 1], walk[i]), total)
+    return total
+
+
+def spanning_tree_gauge(g):
+    """Switch so that every spanning-tree edge carries the identity gain,
+    one tree edge at a time: the scalar reference for
+    spanning_tree_gauge_codes.
+
+    Returns (switched gain graph, switching function used).  The output
+    is switching-equivalent to the input by construction.
+    """
+    base, group = g.base, g.group
+    f = {base.line_eid(0): group.identity()}
+    for u, v, b, p in _tree_walk(base):
+        # new gain f(p) phi f(b)^-1 = id  =>  f(p) = f(b) phi^-1, f(b) = f(p) phi
+        phi = g.gain(b, p)
+        f[v] = group.compose(f[u], group.inverse(phi) if v == p else phi)
+    return switch(g, f), f
+
+
+def lift_chain(gains, chain, lam0):
+    """Lift a base chain to the expansion, starting at label lam0.
+
+    A base element u with running label lam becomes y[u,lam] when u is a
+    line and z[u,lam] when u is a point; the label is transported by the
+    step gains.  Returns the lifted chain as expansion eids.
+    """
+    base, group = gains.base, gains.group
+    if len(chain) == 0:
+        raise ValueError("empty chain")
+    c = expand(gains)
+    if lam0 not in c.lambda_index:
+        raise ValueError("unknown label")
+
+    def lifted_eid(u, lam):
+        kind, i = eid_index(base, u)
+        if kind == "line":
+            return c.point_eid(c.y_point(i, c.lambda_index[lam]))
+        return c.line_eid(c.z_line(i, c.lambda_index[lam]))
+
+    lam = lam0
+    out = [lifted_eid(chain[0], lam)]
+    for i in range(1, len(chain)):
+        lam = group.act(step_gain(gains, chain[i - 1], chain[i]), lam)
+        out.append(lifted_eid(chain[i], lam))
+    return out
+
+
+def label_sweep(gains):
+    """The scalar criterion by labels: the reference gq_criterion and
+    bijective_pair_count are tested against.
+
+    Yields (b, p, lam) for each non-incident pair, line-major, whose
+    detour table fails to permute the labels, lam being the first label
+    it fails on.
+    """
+    base, group = gains.base, gains.group
+    lambdas = tuple(group.lambdas())
+    for b in range(base.n_lines):
+        for p in range(base.n_points):
+            if (p, b) in base.incidence_set:
+                continue
+            values = list(detour_gains(gains, b, p).values())
+            for lam in lambdas:
+                images = {group.act(v, lam) for v in values}
+                if not (len(images) == len(values) == len(lambdas)):
+                    yield b, p, lam
+                    break
+
+
+# -- closed forms over any field -------------------------------------------------
+
+
+class Rationals:
+    """Exact rational arithmetic, the one infinite field the tests use;
+    elements are ``fractions.Fraction`` instances, always in lowest terms
+    with positive denominator."""
+
+    finite = False
+    order = None
+
+    def __init__(self):
+        self.zero = Fraction(0)
+        self.one = Fraction(1)
+
+    def __repr__(self):
+        return "Q"
+
+    def element(self, x, den=None):
+        if den is not None:
+            return Fraction(x, den)
+        return Fraction(x)
+
+    def elements(self):
+        raise ValueError("the rationals cannot be enumerated")
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return 1 / a
+
+
+def detour_formula(field, line_key, p, q):
+    """Closed form of the detour gain from a line to an off-line point p,
+    detouring through the on-line point q, under the shipped affine-plane
+    gains.
+
+    Vertical line x = b with p = (x, y) and q = (b, y1):
+        x*y1 - y*b - b*y1
+    Slanted line y = m x + b with p = (x, y) and q = (x1, y1):
+        x*y1 - x1*y + x1*b
+
+    Works over any field, including the rationals.
+    """
+    x, y = p
+    if line_key[0] == "v":
+        b = line_key[1]
+        if q[0] != b:
+            raise ValueError("q is not on the vertical line")
+        if x == b:
+            raise ValueError("p is on the line")
+        y1 = q[1]
+        return field.sub(field.sub(field.mul(x, y1), field.mul(y, b)),
+                         field.mul(b, y1))
+    _, m, b = line_key
+    x1, y1 = q
+    if y1 != field.add(field.mul(m, x1), b):
+        raise ValueError("q is not on the slanted line")
+    if y == field.add(field.mul(m, x), b):
+        raise ValueError("p is on the line")
+    return field.add(field.sub(field.mul(x, y1), field.mul(x1, y)),
+                     field.mul(x1, b))
 
 
 # -- isomorphism oracle --------------------------------------------------------

@@ -7,16 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from gainquad import (GF, CyclicGroup, GainGraph, Rationals, affine_gains,
-                      affine_plane, are_isomorphic, chain_census,
-                      count_shortest_chains, detour_formula, detour_gains,
-                      distance, dual, expand, field_from_order, gq_criterion,
-                      gq_parameters, identity_gains, is_generalized_ngon,
-                      is_ovoid, payne_derivation, run_search, switch,
-                      switching_isomorphism, symplectic_quadrangle,
-                      verify_isomorphism, walk_gain)
-from helpers import (brute_force_isomorphic, grid_quadrangle, naive_shortest_count,
-                     quadrilateral, random_structure, relabeled, tiny_base)
+from gainquad import (GF, CyclicGroup, GainGraph, affine_gains, affine_plane,
+                      are_isomorphic, chain_census, detour_gains, dual, expand,
+                      field_from_order, gq_criterion, gq_parameters, identity_gains,
+                      is_generalized_ngon, is_ovoid, payne_derivation, run_search,
+                      switch, switching_isomorphism, symplectic_quadrangle,
+                      verify_isomorphism)
+from helpers import (Rationals, brute_force_isomorphic, count_shortest_chains,
+                     detour_formula, distance, grid_quadrangle, naive_shortest_count,
+                     quadrilateral, random_structure, relabeled, tiny_base, walk_gain)
 
 FAMILY_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 

@@ -9,13 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gainquad import (GF, Rationals, affine_gains, affine_plane, are_isomorphic,
-                      detour_formula, dual, field_from_order, gq_parameters,
-                      is_generalized_ngon, is_linear_space, payne_derivation,
-                      quadrangle_order, steiner_parameters,
-                      structure_to_json, symplectic_quadrangle, walk_gain)
+from gainquad import (GF, affine_gains, affine_plane, are_isomorphic, dual,
+                      field_from_order, gq_parameters, is_generalized_ngon,
+                      is_linear_space, payne_derivation, quadrangle_order,
+                      steiner_parameters, structure_to_json, symplectic_quadrangle)
 from gainquad.catalog import _form
-from helpers import naive_payne, naive_symplectic
+from helpers import Rationals, detour_formula, naive_payne, naive_symplectic, walk_gain
 
 
 def test_plane_counts():

@@ -538,6 +538,9 @@ _BAD_INPUT = {
         ["search", "--base", "ag2:2", "--group", "z:2", "--checkpoint", "ck.json"]),
     "group-without-modulus": ({}, ["search", "--base", "ag2:2", "--group", "z"]),
     "group-zn-alias": ({}, ["search", "--base", "ag2:2", "--group", "zn:3"]),
+    "group-rationals": ({}, ["search", "--base", "ag2:2", "--group", "q"]),
+    "group-rationals-emit-gains": ({}, ["build", "ag2", "2", "--identity-gains",
+                                        "--group", "q", "--emit-gains", "g.json"]),
     "ag2-not-a-prime-power": ({}, ["verify", "ag2:6", "--as", "linear-space"]),
     "ag2-not-a-prime-power-build": ({}, ["build", "ag2", "6", "--with-gains"]),
     "ag2-three-arguments": ({}, ["verify", "ag2:2:2:2", "--as", "linear-space"]),
@@ -566,6 +569,24 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, files, a
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["search", "--base", "ag2:2", "--group", "q"], "spec"),
+    (["build", "ag2", "2", "--identity-gains", "--group", "q", "--emit-gains", "g.json"],
+     "spec"),
+    (["build", "ag2", "2", "--gains", "g.json"], "kind"),
+])
+def test_rational_group_is_refused_before_any_file_is_written(tmp_path, monkeypatch,
+                                                               capsys, argv, kind):
+    monkeypatch.chdir(tmp_path)
+    if "--gains" in argv:
+        (tmp_path / "g.json").write_text(json.dumps(_ag22_gains({"kind": "Q"}, [1, 2])))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(*argv) == 2
+    expected = {"spec": "error: unknown group spec 'q'", "kind": "error: unknown group kind 'Q'"}
+    assert capsys.readouterr().err.startswith(expected[kind])
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_unknown_file_is_usage_error():

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, IncidenceStructure,
-                      affine_gains, affine_plane, bijective_pair_count,
-                      count_shortest_chains, detour_formula, detour_gains, distance,
+                      affine_gains, affine_plane, bijective_pair_count, detour_gains,
                       expand, field_from_order, gq_criterion, gq_parameters,
-                      identity_gains, is_chain, is_generalized_ngon, label_sweep,
-                      lift_chain, run_search, switch, switching_isomorphism,
-                      verify_isomorphism, walk_gain)
+                      identity_gains, is_generalized_ngon, run_search, switch,
+                      switching_isomorphism, verify_isomorphism)
 from gainquad.construction import DetourKernel
-from helpers import reference_expansion, tiny_base
+from helpers import (Rationals, count_shortest_chains, detour_formula, distance,
+                     eid_index, is_chain, label_sweep, lift_chain, reference_expansion,
+                     tiny_base, walk_gain)
 
 
 def test_tiny_expansion_cardinalities():
@@ -86,7 +86,6 @@ def test_expansion_acts_once_per_distinct_gain_and_label(plane2, monkeypatch):
 
 
 def test_expansion_requires_finite_labels(plane2):
-    from gainquad import Rationals
     g = identity_gains(plane2.structure, AdditiveGroup(Rationals()))
     with pytest.raises(ValueError):
         expand(g)
@@ -160,7 +159,7 @@ def test_lifted_chains_are_chains(plane3):
         # projecting back (dropping labels) recovers the base chain
         projected = []
         for e in lifted:
-            kind, i = c.eid_index(e)
+            kind, i = eid_index(c, e)
             if kind == "point":
                 tag = c.point_tags[i]
                 projected.append(s.line_eid(tag[1]))
@@ -169,7 +168,7 @@ def test_lifted_chains_are_chains(plane3):
                 projected.append(s.point_eid(tag[1]))
         assert projected == chain
         # the final label is the walk gain applied to the initial one
-        kind, i = c.eid_index(lifted[-1])
+        kind, i = eid_index(c, lifted[-1])
         tag = c.point_tags[i] if kind == "point" else c.line_tags[i]
         assert c.lambdas[tag[2]] == g.group.act(walk_gain(g, chain), lam0)
 

@@ -6,9 +6,9 @@ from itertools import product
 
 import pytest
 
-from gainquad import GF, Rationals, field_from_order
+from gainquad import GF, field_from_order
 from gainquad.fields import _FIXED_MODULI, _is_irreducible
-from helpers import all_elements, brute_force_inverse, oracle_add, oracle_mul
+from helpers import Rationals, all_elements, brute_force_inverse, oracle_add, oracle_mul
 
 SHIPPED_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -20,11 +20,6 @@ def test_decode_is_strict_and_element_lenient():
         with pytest.raises(ValueError):
             F.decode(bad)
     assert F.element(7) == (1, 2) and F.element([4, 0]) == (1, 0)
-    Q = Rationals()
-    assert Q.decode([2, -4]) == Fraction(-1, 2)
-    for bad in ([1, 0], [1], [1, 2, 3], [0.5, 1], 3):
-        with pytest.raises(ValueError):
-            Q.decode(bad)
 
 
 def test_gf2_addition_wraps():

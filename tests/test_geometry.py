@@ -9,14 +9,14 @@ import pytest
 
 import gainquad.geometry as geometry
 from gainquad import (GF, CyclicGroup, GainGraph, IncidenceStructure, affine_gains,
-                      affine_plane, count_shortest_chains, distance, dual,
-                      expand, field_from_order, identity_gains, is_chain,
+                      affine_plane, dual, expand, field_from_order, identity_gains,
                       is_generalized_ngon, is_linear_space, is_ovoid, payne_derivation,
                       steiner_parameters, structure_from_json, structure_to_json,
                       symplectic_quadrangle)
-from helpers import (assert_quadrangle_witness, enumerate_chains, grid_quadrangle,
-                     naive_incidence, naive_linear_space, naive_shortest_count,
-                     quadrilateral, random_structure, tiny_base)
+from helpers import (assert_quadrangle_witness, count_shortest_chains, distance,
+                     enumerate_chains, grid_quadrangle, is_chain, naive_incidence,
+                     naive_linear_space, naive_shortest_count, quadrilateral,
+                     random_structure, tiny_base)
 
 
 def test_construction_validation():

@@ -11,11 +11,11 @@ import gainquad.search as search_module
 import gainquad.storage as storage_module
 from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, affine_gains,
                       affine_plane, canonical_form, detour_gains, expand,
-                      gq_criterion, label_sweep, run_search, spanning_tree_edges,
-                      switch)
+                      gq_criterion, run_search, spanning_tree_edges, switch)
 from gainquad.construction import DetourKernel
 from gainquad.search import BATCH_VALUES, _config_digest, _unrank, _unrank_batch
-from helpers import tiny_base
+from gainquad.storage import json_text
+from helpers import label_sweep, tiny_base
 
 
 def test_gauge_fixed_scan_size(plane2):
@@ -156,6 +156,13 @@ MALFORMED = [
     ({"near_miss": {"1": 5, "2": -1}}, True), ({"near_miss": {"12": 4}}, True),
     ({"near_miss": {"1": 3}}, True), ({"near_miss": {"1": 4}}, False),
     ({"near_miss": {"\u00b2": 4}}, True)]
+# one representative of 4 scanned assignments, 3 of them failing
+_REP = {"certificate": "abc", "structure": {}}
+MALFORMED += [
+    ({"gq_count": 1, "near_miss": {"1": 3}, "representatives": [rep]}, True)
+    for rep in (_REP, {**_REP, "assignment_index": 4}, {**_REP, "assignment_index": -1},
+                {**_REP, "assignment_index": 2.0}, {**_REP, "assignment_index": "2"},
+                {**_REP, "assignment_index": True})]
 
 
 @pytest.mark.parametrize("change, near_miss", MALFORMED,
@@ -407,6 +414,28 @@ def test_unreduced_canonicalises_once_per_switching_class(plane2, monkeypatch):
     # the survivors are gauge-fixed as code columns; only the new class
     # becomes a gain graph
     assert len(graphs) == 1
+
+
+def test_resumed_unreduced_scan_restores_its_gauged_classes(tmp_path, plane2, monkeypatch):
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 1000)
+    base, group = plane2.structure, CyclicGroup(2)
+    calls = []
+    real = search_module.canonical_form
+
+    def counting(s, *args, **kwargs):
+        calls.append(s)
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(search_module, "canonical_form", counting)
+    oneshot = run_search(base, group, unreduced=True)
+    oneshot_calls = len(calls)
+    calls.clear()
+    ck = tmp_path / "scan.ck"
+    first = run_search(base, group, unreduced=True, budget=1500, checkpoint_path=str(ck))
+    assert first.partial and first.representatives
+    resumed = run_search(base, group, unreduced=True, checkpoint_path=str(ck))
+    assert len(calls) == oneshot_calls == 1
+    assert json_text(resumed.to_json()) == json_text(oneshot.to_json())
 
 
 # The full gauge-fixed AG(2,3)/Z3 space and its one class of quadrangles.
