@@ -13,8 +13,10 @@ b I p and mu = gain(bp) . lam.
 When the base is a linear space, the expansion is a generalized
 quadrangle if and only if every detour-gain table (see detour_gains) is
 a bijection; that criterion is implemented by gq_criterion, which
-evaluates every table at once through DetourKernel.  detour_gains is its
-scalar reference, and the generic n-gon verifier an independent oracle.
+evaluates every table through DetourKernel: one table of point-pair
+factors, then one gather and one composition per detour entry, in
+blocks of lines.  detour_gains is its scalar reference, and the generic
+n-gon verifier an independent oracle.
 """
 
 import numpy as np
@@ -144,6 +146,11 @@ def detour_gains(gains, b, p):
     return table
 
 
+# A block of lines holds at most this many detour entries (k per pair), so
+# its tables and numpy's intp index temporaries stay near 2 MB each.
+BLOCK_ENTRIES = 1 << 18
+
+
 class DetourKernel:
     """Every detour table of a linear space at once, for arrays of gains.
 
@@ -151,14 +158,19 @@ class DetourKernel:
     assignments is an edge-major (edges, B) array of group codes (see
     GroupAction.code), one column per assignment, so that every gather
     copies whole contiguous rows of B codes instead of single bytes.
-    Non-incident pairs (b, p) are numbered line-major, then by point.
-    ``sized`` lists the pairs whose line has |group| points; bq, b2q and
-    b2p have one column per sized pair and one row per point q on its
-    line b, and hold the edge ids of (b, q), (b', q) and (b', p), with b'
-    the line through p and q.  A pair on a line of any other size is
-    never bijective.  The base must be a linear space, and the group
-    must act regularly, so that a table permutes the labels exactly when
-    it is a bijection onto the group; ValueError otherwise.
+    Non-incident pairs (b, p) are numbered line-major, then by point;
+    ``sized`` lists those on a line of |group| points, and no other pair
+    is ever bijective.  The factor gain(b'p) gain(b'q)^-1 of a detour
+    depends only on the point pair (p, q), b' being the line through p
+    and q.  So each call composes one table D of them, flat at q*v + p
+    so that a block's gathers run along p, from the edges b2p = (b', p)
+    and b2q = (b', q); the detour of (b, p) through the i-th point q_i of
+    b is then D[p, q_i] gain(b q_i).  Lines go in blocks of at most
+    BLOCK_ENTRIES detour entries, with int32 index tables built per
+    block, so memory stays bounded as the base grows.  The base must be
+    a linear space, and the group must act regularly, so that a table
+    permutes the labels exactly when it is a bijection onto the group;
+    ValueError otherwise.
     """
 
     def __init__(self, base, group):
@@ -168,35 +180,47 @@ class DetourKernel:
         if not (group.finite and group.regular):
             raise ValueError(f"detour tables need a finite group acting regularly, "
                              f"not {group!r}")
-        eid = base.edge_ids
-        line = base.line_table()
-        incident = eid >= 0
-        k = group.order
+        self.eid = eid = base.edge_ids
+        k, v = group.order, base.n_points
         self.group = group
         self.dtype = code_dtype(k)
+        incident = eid >= 0
         self.edges = np.argwhere(incident)
         self.pairs = np.argwhere(~incident)
         sizes = incident.sum(axis=1)
         self.sized = np.flatnonzero(sizes[self.pairs[:, 0]] == k)
-        full = np.flatnonzero(sizes == k)
-        points = np.nonzero(incident[full])[1].reshape(len(full), k)
-        row = np.zeros(base.n_lines, dtype=np.intp)
-        row[full] = np.arange(len(full))
-        # Flat takes: two-dimensional fancy indexing is several times slower.
-        v = base.n_points
-        b = self.pairs[self.sized, 0]
-        p = self.pairs[self.sized, 1]
-        q = points[row[b]].T
-        b2 = np.take(line, p * v + q)
-        self.bq = np.take(eid, b * v + q)
-        self.b2q = np.take(eid, b2 * v + q)
-        self.b2p = np.take(eid, b2 * v + p)
+        self.full = np.flatnonzero(sizes == k)
+        self.block_lines = max(1, BLOCK_ENTRIES // max(1, k * (v - k)))
+        self._kept = (None,)
+        # The diagonal, which no detour reads, is set to edge 0.
+        b2 = np.maximum(base.line_table(), 0) * v
+        points = np.arange(v, dtype=np.int32)
+        self.b2p = np.take(eid, b2 + points).ravel()
+        self.b2q = np.take(eid, b2 + points[:, None]).ravel()
+        self.b2p[::v + 1] = self.b2q[::v + 1] = 0
 
     def codes(self, gains):
         """The codes of one gain graph on this kernel's base, one per edge."""
         code = self.group.code
         return np.array([code(gains.gains[e]) for e in map(tuple, self.edges.tolist())],
                         dtype=self.dtype)
+
+    def _entries(self, x, y, combine):
+        """Per block of lines, its pairs and the (k, lines, v - k, ...)
+        entries combine(D[p, q_i], x[b q_i]) of their tables, with
+        D = combine(x[b2p], y[b2q]).  The last block's index tables are
+        kept, so a kernel whose lines fit in one block builds them once."""
+        k, v = self.group.order, self.eid.shape[1]
+        d = combine(np.take(x, self.b2p, axis=0), np.take(y, self.b2q, axis=0))
+        for start in range(0, len(self.full), self.block_lines):
+            if self._kept[0] != start:
+                rows = self.eid[self.full[start:start + self.block_lines]]
+                on = np.nonzero(rows >= 0)[1].astype(np.int32).reshape(-1, k)
+                off = np.nonzero(rows < 0)[1].astype(np.int32).reshape(-1, v - k)
+                self._kept = (start, self.sized[start * (v - k):][:off.size],
+                              on.T[:, :, None] * v + off, rows[rows >= 0].reshape(-1, k).T)
+            _, pairs, at, edges = self._kept
+            yield pairs, combine(np.take(d, at, axis=0), np.take(x, edges, axis=0)[:, :, None])
 
     def bijective(self, codes):
         """Whether each pair's detour table is a bijection onto the group.
@@ -205,20 +229,25 @@ class DetourKernel:
         (pairs, ...).
         """
         group = self.group
-        inverse = group.inverse_codes(codes)
-        # (k, sized pairs, ...): entry i of every table is one contiguous row.
-        values = group.compose_codes(
-            np.take(codes, self.b2p, axis=0),
-            group.compose_codes(np.take(inverse, self.b2q, axis=0),
-                                np.take(codes, self.bq, axis=0)))
-        # k values in a group of order k are a bijection iff they differ
-        # pairwise: each entry against every later one.
-        distinct = np.ones(values.shape[1:], dtype=bool)
-        for i in range(len(values) - 1):
-            distinct &= (values[i + 1:] != values[i]).all(axis=0)
         ok = np.zeros((len(self.pairs),) + codes.shape[1:], dtype=bool)
-        ok[self.sized] = distinct
+        for pairs, values in self._entries(codes, group.inverse_codes(codes),
+                                           group.compose_codes):
+            # k values in a group of order k are a bijection iff they
+            # differ pairwise: each entry against every later one.
+            distinct = np.ones(values.shape[1:], dtype=bool)
+            for i in range(len(values) - 1):
+                distinct &= (values[i + 1:] != values[i]).all(axis=0)
+            ok[pairs] = distinct.reshape((-1,) + codes.shape[1:])
         return ok
+
+    def depth(self, position):
+        """Each pair's largest position among the 3k edges its detour
+        table reads, given one position per edge; 0 for a pair on a line
+        of another size."""
+        out = np.zeros(len(self.pairs), dtype=position.dtype)
+        for pairs, reads in self._entries(position, position, np.maximum):
+            out[pairs] = reads.max(axis=0).ravel()
+        return out
 
 
 def gq_criterion(gains):

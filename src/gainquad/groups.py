@@ -31,29 +31,15 @@ def code_dtype(order):
 class GroupAction:
     """A group G together with a left action on a set of labels.
 
-    Subclasses provide identity/compose/inverse, act, and enumeration of
-    both the group and the label set.
+    Subclasses provide identity, compose, inverse and act; elements() and
+    lambdas(), the group and the label set in their canonical total
+    order; spec(), a JSON-able description of the group; and encode and
+    decode for single elements.
     """
 
     regular = False
     finite = False
     order = None
-
-    def identity(self):
-        raise NotImplementedError
-
-    def compose(self, g, h):
-        raise NotImplementedError
-
-    def inverse(self, g):
-        raise NotImplementedError
-
-    def act(self, g, lam):
-        raise NotImplementedError
-
-    def elements(self):
-        """Group elements in their canonical total order."""
-        raise NotImplementedError
 
     @cached_property
     def _code_tables(self):
@@ -82,20 +68,6 @@ class GroupAction:
     def inverse_codes(self, a):
         """inverse on an array of codes, elementwise."""
         return np.take(self._code_tables[2], a)
-
-    def lambdas(self):
-        """Label-set elements in their canonical total order."""
-        raise NotImplementedError
-
-    def spec(self):
-        """JSON-able description of the group."""
-        raise NotImplementedError
-
-    def encode(self, g):
-        raise NotImplementedError
-
-    def decode(self, d):
-        raise NotImplementedError
 
     def render(self, g):
         return str(g)

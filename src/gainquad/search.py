@@ -216,9 +216,7 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     # reads, 0 for a pair on a line of another size (never bijective).
     position = np.zeros(len(all_edges), dtype=np.intp)
     position[free_rows] = np.arange(1, len(free) + 1)
-    depth = np.zeros(n_pairs, dtype=np.intp)
-    depth[kernel.sized] = np.take(
-        position, np.concatenate((kernel.bq, kernel.b2q, kernel.b2p))).max(axis=0)
+    depth = kernel.depth(position)
     counts = ScanStats()
     if stats is not None:
         stats.append(counts)

@@ -363,6 +363,28 @@ def label_sweep(gains):
                     break
 
 
+def pair_depths(base, order, free_edges):
+    """Each non-incident pair's depth, line-major, from its definition:
+    the largest position (counted from 1) in free_edges among the 3k
+    edges (b, q), (b', q) and (b', p) its detour table reads, b' the line
+    through p and q, where an edge that is not free counts 0; and 0 for a
+    pair on a line of other than order points."""
+    position = {tuple(e): i + 1 for i, e in enumerate(free_edges)}
+    out = []
+    for b in range(base.n_lines):
+        line = base.points_of_line[b]
+        for p in range(base.n_points):
+            if (p, b) in base.incidence_set:
+                continue
+            reads = [0]
+            if len(line) == order:
+                for q in line:
+                    b2 = base.common_line(p, q)
+                    reads += [position.get(e, 0) for e in ((b, q), (b2, q), (b2, p))]
+            out.append(max(reads))
+    return out
+
+
 # -- closed forms over any field -------------------------------------------------
 
 

@@ -4,6 +4,7 @@ quadrangle criterion."""
 import itertools
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, IncidenceStruct
                       expand, field_from_order, gq_criterion, gq_parameters,
                       identity_gains, is_generalized_ngon, run_search, switch,
                       switching_isomorphism, verify_isomorphism)
+import gainquad.construction as construction
 from gainquad.construction import DetourKernel
 from helpers import (Rationals, count_shortest_chains, detour_formula, distance,
                      eid_index, is_chain, label_sweep, lift_chain, reference_expansion,
@@ -381,6 +383,87 @@ def test_kernel_matches_scalar_oracle():
                 passing += 1
             assert bijective_pair_count(g) == (len(oracle) - len(bad), len(oracle))
     assert passing >= 6 and failing >= 100
+
+
+def _shipped_family(q, rng):
+    """Shipped, switched and one-edge-perturbed shipped gains over GF(q)."""
+    good = affine_gains(affine_plane(field_from_order(q)))
+    els = good.group.elements()
+    bent = dict(good.gains)
+    edge = rng.choice(sorted(bent))
+    bent[edge] = good.group.compose(bent[edge], els[1])
+    return [good,
+            switch(good, {e: rng.choice(els) for e in range(good.base.n_elements)}),
+            GainGraph(good.base, good.group, bent)]
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 11])
+def test_kernel_matches_scalar_oracle_at_large_k(q):
+    # lines of q points, against detour_gains pair by pair, one graph at a
+    # time and as the columns of one batch
+    cases = _shipped_family(q, random.Random(q))
+    kernel = DetourKernel(cases[0].base, cases[0].group)
+    pairs = list(map(tuple, kernel.pairs.tolist()))
+    batch = kernel.bijective(np.stack([kernel.codes(g) for g in cases], axis=-1))
+    for g, column, passes in zip(cases, batch.T.tolist(), (True, True, False)):
+        oracle = _oracle_pairs(g)
+        assert list(zip(pairs, column)) == oracle
+        assert kernel.bijective(kernel.codes(g)).tolist() == column
+        bad = [bp for bp, ok in oracle if not ok]
+        assert bool(bad) != passes
+        assert gq_criterion(g) == ((True, None) if passes else (False, bad[0]))
+        assert bijective_pair_count(g) == (len(oracle) - len(bad), len(oracle))
+
+
+def test_line_blocks_agree_with_one_block(monkeypatch):
+    # AG(2,5) has 30 lines of 100 entries: blocks of 1, 2 and 7 lines, the
+    # last one partial; the near-pencil over Z2 has three lines of 4
+    # entries and one short line
+    rng = random.Random(5)
+    pencil = _near_pencil()
+    cases = [(_shipped_family(5, rng), (100, 250, 700)),
+             ([GainGraph(pencil, CyclicGroup(2), {(b, p): rng.choice((0, 1))
+                                                 for p, b in pencil.incidence})
+               for _ in range(4)], (4, 8))]
+    for graphs, sizes in cases:
+        whole = DetourKernel(graphs[0].base, graphs[0].group)
+        batch = np.stack([whole.codes(g) for g in graphs], axis=-1)
+        expect = whole.bijective(batch)
+        assert expect.any() and not expect.all()
+        position = np.arange(len(whole.edges)) % 17
+        for entries in sizes:
+            with monkeypatch.context() as m:
+                m.setattr(construction, "BLOCK_ENTRIES", entries)
+                split = DetourKernel(graphs[0].base, graphs[0].group)
+            assert split.block_lines < len(split.full) <= whole.block_lines
+            for _ in range(2):  # the second time, the last block is kept
+                assert np.array_equal(split.bijective(batch), expect)
+                for g, column in zip(graphs, expect.T):
+                    assert np.array_equal(split.bijective(split.codes(g)), column)
+            assert np.array_equal(split.depth(position), whole.depth(position))
+
+
+def test_criterion_peak_memory_at_q16():
+    # 35.5 MB with a (k, pairs) table per edge of a detour; about 7 MB
+    # in line blocks
+    g = affine_gains(affine_plane(field_from_order(16)))
+    tracemalloc.start()
+    try:
+        assert gq_criterion(g).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+
+
+@pytest.mark.extended
+def test_criterion_passes_for_every_prime_power_to_49():
+    # about 20 s in all; q = 49 has 120,050 edges and 5.9 million pairs
+    for q in (17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49):
+        assert gq_criterion(affine_gains(affine_plane(field_from_order(q)))).ok, q
+    bent = _shipped_family(17, random.Random(17))[2]
+    b, p, _ = next(label_sweep(bent))
+    assert gq_criterion(bent) == (False, (b, p))
 
 
 def test_kernel_rejects_non_linear_space():

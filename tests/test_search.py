@@ -10,12 +10,12 @@ import pytest
 import gainquad.search as search_module
 import gainquad.storage as storage_module
 from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, affine_gains,
-                      affine_plane, canonical_form, detour_gains, expand,
+                      affine_plane, canonical_form, detour_gains, expand, field_from_order,
                       gq_criterion, run_search, spanning_tree_edges, switch)
 from gainquad.construction import DetourKernel
 from gainquad.search import BATCH_VALUES, _config_digest, _unrank, _unrank_batch
 from gainquad.storage import json_text
-from helpers import label_sweep, tiny_base
+from helpers import label_sweep, pair_depths, relabeled, tiny_base
 
 
 def test_gauge_fixed_scan_size(plane2):
@@ -511,6 +511,28 @@ def test_fast_resume_near_the_end_of_a_space_beyond_int64(tmp_path):
     assert fast.scanned == total and not fast.partial
     assert _survivors(fast) == _survivors(slow)
     assert stats.rows < 300
+
+
+def test_pair_depths_match_their_definition(monkeypatch):
+    # the depths run_search computes, on relabelled planes whose spanning
+    # trees differ from the plain ones; over Z2 every line of AG(2,3) has
+    # another size and every depth is 0
+    depths = []
+    real = DetourKernel.depth
+
+    def recording(self, position):
+        depths.append(real(self, position))
+        return depths[-1]
+
+    monkeypatch.setattr(DetourKernel, "depth", recording)
+    rng = random.Random(31)
+    for q, group in ((3, CyclicGroup(3)), (4, AdditiveGroup(GF(2, 2))), (3, CyclicGroup(2))):
+        base = relabeled(affine_plane(field_from_order(q)).structure, rng)[0]
+        for unreduced in (False, True):
+            report = run_search(base, group, budget=1, unreduced=unreduced, near_miss=False)
+            expect = pair_depths(base, group.order, report.free_edges)
+            assert depths.pop().tolist() == expect
+            assert (max(expect) > 0) == (group.order == q)
 
 
 def test_fast_scan_on_lines_of_another_size_skips_everything(plane3):
