@@ -116,13 +116,17 @@ def _note(args, message):
         print(message, file=sys.stderr)
 
 
-def _isomorphism(args, s1, s2):
-    """are_isomorphic under the --timeout budget.  With -v, one stderr
-    line of counters and wall seconds per search it ran, also when the
-    budget ends it."""
+def _isomorphism(args, s1, s2, seeds=None):
+    """are_isomorphic under the --timeout budget, the first search seeded
+    with the automorphisms of seeds, a pair (automorphisms of s1, seconds
+    taken to build them), when given.  With -v, one stderr line of
+    counters and wall seconds per search it ran, also when the budget
+    ends it, and with seeds one line of their count and seconds."""
     stats = []
+    automorphisms, built = seeds or ((), 0.0)
     try:
-        return are_isomorphic(s1, s2, deadline=_deadline(args.timeout), stats=stats)
+        return are_isomorphic(s1, s2, deadline=_deadline(args.timeout), stats=stats,
+                              automorphisms=automorphisms)
     finally:
         for which, st in zip(("first", "second"), stats):
             _note(args, f"search on the {which} structure: {st.nodes} nodes, "
@@ -130,6 +134,10 @@ def _isomorphism(args, s1, s2):
                         f"{st.refinement_rounds} refinement rounds, "
                         f"{st.orbit_prunes} orbit prunes, {st.backjumps} backjumps, "
                         f"depth {st.max_depth}, {st.seconds:.3f} s")
+        if seeds is not None and stats:
+            _note(args, f"seeds: {stats[0].seeds} lifted automorphisms of the first "
+                        f"structure, built in {built:.3f} s, checked in "
+                        f"{stats[0].seed_seconds:.3f} s")
 
 
 # -- subcommands --------------------------------------------------------------
@@ -260,10 +268,13 @@ def cmd_payne_check(args):
     _note(args, f"built the affine expansion: {left.n_points}/{left.n_lines}, "
                 f"{time.perf_counter() - start:.3f} s")
     start = time.perf_counter()
+    lifts = catalog.affine_expansion_automorphisms(plane)
+    seeds = lifts, time.perf_counter() - start
+    start = time.perf_counter()
     right = catalog.dual(catalog.payne_derivation(catalog.symplectic_quadrangle(q)))
     _note(args, f"built the dual derivation: {right.n_points}/{right.n_lines}, "
                 f"{time.perf_counter() - start:.3f} s")
-    iso = _isomorphism(args, left, right)
+    iso = _isomorphism(args, left, right, seeds)
     doc = {"q": q, "config": _config(args, "payne-check"),
            "left": {"points": left.n_points, "lines": left.n_lines},
            "right": {"points": right.n_points, "lines": right.n_lines}}
@@ -398,6 +409,14 @@ def cmd_selftest(args):
                          np.argsort(perm_lns)[c.pairs[:, 1]]]))
     check("canonical form survives relabeling",
           canonical_form(c) == canonical_form(shuffled))
+
+    plane3 = catalog.affine_plane(GF(3))
+    c = expand(catalog.affine_gains(plane3))
+    plain = canonical_form(c)
+    seeded = canonical_form(c, automorphisms=catalog.affine_expansion_automorphisms(plane3))
+    check("seeded canonical form equals unseeded",
+          seeded == plain and (seeded.point_order, seeded.line_order)
+          == (plain.point_order, plain.line_order))
 
     report = run_search(plane.structure, CyclicGroup(2))
     check("gauge-fixed scan of the smallest plane finds quadrangles",

@@ -186,10 +186,21 @@ class DetourKernel:
         self.dtype = code_dtype(k)
         incident = eid >= 0
         self.edges = np.argwhere(incident)
-        self.pairs = np.argwhere(~incident)
         sizes = incident.sum(axis=1)
-        self.sized = np.flatnonzero(sizes[self.pairs[:, 0]] == k)
+        # pairs and sized are int32 and built a block of lines at a time,
+        # without an intp table of all pairs: at q = 49 those hold 5.8M
+        # pairs each.
+        self.pairs = np.empty((incident.size - len(self.edges), 2), dtype=np.int32)
+        step, at = max(1, BLOCK_ENTRIES // v), 0
+        for start in range(0, len(eid), step):
+            block = np.argwhere(~incident[start:start + step])
+            self.pairs[at:at + len(block)] = block
+            self.pairs[at:at + len(block), 0] += start
+            at += len(block)
+        first = np.cumsum(v - sizes) - (v - sizes)  # each line's first pair
         self.full = np.flatnonzero(sizes == k)
+        self.sized = (first[self.full, None].astype(np.int32)
+                      + np.arange(v - k, dtype=np.int32)).ravel()
         self.block_lines = max(1, BLOCK_ENTRIES // max(1, k * (v - k)))
         self._kept = (None,)
         # The diagonal, which no detour reads, is set to edge 0.

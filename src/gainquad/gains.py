@@ -95,23 +95,38 @@ def spanning_tree_edges(base):
     return sorted((b, p) for _, _, b, p in _tree_walk(base))
 
 
-def spanning_tree_gauge_codes(base, group, edges, codes):
-    """Switch many assignments at once so that every spanning-tree edge
-    carries the identity gain.  Row i of the (edges, S) array codes holds
-    the gain codes of edges[i] = (line, point), one column per
-    assignment; column j of the result is column j gauge-fixed, code for
-    code.  Two columns gauge to the same codes exactly when their
-    assignments are switching-equivalent."""
-    edges = np.asarray(edges)
-    row = {e: i for i, e in enumerate(map(tuple, edges.tolist()))}
+def spanning_tree_potential(base, group, edges, codes):
+    """The switching functions that gauge-fix many assignments at once:
+    an (eids, S) code array whose column j, switching column j of codes
+    (see switch_codes), puts the identity gain on every spanning-tree
+    edge.  Row i of the (edges, S) array codes holds the gain codes of
+    edges[i] = (line, point), one column per assignment."""
+    row = {e: i for i, e in enumerate(map(tuple, np.asarray(edges).tolist()))}
     f = np.empty((base.n_elements, codes.shape[1]), dtype=codes.dtype)
     f[base.line_eid(0)] = group.code(group.identity())
     for u, v, b, p in _tree_walk(base):
         # new gain f(p) phi f(b)^-1 = id  =>  f(p) = f(b) phi^-1, f(b) = f(p) phi
         phi = codes[row[b, p]]
         f[v] = group.compose_codes(f[u], group.inverse_codes(phi) if v == p else phi)
+    return f
+
+
+def switch_codes(base, group, edges, codes, f):
+    """switch on code arrays: the gain f(p) phi f(b)^-1 of each edge
+    (b, p) of edges and column of the (edges, S) codes, f holding one
+    column of codes per eid, as spanning_tree_potential returns."""
+    edges = np.asarray(edges)
     fb = group.inverse_codes(f[base.n_points + edges[:, 0]])
     return group.compose_codes(f[edges[:, 1]], group.compose_codes(codes, fb))
+
+
+def spanning_tree_gauge_codes(base, group, edges, codes):
+    """Switch many assignments at once so that every spanning-tree edge
+    carries the identity gain, column j of the result being column j of
+    codes gauge-fixed, code for code.  Two columns gauge to the same
+    codes exactly when their assignments are switching-equivalent."""
+    f = spanning_tree_potential(base, group, edges, codes)
+    return switch_codes(base, group, edges, codes, f)
 
 
 # -- JSON interchange --------------------------------------------------------

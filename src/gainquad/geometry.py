@@ -129,14 +129,45 @@ class IncidenceStructure:
         int32 tables of the line through two distinct points (-1 on the
         diagonal; meaningful where count is 1) and of their number of
         common lines (0 on the diagonal).  bad is the first pair p < q
-        whose count is not 1, or None."""
+        whose count is not 1, or None.  Where two points share several
+        lines, line holds the last of them.
+
+        Row p lists, for each line through p, that line's points.  Rows
+        go in blocks of at most _COMMON_BLOCK_CELLS such entries and
+        table cells, or of one row, with int32 cell indices relative to
+        the block, which fills a contiguous stretch of both tables.  A
+        bincount of the cells gives the counts; the rare cells hit more
+        than once get the last line by a maximum.  Lines of unequal
+        sizes are padded with point v, an extra column that is cut off
+        at the end.
+        """
         v = self.n_points
-        line = np.full((v, v), -1, dtype=np.int32)
-        count = np.zeros((v, v), dtype=np.int32)
-        for b, pts in enumerate(self.points_of_line):
-            cell = np.ix_(pts, pts)
-            line[cell] = b
-            count[cell] += 1
+        w = v + int(self.sizes.min() != self.sizes.max())
+        line = np.full(v * w, -1, dtype=np.int32)
+        count = np.zeros(v * w, dtype=np.int32)
+        on = padded_lists(self.pairs[self.line_order, 0], self.sizes, v)
+        p, b = self.pairs.T
+        first = np.concatenate(([0], np.cumsum(self.degrees)))  # each row's first pair
+        reach = first[1:] * on.shape[1]  # entries in the rows up to each row
+        p0 = 0
+        while p0 < v:
+            p1 = int(np.searchsorted(reach, first[p0] * on.shape[1] + _COMMON_BLOCK_CELLS,
+                                     "right"))
+            p1 = min(max(p0 + 1, p1), p0 + max(1, _COMMON_BLOCK_CELLS // w))
+            rows = slice(first[p0], first[p1])
+            cells = ((p[rows] - p0) * w)[:, None] + on[b[rows]]
+            stretch = slice(p0 * w, p1 * w)
+            hits = np.bincount(cells.ravel(), minlength=(p1 - p0) * w)
+            hits[np.arange(p1 - p0) * (w + 1) + p0] = 0  # the diagonal
+            count[stretch] = hits
+            line[stretch][cells] = b[rows, None]
+            if hits.max() > 1:
+                many = hits[cells] > 1
+                lines = np.broadcast_to(b[rows, None], cells.shape)
+                np.maximum.at(line[stretch], cells[many], lines[many])
+            p0 = p1
+        line = np.ascontiguousarray(line.reshape(v, w)[:, :v])
+        count = np.ascontiguousarray(count.reshape(v, w)[:, :v])
         np.fill_diagonal(line, -1)
         np.fill_diagonal(count, 0)
         bad = np.argwhere(np.triu(count != 1, 1))
@@ -260,6 +291,11 @@ def census_ngon(s, n):
         return Verdict(False, ("uniqueness", u, v, int(count[u, v])))
     return Verdict(True)
 
+
+# Entries, one per point of a line through a point, and table cells of one
+# block of rows of IncidenceStructure._common_lines: the block's int32
+# entries and int64 counts stay near 1 and 2 MB.
+_COMMON_BLOCK_CELLS = 1 << 18
 
 # Entries held by one block of point rows in is_generalized_quadrangle:
 # gathered table entries and counts, about 8 bytes each.  Blocks that

@@ -19,6 +19,10 @@ automorphisms, and sibling branches in the same orbit of the discovered
 group are skipped; that pruning is what makes the very symmetric
 quadrangles tractable.  Orbits are read off labels, the least vertex of
 each orbit, recomputed once whenever a leaf adds an automorphism.
+Automorphisms known in advance can seed that group before the root.
+Each is first checked against the incidence, and a seed only prunes
+images of explored branches, so seeded and unseeded searches reach the
+same first minimal leaf: the same canonical form and orderings.
 
 canonical_form runs the search to its end.  are_isomorphic runs it to
 the end on the first structure, then on the second with the first's
@@ -185,19 +189,46 @@ class CanonicalForm:
 
 class SearchStats:
     """Counters of one search: nodes visited (pruned ones included),
-    leaves reached, automorphisms found, refinement rounds run, siblings
-    skipped as images of explored ones, backjumps taken from leaves that
-    tie the best, and the deepest individualization (the root is 0);
-    then the search's wall seconds.
+    leaves reached, automorphisms found at leaves, refinement rounds run,
+    siblings skipped as images of explored ones, backjumps taken from
+    leaves that tie the best, the deepest individualization (the root is
+    0), and the distinct seeded automorphisms; then the search's wall
+    seconds, of which seed_seconds went to checking the seeds.
     A plain class, not a dataclass, so importing the module stays cheap."""
 
     __slots__ = ("nodes", "leaves", "automorphisms", "refinement_rounds",
-                 "orbit_prunes", "backjumps", "max_depth", "seconds")
+                 "orbit_prunes", "backjumps", "max_depth", "seeds", "seconds",
+                 "seed_seconds")
 
     def __init__(self):
         self.nodes = self.leaves = self.automorphisms = self.refinement_rounds = 0
-        self.orbit_prunes = self.backjumps = self.max_depth = 0
-        self.seconds = 0.0
+        self.orbit_prunes = self.backjumps = self.max_depth = self.seeds = 0
+        self.seconds = self.seed_seconds = 0.0
+
+
+def _checked_seeds(s, automorphisms):
+    """The automorphisms as a dict from their bytes to int64 arrays, each
+    a permutation of the element ids, points first, mapping e to its
+    entry e.  ValueError for one of the wrong length, one that is no
+    permutation or moves a point onto a line, and one under which the
+    structure's pairs, mapped and sorted, differ from its own."""
+    n, v, nb = s.n_elements, s.n_points, s.n_lines
+    key = s.pairs[:, 0].astype(np.int64) * nb + s.pairs[:, 1]
+    seeds = {}
+    for i, g in enumerate(automorphisms):
+        g = np.asarray(g)
+        if g.shape != (n,) or g.dtype.kind not in "iu":
+            raise ValueError(f"seed {i} is not a sequence of {n} element ids")
+        g = g.astype(np.int64)
+        if not np.array_equal(np.sort(g), np.arange(n)):
+            raise ValueError(f"seed {i} is not a permutation of the element ids")
+        if (g[:v] >= v).any():
+            raise ValueError(f"seed {i} maps a point onto a line")
+        mapped = np.sort(g[s.pairs[:, 0]] * nb + g[v + s.pairs[:, 1]] - v)
+        if not np.array_equal(mapped, key):
+            raise ValueError(f"seed {i} does not preserve the incidence")
+        seeds.setdefault(g.tobytes(), g)
+    return seeds
 
 
 class _Backjump(Exception):
@@ -216,7 +247,7 @@ class _Stop(Exception):
         self.order = order
 
 
-def _search(s, target=None, deadline=None, stats=None):
+def _search(s, target=None, deadline=None, stats=None, automorphisms=()):
     """Individualize-refine search for the minimal (path, matrix) leaf.
 
     Without a target, returns the best leaf as a dict with its path,
@@ -228,16 +259,19 @@ def _search(s, target=None, deadline=None, stats=None):
     the target answers no, since leaf keys are relabeling-invariant, and
     so does a root whose invariant differs from the target's first one.
     stats, when given, is a list that receives this search's SearchStats,
-    filled in also when the search times out.
+    filled in also when the search times out.  automorphisms seed the
+    group before the root (see _checked_seeds).
     """
     start = time.perf_counter()
-    ref = _Refiner(s)
-    n = s.n_elements
-    best = {"path": None, "cert": None, "order": None, "base": None}
-    autos = {}  # automorphism bytes -> the permutation as an int64 array
     counts = SearchStats()
     if stats is not None:
         stats.append(counts)
+    autos = _checked_seeds(s, automorphisms)  # bytes -> the permutation
+    counts.seeds = len(autos)
+    counts.seed_seconds = time.perf_counter() - start
+    ref = _Refiner(s)
+    n = s.n_elements
+    best = {"path": None, "cert": None, "order": None, "base": None}
     stage = "canonical labeling" if target is None else "isomorphism search"
 
     def rec(colors, path, fixed):
@@ -312,7 +346,7 @@ def _search(s, target=None, deadline=None, stats=None):
     except _Stop as stop:
         return stop.order
     finally:
-        counts.automorphisms = len(autos)
+        counts.automorphisms = len(autos) - counts.seeds
         counts.refinement_rounds = ref.rounds
         counts.seconds = time.perf_counter() - start
     return best if target is None else None
@@ -327,8 +361,12 @@ def _form_from_order(s, order, matrix):
                          matrix, cert)
 
 
-def canonical_form(s, deadline=None):
-    best = _search(s, deadline=deadline)
+def canonical_form(s, deadline=None, automorphisms=()):
+    """The canonical form of s.  automorphisms, permutations of the
+    element ids (points first), seed the search; they change how much it
+    prunes, never its result, and ValueError refuses any that is not an
+    automorphism of s."""
+    best = _search(s, deadline=deadline, automorphisms=automorphisms)
     return _form_from_order(s, best["order"], best["cert"])
 
 
@@ -351,7 +389,7 @@ def distinguishing_invariant(s1, s2):
     return None
 
 
-def are_isomorphic(s1, s2, deadline=None, stats=None):
+def are_isomorphic(s1, s2, deadline=None, stats=None, automorphisms=()):
     """An explicit verified isomorphism witness, or None.
 
     The first structure is canonicalized in full; the second is then
@@ -362,11 +400,12 @@ def are_isomorphic(s1, s2, deadline=None, stats=None):
     search raises TimeoutError.  stats, when given, is a list that
     receives one SearchStats per search run: none when the point, line
     or incidence counts differ, else one for each structure.
+    automorphisms of s1 seed its search, as in canonical_form.
     """
     if (s1.n_points != s2.n_points or s1.n_lines != s2.n_lines
             or len(s1.pairs) != len(s2.pairs)):
         return None
-    best = _search(s1, deadline=deadline, stats=stats)
+    best = _search(s1, deadline=deadline, stats=stats, automorphisms=automorphisms)
     order2 = _search(s2, (best["path"], best["cert"]), deadline=deadline,
                      stats=stats)
     if order2 is None:

@@ -125,6 +125,22 @@ def naive_linear_space(s):
     return True, None
 
 
+def naive_common_lines(s):
+    """IncidenceStructure._common_lines by one table assignment per line:
+    the last line through two points wins, and the diagonal is cleared."""
+    v = s.n_points
+    line = np.full((v, v), -1, dtype=np.int32)
+    count = np.zeros((v, v), dtype=np.int32)
+    for b, pts in enumerate(s.points_of_line):
+        cell = np.ix_(pts, pts)
+        line[cell] = b
+        count[cell] += 1
+    np.fill_diagonal(line, -1)
+    np.fill_diagonal(count, 0)
+    bad = np.argwhere(np.triu(count != 1, 1))
+    return line, count, tuple(int(x) for x in bad[0]) if len(bad) else None
+
+
 # -- expansion oracle ------------------------------------------------------------
 
 

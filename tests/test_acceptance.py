@@ -13,6 +13,7 @@ from gainquad import (GF, CyclicGroup, GainGraph, affine_gains, affine_plane,
                       is_generalized_ngon, is_ovoid, payne_derivation, run_search,
                       switch, switching_isomorphism, symplectic_quadrangle,
                       verify_isomorphism)
+from gainquad.catalog import affine_expansion_automorphisms
 from helpers import (Rationals, brute_force_isomorphic, count_shortest_chains,
                      detour_formula, distance, grid_quadrangle, naive_shortest_count,
                      quadrilateral, random_structure, relabeled, tiny_base, walk_gain)
@@ -225,13 +226,14 @@ def test_criterion_6_closed_form():
 
 
 def _payne_cross_check(q, family, budget_seconds):
-    if q in family:
-        left = family[q]
-    else:
-        left = expand(affine_gains(affine_plane(field_from_order(q))))
+    """payne-check's match, its expansion side seeded with the lifted
+    affine automorphisms."""
+    plane = affine_plane(field_from_order(q))
+    left = family[q] if q in family else expand(affine_gains(plane))
     right = dual(payne_derivation(symplectic_quadrangle(q)))
     deadline = time.monotonic() + budget_seconds
-    iso = are_isomorphic(left, right, deadline=deadline)
+    iso = are_isomorphic(left, right, deadline=deadline,
+                         automorphisms=affine_expansion_automorphisms(plane))
     assert iso is not None
     assert verify_isomorphism(left, right, iso)
 
@@ -245,12 +247,12 @@ def test_criterion_7_dual_derivation(family):
           f"{{2,3,4,5}} with verified witnesses [{time.time() - start:.1f}s]")
 
 
-@pytest.mark.parametrize("q", [7, 8, 9, 11, pytest.param(16, marks=pytest.mark.extended)])
+@pytest.mark.parametrize("q", [7, 8, 9, 11, 16])
 def test_criterion_7_extended(q, family):
-    """The same cross-check at q in {7,8,9,11} within 60 s each, and at
-    q=16, the largest W(q) shipped, within 120 s; a TimeoutError fails it."""
+    """The same cross-check at q in {7,8,9,11,16}, 16 being the largest
+    W(q) shipped, within 60 s each; a TimeoutError fails it."""
     start = time.time()
-    _payne_cross_check(q, family, budget_seconds=120 if q == 16 else 60)
+    _payne_cross_check(q, family, budget_seconds=60)
     print(f"\nPASS 7x: dual-derivation cross-check at q={q} "
           f"[{time.time() - start:.1f}s]")
 

@@ -307,7 +307,7 @@ def test_payne_check(tmp_path, capsys):
 
 
 def test_payne_check_writes_a_failed_match(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_isomorphism", lambda args, s1, s2: None)
+    monkeypatch.setattr(cli, "_isomorphism", lambda args, s1, s2, seeds: None)
     witness = tmp_path / "w.json"
     assert run("payne-check", "2", "--witness", witness) == 1
     assert capsys.readouterr().out == "q=2: NOT isomorphic (search-exhausted)\n"
@@ -328,6 +328,8 @@ SEARCH_COUNTERS = (r"search on the (first|second) structure: \d+ nodes, \d+ leav
                    r"\d+ automorphisms, \d+ refinement rounds, \d+ orbit prunes, "
                    r"\d+ backjumps, depth \d+, \d+\.\d{3} s")
 BUILT = r"built the (affine expansion|dual derivation): \d+/\d+, \d+\.\d{3} s"
+SEEDS = (r"seeds: (\d+) lifted automorphisms of the first structure, "
+         r"built in \d+\.\d{3} s, checked in \d+\.\d{3} s")
 
 
 @pytest.mark.parametrize("command", [("payne-check", "3"),
@@ -342,9 +344,14 @@ def test_verbose_prints_search_counters(command, capsys):
     assert len(lines) == 2
     assert all(re.fullmatch(SEARCH_COUNTERS, line) for line in lines)
     # every stage line ends with its wall seconds
-    built = [line for line in loud.err.splitlines() if not line.startswith("search ")]
+    built = [line for line in loud.err.splitlines() if line.startswith("built ")]
     assert len(built) == (2 if command[0] == "payne-check" else 0)
     assert all(re.fullmatch(BUILT, line) for line in built)
+    # payne-check seeds the expansion's search with its 6 lifts at q=3
+    seeds = [re.fullmatch(SEEDS, line) for line in loud.err.splitlines()
+             if line.startswith("seeds: ")]
+    assert [m and m[1] for m in seeds] == (["6"] if command[0] == "payne-check" else [])
+    assert len(loud.err.splitlines()) == len(lines) + len(built) + len(seeds)
 
 
 def test_payne_check_q3():

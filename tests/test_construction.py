@@ -264,6 +264,29 @@ def test_criterion_fails_identity_gains(plane2):
     assert (p, b) not in plane2.structure.incidence_set
 
 
+def test_kernel_pair_tables_are_int32(monkeypatch):
+    # the intp definitions they replace, also in blocks of one line each;
+    # on the near-pencil only the lines of two points have |Z2| points
+    plane = affine_plane(field_from_order(4))
+    near_pencil = IncidenceStructure(range(5), range(5), [(p, 0) for p in range(4)]
+                                     + [(p, 1 + p) for p in range(4)]
+                                     + [(4, b) for b in range(1, 5)])
+    cases = [(plane.structure, AdditiveGroup(plane.field)), (near_pencil, CyclicGroup(2))]
+    for block_entries in (construction.BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(construction, "BLOCK_ENTRIES", block_entries)
+        for base, group in cases:
+            kernel = DetourKernel(base, group)
+            pairs = np.argwhere(base.edge_ids < 0)
+            assert kernel.pairs.dtype == kernel.sized.dtype == np.int32
+            assert np.array_equal(kernel.pairs, pairs)
+            assert np.array_equal(kernel.sized,
+                                  np.flatnonzero(base.sizes[pairs[:, 0]] == group.order))
+    gains = dict(affine_gains(plane).gains)
+    gains[(0, 0)] = plane.field.one
+    verdict = gq_criterion(GainGraph(plane.structure, AdditiveGroup(plane.field), gains))
+    assert not verdict and all(type(x) is int for x in verdict.witness)
+
+
 def test_criterion_collects_witnesses(plane2):
     g = identity_gains(plane2.structure, CyclicGroup(2))
     assert bijective_pair_count(g) == (0, 6 * 4 - 12)  # every non-incident pair fails

@@ -14,8 +14,8 @@ from gainquad import (GF, CyclicGroup, GainGraph, IncidenceStructure, affine_gai
                       steiner_parameters, structure_from_json, structure_to_json,
                       symplectic_quadrangle)
 from helpers import (assert_quadrangle_witness, count_shortest_chains, distance,
-                     enumerate_chains, grid_quadrangle, is_chain, naive_incidence,
-                     naive_linear_space, naive_shortest_count, quadrilateral,
+                     enumerate_chains, grid_quadrangle, is_chain, naive_common_lines,
+                     naive_incidence, naive_linear_space, naive_shortest_count, quadrilateral,
                      random_structure, tiny_base)
 
 
@@ -227,6 +227,40 @@ def test_common_line():
     assert s.common_line(2, 1) == 2
     with pytest.raises(ValueError, match="points 0,1 lie on 2 common lines"):
         s.line_table()
+
+
+def _common_line_subjects():
+    planes = [affine_plane(field_from_order(q)).structure
+              for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+    # W(3) is no linear space: two non-collinear points share no line
+    w3 = symplectic_quadrangle(3).structure
+    # points 0 and 1 share lines 0 and 1; point 3 lies on line 2 alone
+    two = IncidenceStructure(range(4), range(3),
+                             [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2)])
+    # a line of 3 points and three lines of 2 make a linear space on
+    # points 0 .. 3; point 4 is on no line
+    isolated = IncidenceStructure(range(5), range(4), [(0, 0), (1, 0), (2, 0), (0, 1),
+                                                       (3, 1), (1, 2), (3, 2), (2, 3), (3, 3)])
+    return planes + [w3, two, isolated]
+
+
+@pytest.mark.parametrize("block_cells", [None, 1, 40])
+def test_common_lines_match_the_loop_oracle(block_cells, monkeypatch):
+    if block_cells is not None:
+        monkeypatch.setattr(geometry, "_COMMON_BLOCK_CELLS", block_cells)
+    rng = random.Random(31)
+    subjects = _common_line_subjects()
+    subjects += [random_structure(rng, max_points=7, max_lines=7) for _ in range(40)]
+    for s in subjects:
+        line, count, bad = s._common_lines
+        want_line, want_count, want_bad = naive_common_lines(s)
+        assert line.dtype == count.dtype == np.int32
+        assert np.array_equal(line, want_line) and np.array_equal(count, want_count)
+        assert bad == want_bad
+    w3, two, isolated = subjects[9:12]
+    assert w3._common_lines[2] is not None
+    assert two._common_lines[1][0, 1] == 2 and two._common_lines[0][0, 1] == 1
+    assert not isolated._common_lines[1][4].any() and isolated._common_lines[2] == (0, 4)
 
 
 def test_linear_space_short_line():
