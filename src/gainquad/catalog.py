@@ -62,22 +62,15 @@ def affine_gains(plane):
     slanted line to the point (x, y) on it carries x*b where b is the
     line's second coordinate (its y-intercept).
     """
-    p, b = plane.structure.pairs.T
-    els = plane.field.elements()
-    codes = _affine_gain_codes(plane)
-    gains = {(b, p): els[c] for p, b, c in zip(p.tolist(), b.tolist(), codes.tolist())}
-    return GainGraph(plane.structure, AdditiveGroup(plane.field), gains)
-
-
-def _affine_gain_codes(plane):
-    """The codes of affine_gains, one per pair of the plane's structure."""
     q = plane.field.order
     _, mul, neg = plane.field.code_tables
-    p, b = plane.structure.pairs.T
+    s = plane.structure
+    p, b = s.pairs[s.line_order].T
     # Codes as in AffinePlane: point (x, y) is x q + y, line b < q the
     # vertical x = b, line q + m q + c the slanted line of intercept c.
     x, y = np.divmod(p, q)
-    return np.where(b < q, neg[mul[b % q, y]], mul[x, (b - q) % q])
+    codes = np.where(b < q, neg[mul[b % q, y]], mul[x, (b - q) % q])
+    return GainGraph(s, AdditiveGroup(plane.field), codes)
 
 
 def affine_expansion_automorphisms(plane):
@@ -114,18 +107,18 @@ def affine_expansion_automorphisms(plane):
     on = s.pairs[s.line_order, 0].reshape(nb, q)
     lines = s.line_table()[points[:, on[:, 0]], points[:, on[:, 1]]]
 
-    # carried[m] holds at the pair (s p, s b) the code g holds at (p, b),
+    # carried[m] holds at the edge (s b, s p) the code g holds at (b, p),
     # and column 1 + m (q - 1) + c - 1 of columns is c carried[m]
-    g = _affine_gain_codes(plane)
-    p, b = s.pairs.T
-    image = np.searchsorted(p.astype(np.int64) * nb + b, points[:, p] * nb + lines[:, b])
+    gains = affine_gains(plane)
+    g = gains.codes
+    p, b = s.pairs[s.line_order].T
+    image = s.edge_ids[lines[:, b], points[:, p]]
     carried = np.empty_like(image)
     carried[np.arange(len(points))[:, None], image] = g
     columns = np.concatenate([g[:, None], mul[np.arange(1, q), carried.T[:, :, None]]
                               .reshape(len(g), -1)], axis=1)
-    group, edges = AdditiveGroup(F), s.pairs[:, ::-1]
-    f = spanning_tree_potential(s, group, edges, columns)
-    fixed = switch_codes(s, group, edges, columns, f)
+    f = spanning_tree_potential(s, gains.group, columns)
+    fixed = switch_codes(s, gains.group, columns, f)
     match = (fixed[:, 1:] == fixed[:, :1]).all(axis=0).reshape(len(points), q - 1)
     lifts = match.any(axis=1)
     c = np.argmax(match, axis=1)[lifts] + 1

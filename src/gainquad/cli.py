@@ -175,7 +175,7 @@ def cmd_build(args):
     else:
         raise ValueError("no gain source: give a gains file, --with-gains, "
                          "or --identity-gains")
-    _note(args, f"gains: {len(g.gains)} edges in {time.perf_counter() - start:.3f} s")
+    _note(args, f"gains: {len(g.codes)} edges in {time.perf_counter() - start:.3f} s")
     if args.emit_base:
         _write_json(args.emit_base, structure_to_json(s))
     if args.emit_gains:
@@ -376,8 +376,7 @@ def cmd_selftest(args):
     g0 = catalog.affine_gains(plane)
     randoms = []
     for _ in range(20):
-        gains = {k: g0.group.decode([rng.randrange(2)]) for k in g0.gains}
-        g = GainGraph(plane.structure, g0.group, gains)
+        g = GainGraph(plane.structure, g0.group, np.array([rng.randrange(2) for _ in g0.codes]))
         randoms.append((g, expand(g)))
     check("criterion agrees with the generic verifier on random gains",
           all(bool(gq_criterion(g)) == bool(is_generalized_ngon(c, 4))

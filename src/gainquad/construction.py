@@ -38,8 +38,6 @@ class Expansion(IncidenceStructure):
     def __init__(self, gains):
         base = gains.base
         group = gains.group
-        if not group.finite:
-            raise ValueError("expansion needs a finite label set")
         lambdas = tuple(group.lambdas())
         k = len(lambdas)
         lambda_index = {lam: t for t, lam in enumerate(lambdas)}
@@ -55,11 +53,12 @@ class Expansion(IncidenceStructure):
 
         # x_p lies on every z[p, t], and y[b, t] on z[p, row[t]], where
         # row[t] is the position of gain(bp) . lambdas[t]: one action row
-        # per distinct gain.
-        rows = {phi: [lambda_index[group.act(phi, lam)] for lam in lambdas]
-                for phi in set(gains.gains.values())}
-        b, p = np.array(list(gains.gains)).T
-        row = np.array([rows[phi] for phi in gains.gains.values()])
+        # per distinct gain code.
+        els, codes = group.elements(), gains.codes.tolist()
+        rows = {c: [lambda_index[group.act(els[c], lam)] for lam in lambdas]
+                for c in set(codes)}
+        row = np.array([rows[c] for c in codes])
+        p, b = base.pairs[base.line_order].T
         z = np.arange(v * k)
         pairs = np.concatenate([
             np.column_stack([z // k, z]),
@@ -155,8 +154,8 @@ class DetourKernel:
     """Every detour table of a linear space at once, for arrays of gains.
 
     Edges are numbered in sorted (line, point) order, and a batch of B
-    assignments is an edge-major (edges, B) array of group codes (see
-    GroupAction.code), one column per assignment, so that every gather
+    assignments is an edge-major (edges, B) array of group codes, one
+    column per assignment as GainGraph.codes, so that every gather
     copies whole contiguous rows of B codes instead of single bytes.
     Non-incident pairs (b, p) are numbered line-major, then by point;
     ``sized`` lists those on a line of |group| points, and no other pair
@@ -184,37 +183,39 @@ class DetourKernel:
         k, v = group.order, base.n_points
         self.group = group
         self.dtype = code_dtype(k)
-        incident = eid >= 0
-        self.edges = np.argwhere(incident)
-        sizes = incident.sum(axis=1)
-        # pairs and sized are int32 and built a block of lines at a time,
-        # without an intp table of all pairs: at q = 49 those hold 5.8M
-        # pairs each.
-        self.pairs = np.empty((incident.size - len(self.edges), 2), dtype=np.int32)
+        self.edges = np.argwhere(eid >= 0)
+        sizes = base.sizes
+        # pairs and b2p are int32 (about 5.8M rows each at q = 49), built
+        # a block of at most BLOCK_ENTRIES cells at a time in place, through
+        # one intp index array that is freed before the next block's.
+        self.pairs = np.empty((eid.size - len(self.edges), 2), dtype=np.int32)
         step, at = max(1, BLOCK_ENTRIES // v), 0
         for start in range(0, len(eid), step):
-            block = np.argwhere(~incident[start:start + step])
-            self.pairs[at:at + len(block)] = block
-            self.pairs[at:at + len(block), 0] += start
-            at += len(block)
+            off = np.flatnonzero(eid[start:start + step] < 0)
+            block = self.pairs[at:at + len(off)]
+            np.divmod(off, v, out=(block[:, 0], block[:, 1]))
+            block[:, 0] += start
+            at += len(off)
+            del off
         first = np.cumsum(v - sizes) - (v - sizes)  # each line's first pair
         self.full = np.flatnonzero(sizes == k)
         self.sized = (first[self.full, None].astype(np.int32)
                       + np.arange(v - k, dtype=np.int32)).ravel()
         self.block_lines = max(1, BLOCK_ENTRIES // max(1, k * (v - k)))
         self._kept = (None,)
-        # The diagonal, which no detour reads, is set to edge 0.
-        b2 = np.maximum(base.line_table(), 0) * v
-        points = np.arange(v, dtype=np.int32)
-        self.b2p = np.take(eid, b2 + points).ravel()
-        self.b2q = np.take(eid, b2 + points[:, None]).ravel()
-        self.b2p[::v + 1] = self.b2q[::v + 1] = 0
-
-    def codes(self, gains):
-        """The codes of one gain graph on this kernel's base, one per edge."""
-        code = self.group.code
-        return np.array([code(gains.gains[e]) for e in map(tuple, self.edges.tolist())],
-                        dtype=self.dtype)
+        # b2p[q, p] = eid[b', p] for b' = line[q, p], a block of rows q at
+        # a time (the indices are in range, and mode "clip" lets take write
+        # into b2p without a buffer), and b2q is its transpose, as line is
+        # symmetric; the diagonal, which no detour reads, is set to edge 0.
+        line, b2p = base.line_table(), np.empty((v, v), dtype=np.int32)
+        for start in range(0, v, step):
+            index = np.maximum(line[start:start + step], 0, dtype=np.intp)
+            index *= v
+            index += np.arange(v)
+            np.take(eid, index, out=b2p[start:start + step], mode="clip")
+            del index
+        np.fill_diagonal(b2p, 0)
+        self.b2p, self.b2q = b2p.ravel(), b2p.T.ravel()
 
     def _entries(self, x, y, combine):
         """Per block of lines, its pairs and the (k, lines, v - k, ...)
@@ -270,7 +271,7 @@ def gq_criterion(gains):
     """
     base = gains.base
     kernel = DetourKernel(base, gains.group)
-    ok = kernel.bijective(kernel.codes(gains))
+    ok = kernel.bijective(gains.codes)
     if not ok.all():
         return Verdict(False, tuple(kernel.pairs[~ok][0].tolist()))
     # A passing criterion forces equal line sizes on the base; this is a
@@ -286,7 +287,7 @@ def bijective_pair_count(gains):
     The full sweep (no early stop) that backs near-miss diagnostics.
     """
     kernel = DetourKernel(gains.base, gains.group)
-    ok = kernel.bijective(kernel.codes(gains))
+    ok = kernel.bijective(gains.codes)
     return int(ok.sum()), len(ok)
 
 

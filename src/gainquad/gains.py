@@ -1,31 +1,68 @@
 """Gain assignments on incidence graphs: switching and gauge fixing.
 
 Edges of an incidence graph are oriented line -> point, and a gain graph
-stores exactly one group element per edge in that orientation; the gain
-of a reversed traversal is the group inverse.
+stores exactly one group code per edge in that orientation, edges in
+sorted (line, point) order; the gain of a reversed traversal is the
+group inverse.
 """
 
 from collections import deque
+from functools import cached_property
 
 import numpy as np
 
+from .groups import code_dtype, group_from_spec
 from .storage import is_int
 
 
 class GainGraph:
-    """An incidence structure plus one gain per edge, keyed (line, point)."""
+    """An incidence structure plus one gain per edge over a finite group,
+    held as ``codes``: a read-only array of one group code (see
+    GroupAction.code) per edge, edges numbered as base.edge_ids numbers
+    them.  ``gains``, the view {(line, point): element} in sorted
+    (point, line) order, is built on first use; such a mapping is also
+    accepted in place of the codes.  ValueError unless every edge
+    carries exactly one element (code) of the group.
+    """
 
     def __init__(self, base, group, gains):
-        edge_keys = {(b, p) for p, b in base.incidence}
-        gains = dict(gains)
-        if set(gains) != edge_keys:
-            missing = edge_keys - set(gains)
-            extra = set(gains) - edge_keys
-            raise ValueError(f"gain table mismatch: missing {sorted(missing)[:3]},"
-                             f" extra {sorted(extra)[:3]}")
+        if not group.finite:
+            raise ValueError(f"a gain graph needs a finite group, not {group!r}")
+        if isinstance(gains, np.ndarray):
+            if gains.shape != base.pairs.shape[:1] or gains.dtype.kind not in "iu":
+                raise ValueError(f"gain codes are {len(base.pairs)} integers, one per edge")
+            for e in np.flatnonzero((gains < 0) | (gains >= group.order))[:1]:
+                p, b = base.pairs[base.line_order[e]].tolist()
+                raise ValueError(f"gain code {gains[e]} on edge {(b, p)} "
+                                 f"is not a code of {group!r}")
+            codes = gains
+        else:
+            p, b = base.pairs[base.line_order].T.tolist()
+            edges = list(zip(b, p))
+            gains = dict(gains)
+            if set(gains) != set(edges):
+                missing = set(edges) - set(gains)
+                extra = set(gains) - set(edges)
+                raise ValueError(f"gain table mismatch: missing {sorted(missing)[:3]},"
+                                 f" extra {sorted(extra)[:3]}")
+            codes = []
+            for e in edges:
+                try:
+                    codes.append(group.code(gains[e]))
+                except (KeyError, TypeError):
+                    raise ValueError(f"gain {gains[e]!r} on edge {e} is not an "
+                                     f"element of {group!r}") from None
         self.base = base
         self.group = group
-        self.gains = gains
+        self.codes = np.array(codes, dtype=code_dtype(group.order))
+        self.codes.flags.writeable = False
+
+    @cached_property
+    def gains(self):
+        els = self.group.elements()
+        p, b = self.base.pairs.T.tolist()
+        codes = self.codes[np.argsort(self.base.line_order, kind="stable")].tolist()
+        return {(line, point): els[c] for point, line, c in zip(p, b, codes)}
 
     def gain(self, b, p):
         """Gain of the edge from line b to point p (indices, not eids)."""
@@ -54,8 +91,7 @@ def switch(g, f):
 
 
 def identity_gains(base, group):
-    e = group.identity()
-    return GainGraph(base, group, {(b, p): e for p, b in base.incidence})
+    return GainGraph(base, group, np.full(len(base.pairs), group.code(group.identity())))
 
 
 def _tree_walk(base):
@@ -95,38 +131,37 @@ def spanning_tree_edges(base):
     return sorted((b, p) for _, _, b, p in _tree_walk(base))
 
 
-def spanning_tree_potential(base, group, edges, codes):
+def spanning_tree_potential(base, group, codes):
     """The switching functions that gauge-fix many assignments at once:
     an (eids, S) code array whose column j, switching column j of codes
     (see switch_codes), puts the identity gain on every spanning-tree
     edge.  Row i of the (edges, S) array codes holds the gain codes of
-    edges[i] = (line, point), one column per assignment."""
-    row = {e: i for i, e in enumerate(map(tuple, np.asarray(edges).tolist()))}
+    edge i, numbered as in GainGraph, one column per assignment."""
     f = np.empty((base.n_elements, codes.shape[1]), dtype=codes.dtype)
     f[base.line_eid(0)] = group.code(group.identity())
     for u, v, b, p in _tree_walk(base):
         # new gain f(p) phi f(b)^-1 = id  =>  f(p) = f(b) phi^-1, f(b) = f(p) phi
-        phi = codes[row[b, p]]
+        phi = codes[base.edge_ids[b, p]]
         f[v] = group.compose_codes(f[u], group.inverse_codes(phi) if v == p else phi)
     return f
 
 
-def switch_codes(base, group, edges, codes, f):
+def switch_codes(base, group, codes, f):
     """switch on code arrays: the gain f(p) phi f(b)^-1 of each edge
-    (b, p) of edges and column of the (edges, S) codes, f holding one
-    column of codes per eid, as spanning_tree_potential returns."""
-    edges = np.asarray(edges)
-    fb = group.inverse_codes(f[base.n_points + edges[:, 0]])
-    return group.compose_codes(f[edges[:, 1]], group.compose_codes(codes, fb))
+    (b, p) and column of the (edges, S) codes, f holding one column of
+    codes per eid, as spanning_tree_potential returns."""
+    p, b = base.pairs[base.line_order].T
+    fb = group.inverse_codes(f[base.n_points + b])
+    return group.compose_codes(f[p], group.compose_codes(codes, fb))
 
 
-def spanning_tree_gauge_codes(base, group, edges, codes):
+def spanning_tree_gauge_codes(base, group, codes):
     """Switch many assignments at once so that every spanning-tree edge
     carries the identity gain, column j of the result being column j of
     codes gauge-fixed, code for code.  Two columns gauge to the same
     codes exactly when their assignments are switching-equivalent."""
-    f = spanning_tree_potential(base, group, edges, codes)
-    return switch_codes(base, group, edges, codes, f)
+    f = spanning_tree_potential(base, group, codes)
+    return switch_codes(base, group, codes, f)
 
 
 # -- JSON interchange --------------------------------------------------------
@@ -135,15 +170,11 @@ def spanning_tree_gauge_codes(base, group, edges, codes):
 def gains_to_json(g):
     return {
         "group": g.group.spec(),
-        "gains": [[p, b, g.group.encode(phi)]
-                  for (b, p), phi in sorted(g.gains.items(),
-                                            key=lambda kv: (kv[0][1], kv[0][0]))],
+        "gains": [[p, b, g.group.encode(phi)] for (b, p), phi in g.gains.items()],
     }
 
 
 def gains_from_json(base, doc):
-    from .groups import group_from_spec
-
     if not isinstance(doc, dict) or not isinstance(doc.get("gains"), list):
         raise ValueError("a gains document is an object with a 'gains' list")
     group = group_from_spec(doc.get("group"))

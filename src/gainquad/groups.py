@@ -42,32 +42,35 @@ class GroupAction:
     order = None
 
     @cached_property
+    def _ranks(self):
+        """The rank of each element of a finite group in elements()."""
+        return {g: i for i, g in enumerate(self.elements())}
+
+    @cached_property
     def _code_tables(self):
-        """(rank, table, inverses) of a finite group: the rank of each
-        element in elements(), the Cayley table on ranks flattened
-        row-major, and the rank of each element's inverse."""
-        els = self.elements()
-        rank = {g: i for i, g in enumerate(els)}
+        """(table, inverses) of a finite group: the Cayley table on ranks
+        flattened row-major, and the rank of each element's inverse."""
+        els, rank = self.elements(), self._ranks
         dtype = code_dtype(self.order)
         table = np.array([rank[self.compose(g, h)] for g in els for h in els], dtype=dtype)
         inverses = np.array([rank[self.inverse(g)] for g in els], dtype=dtype)
-        return rank, table, inverses
+        return table, inverses
 
     def code(self, g):
         """Rank of a finite group element in ``elements()``."""
-        return self._code_tables[0][g]
+        return self._ranks[g]
 
     def compose_codes(self, a, b):
         """compose on arrays of codes, elementwise.  Codes narrower than
         code_dtype(order) are widened first, so that a * order + b cannot
         wrap."""
-        table = self._code_tables[1]
+        table = self._code_tables[0]
         a = a.astype(np.promote_types(a.dtype, table.dtype), copy=False)
         return np.take(table, a * self.order + b)
 
     def inverse_codes(self, a):
         """inverse on an array of codes, elementwise."""
-        return np.take(self._code_tables[2], a)
+        return np.take(self._code_tables[1], a)
 
     def render(self, g):
         return str(g)

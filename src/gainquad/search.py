@@ -198,14 +198,13 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, not {budget}")
 
-    # Batch rows are the kernel's edges, and code c stands for elems[c];
+    # Batch rows are the kernel's edges, numbered as in GainGraph.codes;
     # the gauge-fixed scan keeps tree edges at the identity.
     all_edges = list(map(tuple, kernel.edges.tolist()))
     tree = set(spanning_tree_edges(base))
     free_rows = [i for i, e in enumerate(all_edges) if unreduced or e not in tree]
     free = [all_edges[i] for i in free_rows]
-    elems = group.elements()
-    radix = len(elems)
+    radix = group.order
     total = radix ** len(free)
     digest = _config_digest(base, group, unreduced, near_miss)
     identity = group.code(group.identity())
@@ -244,7 +243,7 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     if unreduced and report.representatives:
         restored = np.array([_unrank(r["assignment_index"], radix, len(free))
                              for r in report.representatives], dtype=kernel.dtype).T
-        keys = spanning_tree_gauge_codes(base, group, kernel.edges, restored).T
+        keys = spanning_tree_gauge_codes(base, group, restored).T
         gauged.update(key.tobytes() for key in keys)
 
     def save_checkpoint():
@@ -256,8 +255,8 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
                 "near_miss": {str(k): v for k, v in report.near_miss.items()},
             }))
 
-    def survivor(index, row):
-        g = GainGraph(base, group, {e: elems[c] for e, c in zip(all_edges, row)})
+    def survivor(index, column):
+        g = GainGraph(base, group, column)
         c = expand(g)
         cf = canonical_form(c)
         if cf.certificate not in seen:
@@ -302,14 +301,14 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
         cols = np.flatnonzero(passed)
         report.gq_count += len(cols)
         if unreduced:
-            keys = spanning_tree_gauge_codes(base, group, kernel.edges, codes[:, cols]).T
+            keys = spanning_tree_gauge_codes(base, group, codes[:, cols]).T
         for j, r in enumerate(cols.tolist()):
             if unreduced:
                 key = keys[j].tobytes()
                 if key in gauged:
                     continue
                 gauged.add(key)
-            survivor(index + r, codes[:, r].tolist())
+            survivor(index + r, codes[:, r])
         report.scanned = stop
         # A skip may pass several checkpoint boundaries; every assignment
         # it passed failed, so one save at its end is exact.

@@ -309,8 +309,7 @@ def test_affine_expansion_automorphisms_verify(q, switched, monkeypatch):
         rng = random.Random(q)
         f = {e: rng.choice(F.elements()) for e in range(plane.structure.n_elements)}
         g = switch(g, f)
-        codes = np.array([g.group.code(g.gains[b, p]) for p, b in plane.structure.incidence])
-        monkeypatch.setattr(catalog, "_affine_gain_codes", lambda plane: codes)
+        monkeypatch.setattr(catalog, "affine_gains", lambda plane: g)
     c = expand(g)
     seeds = affine_expansion_automorphisms(plane)
     # translations of x and y, shears and label translations by a basis,

@@ -8,8 +8,8 @@ import pytest
 import gainquad.cli as cli
 import gainquad.geometry as geometry
 from gainquad import (GF, CyclicGroup, Verdict, affine_gains, affine_plane, expand,
-                      is_generalized_ngon, quadrangle_order, structure_from_json,
-                      structure_to_json)
+                      gq_criterion, is_generalized_ngon, quadrangle_order,
+                      structure_from_json, structure_to_json)
 from gainquad.cli import main
 from gainquad.search import _config_digest
 from helpers import assert_quadrangle_witness
@@ -163,10 +163,14 @@ _TUPLE_VIEWS = {"incidence", "incidence_set", "lines_of_point", "points_of_line"
 
 
 def test_build_and_verify_build_no_tuple_views(tmp_path):
-    c = expand(affine_gains(affine_plane(GF(5))))
+    plane = affine_plane(GF(5))
+    g = affine_gains(plane)
+    c = expand(g)
+    assert gq_criterion(g)
     doc = structure_to_json(c, tags=c.tags_json())
     assert is_generalized_ngon(c, 4) and quadrangle_order(c) == (6, 4)
     assert not _TUPLE_VIEWS & set(vars(c))
+    assert not _TUPLE_VIEWS & set(vars(plane.structure))
     out = tmp_path / "m5.json"
     assert run("build", "ag2", "5", "--with-gains", "-o", out) == 0
     s, _ = structure_from_json(read_json(out))

@@ -88,9 +88,8 @@ def test_expansion_acts_once_per_distinct_gain_and_label(plane2, monkeypatch):
 
 
 def test_expansion_requires_finite_labels(plane2):
-    g = identity_gains(plane2.structure, AdditiveGroup(Rationals()))
     with pytest.raises(ValueError):
-        expand(g)
+        identity_gains(plane2.structure, AdditiveGroup(Rationals()))
 
 
 def test_switching_isomorphism_identity(plane2):
@@ -389,13 +388,13 @@ def test_kernel_matches_scalar_oracle():
         pairs = list(map(tuple, kernel.pairs.tolist()))
         # a batch has one column per assignment, and every column answers
         # as its own assignment does alone
-        batch = kernel.bijective(np.stack([kernel.codes(g) for g in cases], axis=-1))
+        batch = kernel.bijective(np.stack([g.codes for g in cases], axis=-1))
         assert batch.shape == (len(pairs), len(cases))
-        assert len({tuple(kernel.codes(g).tolist()) for g in cases}) == len(cases)
+        assert len({tuple(g.codes.tolist()) for g in cases}) == len(cases)
         for g, column in zip(cases, batch.T.tolist()):
             oracle = _oracle_pairs(g)
             assert list(zip(pairs, column)) == oracle
-            assert kernel.bijective(kernel.codes(g)).tolist() == column
+            assert kernel.bijective(g.codes).tolist() == column
             bad = [bp for bp, ok in oracle if not ok]
             verdict = gq_criterion(g)
             assert verdict.ok == (not bad)
@@ -427,11 +426,11 @@ def test_kernel_matches_scalar_oracle_at_large_k(q):
     cases = _shipped_family(q, random.Random(q))
     kernel = DetourKernel(cases[0].base, cases[0].group)
     pairs = list(map(tuple, kernel.pairs.tolist()))
-    batch = kernel.bijective(np.stack([kernel.codes(g) for g in cases], axis=-1))
+    batch = kernel.bijective(np.stack([g.codes for g in cases], axis=-1))
     for g, column, passes in zip(cases, batch.T.tolist(), (True, True, False)):
         oracle = _oracle_pairs(g)
         assert list(zip(pairs, column)) == oracle
-        assert kernel.bijective(kernel.codes(g)).tolist() == column
+        assert kernel.bijective(g.codes).tolist() == column
         bad = [bp for bp, ok in oracle if not ok]
         assert bool(bad) != passes
         assert gq_criterion(g) == ((True, None) if passes else (False, bad[0]))
@@ -450,7 +449,7 @@ def test_line_blocks_agree_with_one_block(monkeypatch):
                for _ in range(4)], (4, 8))]
     for graphs, sizes in cases:
         whole = DetourKernel(graphs[0].base, graphs[0].group)
-        batch = np.stack([whole.codes(g) for g in graphs], axis=-1)
+        batch = np.stack([g.codes for g in graphs], axis=-1)
         expect = whole.bijective(batch)
         assert expect.any() and not expect.all()
         position = np.arange(len(whole.edges)) % 17
@@ -462,7 +461,7 @@ def test_line_blocks_agree_with_one_block(monkeypatch):
             for _ in range(2):  # the second time, the last block is kept
                 assert np.array_equal(split.bijective(batch), expect)
                 for g, column in zip(graphs, expect.T):
-                    assert np.array_equal(split.bijective(split.codes(g)), column)
+                    assert np.array_equal(split.bijective(g.codes), column)
             assert np.array_equal(split.depth(position), whole.depth(position))
 
 
@@ -477,6 +476,21 @@ def test_criterion_peak_memory_at_q16():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2 ** 20
+
+
+def test_kernel_tables_hold_one_block_of_indices_at_a_time():
+    # 5.0 MB above what the kernel keeps at q = 23 with v^2 index tables
+    # at once; one block's intp indices are at most 2 MB
+    plane = affine_plane(field_from_order(23))
+    base = plane.structure
+    base.edge_ids, base.line_table()
+    tracemalloc.start()
+    try:
+        kernel = DetourKernel(base, AdditiveGroup(plane.field))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kernel.b2p.nbytes <= held and peak - held <= 3 * 2 ** 20
 
 
 @pytest.mark.extended

@@ -1,14 +1,16 @@
 """Group actions, walk gains, switching, and gauge fixing."""
 
 import random
+import re
 from itertools import product
 
 import numpy as np
 import pytest
 
 from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, affine_gains,
-                      affine_plane, field_from_order, gains_from_json, gains_to_json,
-                      group_from_spec, identity_gains, spanning_tree_edges, switch)
+                      affine_plane, expand, field_from_order, gains_from_json,
+                      gains_to_json, gq_criterion, group_from_spec, identity_gains,
+                      spanning_tree_edges, switch)
 from gainquad.gains import spanning_tree_gauge_codes
 from gainquad.groups import code_dtype
 from helpers import spanning_tree_gauge, walk_gain
@@ -103,6 +105,33 @@ def test_gain_graph_requires_total_assignment(plane2):
     del gains[key]
     with pytest.raises(ValueError):
         GainGraph(plane2.structure, group, gains)
+
+
+def test_gain_graph_refuses_a_non_element(plane2):
+    # Z2 gains of 5 on every edge were once accepted: expand read 5 as 1,
+    # gains_to_json wrote a 5 that gains_from_json refuses, and
+    # gq_criterion raised a bare KeyError.  Now no such graph reaches
+    # them: it is refused when made, and codes are read-only after.
+    s, group = plane2.structure, CyclicGroup(2)
+    with pytest.raises(ValueError, match=r"^gain 5 on edge \(0, 0\) is not an element of Z2$"):
+        GainGraph(s, group, {(b, p): 5 for p, b in s.incidence})
+    gains = {(b, p): 0 for p, b in s.incidence}
+    for value in (2, -1, 0.5, [1], (1,), None):
+        gains[(3, 3)] = value
+        with pytest.raises(ValueError, match=re.escape(f"gain {value!r} on edge (3, 3) ")):
+            GainGraph(s, group, gains)
+    codes = np.zeros(len(s.pairs), dtype=np.int64)
+    codes[7] = 5  # edge 7 is (3, 3)
+    with pytest.raises(ValueError, match=r"^gain code 5 on edge \(3, 3\) is not a code of Z2$"):
+        GainGraph(s, group, codes)
+    for bad in (codes[1:], codes.astype(float), codes[:, None]):
+        with pytest.raises(ValueError, match="^gain codes are 12 integers, one per edge$"):
+            GainGraph(s, group, bad)
+    g = GainGraph(s, group, codes % 2)
+    with pytest.raises(ValueError, match="read-only"):
+        g.codes[7] = 5
+    assert gains_from_json(s, gains_to_json(g)).codes.tolist() == g.codes.tolist()
+    assert not gq_criterion(g) and expand(g).n_points == 16
 
 
 def test_single_edge_walk_orientation(plane2):
@@ -251,25 +280,23 @@ def test_gauge_on_trivial_gains_is_identity(plane2):
     assert all(v == group.identity() for v in f.values())
 
 
-def _columns(group, edges, graphs):
-    """Gain codes of each gain graph, one column each, rows in edges order."""
-    return np.array([[group.code(g.gains[e]) for e in edges] for g in graphs],
-                    dtype=code_dtype(group.order)).reshape(len(graphs), len(edges)).T
-
-
 def _gauge_case(q, group, columns, seed):
-    """A base, its edges in a seeded order, and (edges, S) gain codes: every
-    assignment when columns is None, else that many seeded random ones."""
+    """A base and (edges, S) gain codes: every assignment when columns
+    is None, else that many seeded random ones."""
     base = affine_plane(field_from_order(q)).structure
-    edges = sorted((b, p) for p, b in base.incidence)
-    rng = random.Random(seed)
-    rng.shuffle(edges)
+    edges = len(base.pairs)
     if columns is None:
-        digits = np.array(list(product(range(group.order), repeat=len(edges)))).T
+        digits = np.array(list(product(range(group.order), repeat=edges))).T
     else:
+        rng = random.Random(seed)
         digits = np.array([[rng.randrange(group.order) for _ in range(columns)]
-                           for _ in edges]).reshape(len(edges), columns)
-    return base, edges, digits.astype(code_dtype(group.order))
+                           for _ in range(edges)]).reshape(edges, columns)
+    return base, digits.astype(code_dtype(group.order))
+
+
+def _columns(graphs, codes):
+    """The codes of each gain graph, one column each, shaped as codes."""
+    return np.array([g.codes for g in graphs]).reshape(codes.shape[::-1]).T
 
 
 # AG(2,2)/Z2 in full, seeded batches on larger planes, and no columns.
@@ -284,29 +311,25 @@ GAUGE_CASES = [
 
 @pytest.mark.parametrize("q, group, columns", GAUGE_CASES)
 def test_gauge_codes_match_the_scalar_gauge(q, group, columns):
-    base, edges, codes = _gauge_case(q, group, columns, seed=q)
-    els = group.elements()
-    graphs = [GainGraph(base, group, {e: els[c] for e, c in zip(edges, col)})
-              for col in codes.T.tolist()]
-    expected = _columns(group, edges, [spanning_tree_gauge(g)[0] for g in graphs])
-    gauged = spanning_tree_gauge_codes(base, group, edges, codes)
+    base, codes = _gauge_case(q, group, columns, seed=q)
+    graphs = [GainGraph(base, group, col) for col in codes.T]
+    expected = _columns([spanning_tree_gauge(g)[0] for g in graphs], codes)
+    gauged = spanning_tree_gauge_codes(base, group, codes)
     assert gauged.shape == codes.shape
     assert gauged.tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("q, group, columns", GAUGE_CASES[1:4])
 def test_gauge_codes_ignore_switching(q, group, columns):
-    base, edges, codes = _gauge_case(q, group, columns, seed=10 + q)
+    base, codes = _gauge_case(q, group, columns, seed=10 + q)
     els = group.elements()
     rng = random.Random(q)
-    switched = []
-    for col in codes.T.tolist():
-        g = GainGraph(base, group, {e: els[c] for e, c in zip(edges, col)})
-        switched.append(switch(g, {e: rng.choice(els) for e in range(base.n_elements)}))
-    switched = _columns(group, edges, switched)
+    switched = _columns([switch(GainGraph(base, group, col),
+                                {e: rng.choice(els) for e in range(base.n_elements)})
+                         for col in codes.T], codes)
     assert switched.tolist() != codes.tolist()
-    assert (spanning_tree_gauge_codes(base, group, edges, switched).tolist()
-            == spanning_tree_gauge_codes(base, group, edges, codes).tolist())
+    assert (spanning_tree_gauge_codes(base, group, switched).tolist()
+            == spanning_tree_gauge_codes(base, group, codes).tolist())
 
 
 def test_gauge_rejects_disconnected():
