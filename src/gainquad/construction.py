@@ -217,13 +217,31 @@ class DetourKernel:
         np.fill_diagonal(b2p, 0)
         self.b2p, self.b2q = b2p.ravel(), b2p.T.ravel()
 
+    def _pair_table(self, x, y, combine):
+        """D = combine(x[b2p], y[b2q]), in blocks of rows of at most
+        BLOCK_ENTRIES entries, or of one row: take makes an intp copy of
+        an int32 index table, and the blocks bound those copies.  A table
+        that fits in one block is built in one step."""
+        v = self.eid.shape[1]
+        size, step = len(self.b2p), max(1, BLOCK_ENTRIES // v) * v
+        if size <= step:
+            return combine(np.take(x, self.b2p, axis=0), np.take(y, self.b2q, axis=0))
+        d = None
+        for start in range(0, size, step):
+            part = combine(np.take(x, self.b2p[start:start + step], axis=0),
+                           np.take(y, self.b2q[start:start + step], axis=0))
+            if d is None:
+                d = np.empty((size,) + part.shape[1:], dtype=part.dtype)
+            d[start:start + len(part)] = part
+        return d
+
     def _entries(self, x, y, combine):
         """Per block of lines, its pairs and the (k, lines, v - k, ...)
         entries combine(D[p, q_i], x[b q_i]) of their tables, with
         D = combine(x[b2p], y[b2q]).  The last block's index tables are
         kept, so a kernel whose lines fit in one block builds them once."""
         k, v = self.group.order, self.eid.shape[1]
-        d = combine(np.take(x, self.b2p, axis=0), np.take(y, self.b2q, axis=0))
+        d = self._pair_table(x, y, combine)
         for start in range(0, len(self.full), self.block_lines):
             if self._kept[0] != start:
                 rows = self.eid[self.full[start:start + self.block_lines]]

@@ -184,5 +184,7 @@ def gains_from_json(base, doc):
                 and is_int(entry[0]) and is_int(entry[1])):
             raise ValueError(f"a gain entry is [point, line, element], not {entry!r}")
         p, b, enc = entry
+        if (b, p) in gains:
+            raise ValueError(f"two gain entries for point {p} and line {b}")
         gains[(b, p)] = group.decode(enc)
     return GainGraph(base, group, gains)

@@ -5,9 +5,13 @@ with points and lines as separate initial classes (the two sides are
 never interchanged; duality is an explicit catalog operation).  Colors
 are assigned by sorting signatures, so the refined partition does not
 depend on the input labeling.  A vertex's signature is its color and
-its sorted neighbor colors; each round ranks the signature rows by
-lexsorting 1-D int64 keys, each packing as many columns as fit in base
-(number of colors + 1), which gives the order np.unique(axis=0) would.
+its sorted neighbor colors.  Each round gathers every signature with
+one take from the colors plus a sentinel, packs the rows into int64
+keys with one matrix product (as many columns a key as fit in base
+number of colors + 1), and ranks them by sorting the keys, which gives
+the order np.unique(axis=0) would.  Refinement stops at a round that
+leaves the color count unchanged, or as soon as the partition is
+discrete, as a discrete partition cannot split.
 
 One search routine serves both entry points, in the individualize-
 refine scheme of McKay & Piperno, "Practical graph isomorphism II"
@@ -31,6 +35,7 @@ The witness is always revalidated against the incidence condition
 before it is returned.
 """
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, field
@@ -44,32 +49,56 @@ from .geometry import Isomorphism, padded_lists, verify_isomorphism
 CERTIFICATE_VERSION = 2
 
 
-def _dense_rank(sig, base):
-    """Dense lexicographic rank of each row of sig, whose entries lie in
-    [0, base): the inverse np.unique(sig, axis=0) would return.
-
-    Runs of columns are packed in base `base` into as few int64 keys as
-    hold them, one matrix product with the place values per run; packing
-    keeps the order of each run, so lexsorting the keys sorts the rows,
-    and a rank steps wherever any key changes.
-    """
-    n, m = sig.shape
+@functools.lru_cache(maxsize=4096)
+def _place_values(m, base):
+    """The read-only (m, keys) int64 matrix whose product with a row of m
+    entries in [0, base) packs it into as few int64 keys as hold it:
+    column j holds the place values of the j-th run of columns, in base
+    `base`, most significant first.  Cached, as the rounds of a search
+    ask for the same bases over and over."""
     width = 1
     while base ** (width + 1) <= 1 << 63:
         width += 1
-    powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    keys = []
-    for start in range(0, m, width):
-        run = sig[:, start:start + width]
-        keys.append(run @ powers[width - run.shape[1]:])
-    order = np.lexsort(keys[::-1])
-    step = np.zeros(n, dtype=bool)
-    for key in keys:
-        run = key[order]
-        step[1:] |= run[1:] != run[:-1]
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.cumsum(step)
-    return ranks
+    places = np.zeros((m, -(-m // width)), dtype=np.int64)
+    for j, start in enumerate(range(0, m, width)):
+        run = min(width, m - start)
+        places[start:start + run, j] = base ** np.arange(run - 1, -1, -1, dtype=np.int64)
+    places.setflags(write=False)
+    return places
+
+
+def _dense_rank(sig, base, out=None):
+    """Dense lexicographic rank of each row of sig, whose entries lie in
+    [0, base): the inverse np.unique(sig, axis=0) would return.
+
+    One matrix product with the place values packs the rows into keys;
+    packing keeps the order of each run of columns, so sorting the keys
+    (a stable argsort of one, a lexsort of more) sorts the rows, and a
+    rank steps wherever any key changes.  out, when given, is an int64
+    array of len(sig) + 1 entries: the ranks go to its first len(sig)
+    and their count, the number of distinct rows, to its last.  Returns
+    the ranks.
+    """
+    n = len(sig)
+    keys = sig @ _place_values(sig.shape[1], base)
+    step = np.empty(n, dtype=bool)
+    step[:1] = False
+    if keys.shape[1] == 1:
+        keys = keys.ravel()
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        np.not_equal(keys[1:], keys[:-1], out=step[1:])
+    else:
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        (keys[1:] != keys[:-1]).any(axis=1, out=step[1:])
+    ranks = step.cumsum()
+    if out is None:
+        out = np.empty(n, dtype=np.int64)
+    else:
+        out[n] = ranks[-1] + 1
+    out[order] = ranks
+    return out[:n]
 
 
 class _Refiner:
@@ -81,10 +110,13 @@ class _Refiner:
         self.degs = np.concatenate([s.degrees, s.sizes])
         self.edge_u = np.repeat(np.arange(self.n, dtype=np.int64), self.degs)
         self.edge_v = s.neighbours().astype(np.int64)
-        # Neighbor table padded with index n; slot n of the color buffer
-        # holds a sentinel, the color count, that sorts after every real
-        # color id.
-        self.pad = padded_lists(self.edge_v, self.degs, self.n)
+        # Row v is v itself, then v's neighbors padded with index n; slot n
+        # of the color buffer holds a sentinel, the color count, that
+        # sorts after every real color id.  One take from the buffer then
+        # gathers every signature.
+        self.selfpad = np.column_stack(
+            [np.arange(self.n), padded_lists(self.edge_v, self.degs, self.n)])
+        self.pad = self.selfpad[:, 1:]  # the neighbor table alone
         m = len(s.pairs)
         self.flags = self.edge_u[:m], self.edge_v[:m]  # (point, line) pairs
         self.rounds = 0  # refinement rounds run, for SearchStats
@@ -94,21 +126,25 @@ class _Refiner:
         return _dense_rank(np.stack([side, self.degs], axis=1), self.n + 1)
 
     def refine(self, colors):
-        ncolors = int(colors.max()) + 1
-        buf = np.empty(self.n + 1, dtype=np.int64)
-        sig = np.empty((self.n, 1 + self.pad.shape[1]), dtype=np.int64)
+        """The coarsest equitable refinement of colors.  Rounds stop when
+        one leaves the color count unchanged or the partition is discrete,
+        as a discrete partition cannot split."""
+        n = self.n
+        ext = np.empty(n + 1, dtype=np.int64)
+        ext[:n] = colors
+        ext[n] = ncolors = int(colors.max()) + 1
+        sig = np.empty(self.selfpad.shape, dtype=np.int64)
         while True:
             self.rounds += 1
-            buf[:self.n] = colors
-            buf[self.n] = ncolors
-            sig[:, 0] = colors
-            sig[:, 1:] = buf[self.pad]
+            # Every index is in range; mode "clip" lets take write into
+            # sig without a buffer.
+            ext.take(self.selfpad, out=sig, mode="clip")
             sig[:, 1:].sort(axis=1)
-            new = _dense_rank(sig, ncolors + 1)
-            nnew = int(new.max()) + 1
-            if nnew == ncolors:
-                return new
-            colors, ncolors = new, nnew
+            _dense_rank(sig, ncolors + 1, out=ext)
+            count = int(ext[n])
+            if count == ncolors or count == n:
+                return ext[:n]
+            ncolors = count
 
     def individualize(self, colors, v):
         """Refine after giving v a cell of its own, numbered just before

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own algorithms: chain
 counting enumerates sequences directly or walks one breadth-first layer
-at a time, isomorphism testing tries point permutations, orbits are
+at a time, isomorphism testing tries point permutations, color
+refinement ranks its rows with one np.unique per round, orbits are
 walked one vertex at a time, field arithmetic is redone with schoolbook
 polynomial division, detour gains are walked one step at a time, and the
 quadrangle criterion is swept label by label.  Exact rationals carry the
@@ -493,6 +494,32 @@ def brute_force_isomorphic(s1, s2):
         if mapped == sets2:
             return True
     return False
+
+
+def reference_refine(s, colors):
+    """Color refinement of s's incidence graph from colors, one int per
+    element id (points first), the slow way: each round ranks the rows
+    (own color, sorted neighbor colors padded with the color count) with
+    one np.unique(axis=0), until a round leaves the color count as it
+    was, with no early exit at a discrete partition.  Returns the colors
+    and the number of rounds run."""
+    v, n = s.n_points, s.n_elements
+    rows = [[] for _ in range(n)]
+    for p, b in s.incidence:
+        rows[p].append(v + b)
+        rows[v + b].append(p)
+    width = max(map(len, rows))
+    colors, rounds = np.asarray(colors, dtype=np.int64), 0
+    while True:
+        rounds += 1
+        count, c = int(colors.max()) + 1, colors.tolist()
+        sig = [[c[e]] + sorted(c[x] for x in row) + [count] * (width - len(row))
+               for e, row in enumerate(rows)]
+        _, new = np.unique(np.array(sig), axis=0, return_inverse=True)
+        new = new.reshape(-1)
+        if int(new.max()) + 1 == count:
+            return new, rounds
+        colors = new
 
 
 def orbit_hits(v, explored, gens):

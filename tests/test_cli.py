@@ -520,6 +520,9 @@ _BAD_INPUT = {
                             ["build", "ag2", "2", "--gains", "g.json"]),
     "gf2-gain-out-of-range": ({"g.json": _ag22_gains({"kind": "GFpn", "p": 2, "n": 1}, [7])},
                               ["build", "ag2", "2", "--gains", "g.json"]),
+    "gain-entry-twice": ({"g.json": {"group": {"kind": "GFpn", "p": 2, "n": 1},
+                                     "gains": _ag22_gains({}, [0])["gains"] + [[0, 0, [1]]]}},
+                         ["build", "ag2", "2", "--gains", "g.json"]),
     "incidence-entry-bool": ({"s.json": {"points": [0, 1], "lines": [0],
                                          "incidence": [[True, 0], [1, 0]]}},
                              ["verify", "s.json", "--as", "gq"]),

@@ -134,6 +134,16 @@ def test_gain_graph_refuses_a_non_element(plane2):
     assert not gq_criterion(g) and expand(g).n_points == 16
 
 
+def test_gains_file_listing_an_edge_twice_is_refused(plane2):
+    # the last of the two entries once won silently: edge (0, 0) read
+    # back as (1,) where the file's first entry says (0,)
+    doc = gains_to_json(affine_gains(plane2))
+    assert [0, 0, [0]] in doc["gains"]
+    doc["gains"].append([0, 0, [1]])
+    with pytest.raises(ValueError, match=r"^two gain entries for point 0 and line 0$"):
+        gains_from_json(plane2.structure, doc)
+
+
 def test_single_edge_walk_orientation(plane2):
     g = affine_gains(plane2)
     s = plane2.structure

@@ -13,7 +13,7 @@ from gainquad import (IncidenceStructure, affine_gains, affine_plane, are_isomor
 from gainquad.catalog import affine_expansion_automorphisms
 from gainquad.iso import _Refiner, _dense_rank, _orbit_labels, _search
 from helpers import (brute_force_isomorphic, grid_quadrangle, orbit_hits, quadrilateral,
-                     random_structure, relabeled, tiny_base)
+                     random_structure, reference_refine, relabeled, tiny_base)
 
 
 def test_canonical_form_is_relabeling_invariant(expansion2):
@@ -203,6 +203,83 @@ def test_dense_rank_matches_row_unique(base, cols):
         assert np.array_equal(got, expected.reshape(-1))
 
 
+def _refines_as_oracle(s, ref, colors, v=None):
+    """Refine colors, or individualize v in them, against the oracle: the
+    same colors, and one round fewer exactly when a partition that was
+    not discrete ends discrete.  Returns the refined colors and whether
+    a round was saved."""
+    if v is not None:
+        c = colors[v]
+        colors = colors + (colors >= c)
+        colors[v] = c
+    expected, rounds = reference_refine(s, colors)
+    before = ref.rounds
+    got = ref.refine(colors)
+    assert got.dtype == np.int64 and np.array_equal(got, expected)
+    n = s.n_elements
+    saved = int(len(np.unique(colors)) < n and int(got.max()) + 1 == n)
+    assert ref.rounds - before == rounds - saved
+    return got, saved
+
+
+def _refine_to_a_leaf(s, ref, colors):
+    """Individualize the first vertex of the target cell until the
+    partition is discrete, each step against the oracle; also the other
+    vertices of the root's target cell, up to three.  Returns the number
+    of refinements that saved a round."""
+    saved, cell = 0, ref.target_cell(colors)
+    if cell is not None:
+        for v in np.flatnonzero(colors == cell)[1:4].tolist():
+            saved += _refines_as_oracle(s, ref, colors, v)[1]
+    while cell is not None:
+        v = int(np.flatnonzero(colors == cell)[0])
+        colors, step = _refines_as_oracle(s, ref, colors, v)
+        saved, cell = saved + step, ref.target_cell(colors)
+    return saved
+
+
+def _structure_with_repeated_lines(rng):
+    """A random structure in which some lines repeat another's points."""
+    v = rng.randint(1, 7)
+    lines = [rng.sample(range(v), rng.randint(1, v)) for _ in range(rng.randint(1, 4))]
+    lines += [rng.choice(lines) for _ in range(rng.randint(1, 3))]
+    return IncidenceStructure(range(v), range(len(lines)),
+                              [(p, b) for b, pts in enumerate(lines) for p in pts])
+
+
+def test_refinement_matches_the_oracle_on_random_structures():
+    rng = random.Random(25)
+    # the smallest structure, n = 2: one point on one line
+    subjects = [IncidenceStructure(["p"], ["b"], [(0, 0)])]
+    while len(subjects) < 200:
+        subjects.append(_structure_with_repeated_lines(rng) if rng.random() < 0.3
+                        else random_structure(rng, max_points=8, max_lines=8))
+    assert any(np.ptp(s.degrees) > 0 for s in subjects)
+    discrete = saved = 0
+    for s in subjects:
+        ref = _Refiner(s)
+        initial = ref.initial_colors()
+        side = (np.arange(s.n_elements) >= s.n_points).astype(np.int64)
+        _, expected = np.unique(np.stack([side, ref.degs], axis=1), axis=0,
+                                return_inverse=True)
+        assert np.array_equal(initial, expected.reshape(-1))
+        root, step = _refines_as_oracle(s, ref, initial)
+        discrete += int(root.max()) + 1 == s.n_elements
+        saved += step + _refine_to_a_leaf(s, ref, root)
+    assert 0 < discrete < len(subjects) and saved > 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_refinement_matches_the_oracle_on_payne_pairs(q):
+    left = expand(affine_gains(affine_plane(field_from_order(q))))
+    right = dual(payne_derivation(symplectic_quadrangle(q)))
+    for s in (left, right):
+        ref = _Refiner(s)
+        root, saved = _refines_as_oracle(s, ref, ref.initial_colors())
+        assert not saved and ref.target_cell(root) is not None
+        assert _refine_to_a_leaf(s, ref, root) >= 1
+
+
 # Certificates at CERTIFICATE_VERSION 2; a change to any of these values
 # changes what a checkpoint of that version means.
 PINNED = {
@@ -264,9 +341,9 @@ def test_search_stats_count_each_search(expansion2, expansion3):
 # version 2, first search then second: (nodes, leaves, automorphisms,
 # refinement rounds, orbit prunes, backjumps, max depth).
 PAYNE_COUNTERS = {
-    3: ((20, 7, 6, 104, 87, 6, 4), (5, 1, 0, 21, 0, 0, 4)),
-    4: ((30, 10, 9, 175, 218, 9, 4), (5, 1, 0, 22, 0, 0, 4)),
-    5: ((45, 11, 9, 324, 628, 9, 3), (12, 6, 4, 80, 112, 4, 3)),
+    3: ((20, 7, 6, 97, 87, 6, 4), (5, 1, 0, 20, 0, 0, 4)),
+    4: ((30, 10, 9, 165, 218, 9, 4), (5, 1, 0, 21, 0, 0, 4)),
+    5: ((45, 11, 9, 293, 628, 9, 3), (12, 6, 4, 74, 112, 4, 3)),
 }
 
 
