@@ -262,6 +262,8 @@ def cmd_isocheck(args):
 
 def cmd_payne_check(args):
     q = args.q
+    if q > catalog.MAX_SYMPLECTIC_ORDER:  # W(q)'s ceiling, before anything is built
+        raise ValueError(f"order {q} exceeds the {catalog.MAX_SYMPLECTIC_ORDER} ceiling")
     start = time.perf_counter()
     plane = catalog.affine_plane(field_from_order(q))
     left = expand(catalog.affine_gains(plane))

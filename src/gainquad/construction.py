@@ -15,8 +15,9 @@ quadrangle if and only if every detour-gain table (see detour_gains) is
 a bijection; that criterion is implemented by gq_criterion, which
 evaluates every table through DetourKernel: one table of point-pair
 factors, then one gather and one composition per detour entry, in
-blocks of lines.  detour_gains is its scalar reference, and the generic
-n-gon verifier an independent oracle.
+blocks of lines, with the non-incident pairs numbered rather than
+stored.  detour_gains is its scalar reference, and the generic n-gon
+verifier an independent oracle.
 """
 
 import numpy as np
@@ -157,19 +158,20 @@ class DetourKernel:
     assignments is an edge-major (edges, B) array of group codes, one
     column per assignment as GainGraph.codes, so that every gather
     copies whole contiguous rows of B codes instead of single bytes.
-    Non-incident pairs (b, p) are numbered line-major, then by point;
-    ``sized`` lists those on a line of |group| points, and no other pair
-    is ever bijective.  The factor gain(b'p) gain(b'q)^-1 of a detour
-    depends only on the point pair (p, q), b' being the line through p
-    and q.  So each call composes one table D of them, flat at q*v + p
-    so that a block's gathers run along p, from the edges b2p = (b', p)
-    and b2q = (b', q); the detour of (b, p) through the i-th point q_i of
-    b is then D[p, q_i] gain(b q_i).  Lines go in blocks of at most
-    BLOCK_ENTRIES detour entries, with int32 index tables built per
-    block, so memory stays bounded as the base grows.  The base must be
-    a linear space, and the group must act regularly, so that a table
-    permutes the labels exactly when it is a bijection onto the group;
-    ValueError otherwise.
+    Non-incident pairs (b, p) are numbered line-major, as
+    np.argwhere(edge_ids < 0) lists them, from each line's ``first``;
+    only those on a line of |group| points, ``full``, can be bijective.
+    The factor gain(b'p) gain(b'q)^-1 of a detour depends only on the
+    point pair (p, q), b' being the line through p and q.  So each call
+    composes one table D of them, flat at q*v + p so that a block's
+    gathers run along p, from the edges b2p[q, p] = (b', p) and
+    b2p[p, q] = (b', q); the detour of (b, p) through the i-th point q_i
+    of b is then D[p, q_i] gain(b q_i).  Lines go in blocks of at most
+    BLOCK_ENTRIES detour entries, with pair numbers and int32 index
+    tables built per block, so memory stays bounded as the base grows.
+    The base must be a linear space, and the group must act regularly,
+    so that a table permutes the labels exactly when it is a bijection
+    onto the group; ValueError otherwise.
     """
 
     def __init__(self, base, group):
@@ -184,70 +186,60 @@ class DetourKernel:
         self.group = group
         self.dtype = code_dtype(k)
         self.edges = np.argwhere(eid >= 0)
-        sizes = base.sizes
-        # pairs and b2p are int32 (about 5.8M rows each at q = 49), built
-        # a block of at most BLOCK_ENTRIES cells at a time in place, through
-        # one intp index array that is freed before the next block's.
-        self.pairs = np.empty((eid.size - len(self.edges), 2), dtype=np.int32)
-        step, at = max(1, BLOCK_ENTRIES // v), 0
-        for start in range(0, len(eid), step):
-            off = np.flatnonzero(eid[start:start + step] < 0)
-            block = self.pairs[at:at + len(off)]
-            np.divmod(off, v, out=(block[:, 0], block[:, 1]))
-            block[:, 0] += start
-            at += len(off)
-            del off
-        first = np.cumsum(v - sizes) - (v - sizes)  # each line's first pair
-        self.full = np.flatnonzero(sizes == k)
-        self.sized = (first[self.full, None].astype(np.int32)
-                      + np.arange(v - k, dtype=np.int32)).ravel()
+        self.n_pairs = eid.size - len(self.edges)
+        self.first = np.cumsum(v - base.sizes) - (v - base.sizes)
+        self.full = np.flatnonzero(base.sizes == k)
         self.block_lines = max(1, BLOCK_ENTRIES // max(1, k * (v - k)))
         self._kept = (None,)
-        # b2p[q, p] = eid[b', p] for b' = line[q, p], a block of rows q at
-        # a time (the indices are in range, and mode "clip" lets take write
-        # into b2p without a buffer), and b2q is its transpose, as line is
-        # symmetric; the diagonal, which no detour reads, is set to edge 0.
-        line, b2p = base.line_table(), np.empty((v, v), dtype=np.int32)
+        # b2p[q, p] = eid[b', p] for b' = line[q, p], int32 (about 5.8M
+        # entries at q = 49), built a block of at most BLOCK_ENTRIES rows q
+        # at a time through one intp index array (the indices are in range,
+        # and mode "clip" lets take write into b2p without a buffer); the
+        # diagonal, which no detour reads, is set to edge 0.
+        line, self.b2p = base.line_table(), np.empty((v, v), dtype=np.int32)
+        step = max(1, BLOCK_ENTRIES // v)
         for start in range(0, v, step):
             index = np.maximum(line[start:start + step], 0, dtype=np.intp)
             index *= v
             index += np.arange(v)
-            np.take(eid, index, out=b2p[start:start + step], mode="clip")
+            np.take(eid, index, out=self.b2p[start:start + step], mode="clip")
             del index
-        np.fill_diagonal(b2p, 0)
-        self.b2p, self.b2q = b2p.ravel(), b2p.T.ravel()
+        np.fill_diagonal(self.b2p, 0)
 
     def _pair_table(self, x, y, combine):
-        """D = combine(x[b2p], y[b2q]), in blocks of rows of at most
-        BLOCK_ENTRIES entries, or of one row: take makes an intp copy of
-        an int32 index table, and the blocks bound those copies.  A table
-        that fits in one block is built in one step."""
-        v = self.eid.shape[1]
-        size, step = len(self.b2p), max(1, BLOCK_ENTRIES // v) * v
-        if size <= step:
-            return combine(np.take(x, self.b2p, axis=0), np.take(y, self.b2q, axis=0))
-        d = None
-        for start in range(0, size, step):
-            part = combine(np.take(x, self.b2p[start:start + step], axis=0),
-                           np.take(y, self.b2q[start:start + step], axis=0))
-            if d is None:
-                d = np.empty((size,) + part.shape[1:], dtype=part.dtype)
-            d[start:start + len(part)] = part
-        return d
+        """D = combine(x[b2p], y[b2p.T]), flat, b2p.T being the edges
+        (b', q) as line is symmetric.  Rows go in blocks of at most
+        BLOCK_ENTRIES entries, or of one row, as take makes an intp copy
+        of an int32 index table; a table that fits in one block is built
+        in one step."""
+        b2p, v = self.b2p, self.eid.shape[1]
+        step = max(1, BLOCK_ENTRIES // v)
+        if v <= step:
+            d = combine(np.take(x, b2p, axis=0), np.take(y, b2p.T, axis=0))
+        else:
+            d = None
+            for start in range(0, v, step):
+                part = combine(np.take(x, b2p[start:start + step], axis=0),
+                               np.take(y, b2p[:, start:start + step].T, axis=0))
+                if d is None:
+                    d = np.empty((v,) + part.shape[1:], dtype=part.dtype)
+                d[start:start + step] = part
+        return d.reshape((v * v,) + d.shape[2:])
 
     def _entries(self, x, y, combine):
-        """Per block of lines, its pairs and the (k, lines, v - k, ...)
-        entries combine(D[p, q_i], x[b q_i]) of their tables, with
-        D = combine(x[b2p], y[b2q]).  The last block's index tables are
+        """Per block of lines, its pair numbers and the (k, lines, v - k,
+        ...) entries combine(D[p, q_i], x[b q_i]) of their tables, with
+        D = combine(x[b2p], y[b2p.T]).  The last block's index tables are
         kept, so a kernel whose lines fit in one block builds them once."""
         k, v = self.group.order, self.eid.shape[1]
         d = self._pair_table(x, y, combine)
         for start in range(0, len(self.full), self.block_lines):
             if self._kept[0] != start:
-                rows = self.eid[self.full[start:start + self.block_lines]]
+                lines = self.full[start:start + self.block_lines]
+                rows = self.eid[lines]
                 on = np.nonzero(rows >= 0)[1].astype(np.int32).reshape(-1, k)
                 off = np.nonzero(rows < 0)[1].astype(np.int32).reshape(-1, v - k)
-                self._kept = (start, self.sized[start * (v - k):][:off.size],
+                self._kept = (start, (self.first[lines, None] + np.arange(v - k)).ravel(),
                               on.T[:, :, None] * v + off, rows[rows >= 0].reshape(-1, k).T)
             _, pairs, at, edges = self._kept
             yield pairs, combine(np.take(d, at, axis=0), np.take(x, edges, axis=0)[:, :, None])
@@ -259,7 +251,7 @@ class DetourKernel:
         (pairs, ...).
         """
         group = self.group
-        ok = np.zeros((len(self.pairs),) + codes.shape[1:], dtype=bool)
+        ok = np.zeros((self.n_pairs,) + codes.shape[1:], dtype=bool)
         for pairs, values in self._entries(codes, group.inverse_codes(codes),
                                            group.compose_codes):
             # k values in a group of order k are a bijection iff they
@@ -274,7 +266,7 @@ class DetourKernel:
         """Each pair's largest position among the 3k edges its detour
         table reads, given one position per edge; 0 for a pair on a line
         of another size."""
-        out = np.zeros(len(self.pairs), dtype=position.dtype)
+        out = np.zeros(self.n_pairs, dtype=position.dtype)
         for pairs, reads in self._entries(position, position, np.maximum):
             out[pairs] = reads.max(axis=0).ravel()
         return out
@@ -291,7 +283,11 @@ def gq_criterion(gains):
     kernel = DetourKernel(base, gains.group)
     ok = kernel.bijective(gains.codes)
     if not ok.all():
-        return Verdict(False, tuple(kernel.pairs[~ok][0].tolist()))
+        # pair n is point n - first[b] off b, the last line with first[b] <= n
+        n = int(np.argmin(ok))
+        b = int(np.searchsorted(kernel.first, n, side="right")) - 1
+        p = int(np.flatnonzero(kernel.eid[b] < 0)[n - kernel.first[b]])
+        return Verdict(False, (b, p))
     # A passing criterion forces equal line sizes on the base; this is a
     # consequence, not an input assumption, so fail loudly if violated.
     if steiner_parameters(base) is None:

@@ -116,7 +116,6 @@ class _Refiner:
         # gathers every signature.
         self.selfpad = np.column_stack(
             [np.arange(self.n), padded_lists(self.edge_v, self.degs, self.n)])
-        self.pad = self.selfpad[:, 1:]  # the neighbor table alone
         m = len(s.pairs)
         self.flags = self.edge_u[:m], self.edge_v[:m]  # (point, line) pairs
         self.rounds = 0  # refinement rounds run, for SearchStats

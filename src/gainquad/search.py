@@ -208,14 +208,14 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     total = radix ** len(free)
     digest = _config_digest(base, group, unreduced, near_miss)
     identity = group.code(group.identity())
-    n_pairs = len(kernel.pairs)
+    n_pairs = kernel.n_pairs
     width = max(1, BATCH_VALUES // max(1, n_pairs * radix))
     # A pair's depth is the number of leading digits that settle its
     # verdict: the position of the deepest free edge its detour table
     # reads, 0 for a pair on a line of another size (never bijective).
     position = np.zeros(len(all_edges), dtype=np.intp)
     position[free_rows] = np.arange(1, len(free) + 1)
-    depth = kernel.depth(position)
+    depth = None if near_miss else kernel.depth(position)
     counts = ScanStats()
     if stats is not None:
         stats.append(counts)

@@ -320,6 +320,18 @@ def test_payne_check_writes_a_failed_match(tmp_path, monkeypatch, capsys):
     assert "point_map" not in doc and "line_map" not in doc
 
 
+def test_payne_check_refuses_an_order_past_the_ceiling_before_building(monkeypatch, capsys):
+    def unreachable(field):
+        raise AssertionError("affine_plane called")
+
+    monkeypatch.setattr(cli.catalog, "affine_plane", unreachable)
+    q = cli.catalog.MAX_SYMPLECTIC_ORDER + 1
+    assert run("payne-check", q) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: order {q} exceeds the {q - 1} ceiling\n"
+
+
 def test_isocheck_timeout_exits_3_without_a_witness(tmp_path, capsys):
     witness = tmp_path / "w.json"
     assert run("isocheck", "payne-dual:3", "payne-dual:3", "--timeout", "1e-9",

@@ -264,8 +264,9 @@ def test_criterion_fails_identity_gains(plane2):
 
 
 def test_kernel_pair_tables_are_int32(monkeypatch):
-    # the intp definitions they replace, also in blocks of one line each;
-    # on the near-pencil only the lines of two points have |Z2| points
+    # the point-pair edge table, also built in blocks of one row each, and
+    # the pair count; on the near-pencil only the lines of two points have
+    # |Z2| points
     plane = affine_plane(field_from_order(4))
     near_pencil = IncidenceStructure(range(5), range(5), [(p, 0) for p in range(4)]
                                      + [(p, 1 + p) for p in range(4)]
@@ -276,14 +277,42 @@ def test_kernel_pair_tables_are_int32(monkeypatch):
         for base, group in cases:
             kernel = DetourKernel(base, group)
             pairs = np.argwhere(base.edge_ids < 0)
-            assert kernel.pairs.dtype == kernel.sized.dtype == np.int32
-            assert np.array_equal(kernel.pairs, pairs)
-            assert np.array_equal(kernel.sized,
-                                  np.flatnonzero(base.sizes[pairs[:, 0]] == group.order))
+            assert kernel.b2p.dtype == np.int32
+            assert kernel.n_pairs == len(pairs)
     gains = dict(affine_gains(plane).gains)
     gains[(0, 0)] = plane.field.one
     verdict = gq_criterion(GainGraph(plane.structure, AdditiveGroup(plane.field), gains))
     assert not verdict and all(type(x) is int for x in verdict.witness)
+
+
+def test_criterion_decodes_the_first_failing_pair(monkeypatch):
+    # pairs are numbered, not stored: the witness is the first failing row
+    # of np.argwhere(edge_ids < 0), whatever the blocks.  The pencil's
+    # line of four points, whose pairs always fail over Z2, comes last,
+    # after its lines of two points.
+    rng = random.Random(26)
+    good = affine_gains(affine_plane(field_from_order(5)))
+    graphs = []
+    for edge in rng.sample(sorted(good.gains), 6):
+        bent = dict(good.gains)
+        bent[edge] = good.group.compose(bent[edge], good.group.elements()[1])
+        graphs.append(GainGraph(good.base, good.group, bent))
+    pencil = IncidenceStructure(range(5), range(5), [(p, p) for p in range(4)]
+                                + [(4, b) for b in range(4)] + [(p, 4) for p in range(4)])
+    graphs += [GainGraph(pencil, CyclicGroup(2), {(b, p): rng.choice((0, 1))
+                                                  for p, b in pencil.incidence})
+               for _ in range(8)]
+    expect = []
+    for g in graphs:
+        column = [ok for _, ok in _oracle_pairs(g)]
+        expect.append(tuple(np.argwhere(g.base.edge_ids < 0)[column.index(False)].tolist()))
+    assert len(set(expect)) >= 8
+    for block_entries in (construction.BLOCK_ENTRIES, 4, 100):
+        monkeypatch.setattr(construction, "BLOCK_ENTRIES", block_entries)
+        for g, witness in zip(graphs, expect):
+            verdict = gq_criterion(g)
+            assert not verdict.ok and verdict.witness == witness
+            assert all(type(x) is int for x in verdict.witness)
 
 
 def test_criterion_collects_witnesses(plane2):
@@ -385,7 +414,7 @@ def test_kernel_matches_scalar_oracle():
                                       key=lambda g: (id(g.base), id(g.group))):
         cases = list(cases)
         kernel = DetourKernel(cases[0].base, cases[0].group)
-        pairs = list(map(tuple, kernel.pairs.tolist()))
+        pairs = list(map(tuple, np.argwhere(kernel.eid < 0).tolist()))
         # a batch has one column per assignment, and every column answers
         # as its own assignment does alone
         batch = kernel.bijective(np.stack([g.codes for g in cases], axis=-1))
@@ -425,7 +454,7 @@ def test_kernel_matches_scalar_oracle_at_large_k(q):
     # time and as the columns of one batch
     cases = _shipped_family(q, random.Random(q))
     kernel = DetourKernel(cases[0].base, cases[0].group)
-    pairs = list(map(tuple, kernel.pairs.tolist()))
+    pairs = list(map(tuple, np.argwhere(kernel.eid < 0).tolist()))
     batch = kernel.bijective(np.stack([g.codes for g in cases], axis=-1))
     for g, column, passes in zip(cases, batch.T.tolist(), (True, True, False)):
         oracle = _oracle_pairs(g)
@@ -480,7 +509,9 @@ def test_criterion_peak_memory_at_q16():
 
 def test_kernel_tables_hold_one_block_of_indices_at_a_time():
     # 5.0 MB above what the kernel keeps at q = 23 with v^2 index tables
-    # at once; one block's intp indices are at most 2 MB
+    # at once; one block's intp indices are at most 2 MB.  It keeps the
+    # point-pair edge table and little else: 5.5 MB with a stored pair
+    # list and a transposed copy of that table.
     plane = affine_plane(field_from_order(23))
     base = plane.structure
     base.edge_ids, base.line_table()
@@ -490,7 +521,8 @@ def test_kernel_tables_hold_one_block_of_indices_at_a_time():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kernel.b2p.nbytes <= held and peak - held <= 3 * 2 ** 20
+    assert kernel.b2p.nbytes <= held <= kernel.b2p.nbytes + 2 ** 20
+    assert peak - held <= 3 * 2 ** 20
 
 
 @pytest.mark.extended

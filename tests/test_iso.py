@@ -300,7 +300,7 @@ def test_refiner_tables_list_each_vertex_neighbours(seed):
     rows = [[v + b for p, b in s.incidence if p == e] for e in range(v)]
     rows += [[p for p, b in s.incidence if b == e] for e in range(s.n_lines)]
     width = max(map(len, rows))
-    assert ref.pad.tolist() == [row + [n] * (width - len(row)) for row in rows]
+    assert ref.selfpad[:, 1:].tolist() == [row + [n] * (width - len(row)) for row in rows]
     assert ref.degs.tolist() == [len(row) for row in rows]
     assert list(zip(ref.edge_u.tolist(), ref.edge_v.tolist())) == [
         (e, x) for e, row in enumerate(rows) for x in row]
