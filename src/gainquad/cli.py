@@ -296,17 +296,26 @@ def cmd_payne_check(args):
     return 0
 
 
+def _kernel_rate(counts):
+    """Assignments a second through the detour kernel, from a ScanStats."""
+    return counts.rows / max(counts.kernel_seconds, 1e-9)
+
+
 def cmd_search(args):
     base = realize_base(args.base)
     group = parse_group(args.group)
     stats = []
+
+    def progress(report, counts):
+        _note(args, f"progress: {report.scanned} scanned, {counts.rows} evaluated, "
+                    f"{report.gq_count} survivors, {_kernel_rate(counts):.0f} assignments/s")
+
     report = run_search(base["structure"], group, budget=args.budget,
                         unreduced=args.unreduced, near_miss=not args.fast,
-                        checkpoint_path=args.checkpoint, stats=stats)
-    rate = stats[0].rows / max(stats[0].kernel_seconds, 1e-9)
+                        checkpoint_path=args.checkpoint, stats=stats, progress=progress)
     _note(args, f"scan: {report.scanned} scanned, {stats[0].rows} evaluated, "
                 f"{report.gq_count} survivors, {len(report.representatives)} classes "
-                f"in {stats[0].seconds:.3f} s, {rate:.0f} assignments/s")
+                f"in {stats[0].seconds:.3f} s, {_kernel_rate(stats[0]):.0f} assignments/s")
     report.config = _config(args, "search")
     doc = report.to_json()
     if args.report:

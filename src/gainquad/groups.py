@@ -7,8 +7,12 @@ deterministic.
 
 Finite groups also number their elements: the code of an element is its
 rank in ``elements()``.  ``compose_codes``/``inverse_codes`` apply the
-group law to whole numpy arrays of codes at once by reading the group's
-Cayley table on ranks, built from ``compose`` on first use.
+group law to whole numpy arrays of codes at once, in ``code_dtype(order)``.
+Z_n and GF(p) codes are the integers mod n, so they compose by one add
+and one wrap; GF(2^n) codes are the coefficient bits in lexicographic
+order, so they compose by XOR.  GF(p^n) with p odd and n > 1 reads its
+Cayley table on ranks, built from ``compose`` on first use; that table
+is also the reference the arithmetic laws are tested against.
 """
 
 from functools import cached_property
@@ -21,11 +25,35 @@ from .storage import is_int
 
 def code_dtype(order):
     """Narrowest unsigned dtype that holds order*order - 1, the largest
-    index into the flat Cayley table of a group of this order."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if order * order - 1 <= np.iinfo(dtype).max:
+    index into the flat Cayley table of a group of this order.  It also
+    holds the sum of two codes, at most 2 (order - 1)."""
+    for dtype, bits in ((np.uint8, 8), (np.uint16, 16), (np.uint32, 32)):
+        if order * order <= 1 << bits:
             return dtype
     return np.uint64
+
+
+def _wrapped(s, n):
+    """s mod n, in place in s as an array, for codes s < 2n of an unsigned
+    dtype: s - n wraps above s exactly when s < n.  n is a scalar of that
+    dtype, so s - n stays in it under any numpy casting rules."""
+    s = np.asarray(s)
+    return np.minimum(s, s - n, out=s)
+
+
+def _add_codes(order, a, b):
+    """(a + b) mod order on codes of any integer dtype, a new array of
+    code_dtype(order)."""
+    dtype = code_dtype(order)
+    return _wrapped(np.add(a, b, dtype=dtype, casting="unsafe"), dtype(order))
+
+
+def _negate_codes(order, a):
+    """(order - a) mod order on codes of any integer dtype, a new array of
+    code_dtype(order)."""
+    dtype = code_dtype(order)
+    n = dtype(order)
+    return _wrapped(np.subtract(n, a, dtype=dtype, casting="unsafe"), n)
 
 
 class GroupAction:
@@ -61,15 +89,16 @@ class GroupAction:
         return self._ranks[g]
 
     def compose_codes(self, a, b):
-        """compose on arrays of codes, elementwise.  Codes narrower than
-        code_dtype(order) are widened first, so that a * order + b cannot
-        wrap."""
+        """compose on arrays of codes, elementwise, as a new array of
+        code_dtype(order).  Codes narrower than that are widened first,
+        so that a * order + b cannot wrap."""
         table = self._code_tables[0]
         a = a.astype(np.promote_types(a.dtype, table.dtype), copy=False)
         return np.take(table, a * self.order + b)
 
     def inverse_codes(self, a):
-        """inverse on an array of codes, elementwise."""
+        """inverse on an array of codes, elementwise, as a new array of
+        code_dtype(order)."""
         return np.take(self._code_tables[1], a)
 
     def render(self, g):
@@ -108,6 +137,12 @@ class CyclicGroup(GroupAction):
 
     def act(self, g, lam):
         return (g + lam) % self.n
+
+    def compose_codes(self, a, b):
+        return _add_codes(self.n, a, b)
+
+    def inverse_codes(self, a):
+        return _negate_codes(self.n, a)
 
     def elements(self):
         return list(range(self.n))
@@ -158,6 +193,21 @@ class AdditiveGroup(GroupAction):
 
     def act(self, g, lam):
         return self.field.add(g, lam)
+
+    def compose_codes(self, a, b):
+        if self.field.p == 2:
+            return np.asarray(np.bitwise_xor(a, b, dtype=code_dtype(self.order),
+                                             casting="unsafe"))
+        if self.field.n == 1:
+            return _add_codes(self.order, a, b)
+        return super().compose_codes(a, b)
+
+    def inverse_codes(self, a):
+        if self.field.p == 2:
+            return np.array(a, dtype=code_dtype(self.order))
+        if self.field.n == 1:
+            return _negate_codes(self.order, a)
+        return super().inverse_codes(a)
 
     def elements(self):
         return self.field.elements()

@@ -42,7 +42,9 @@ from .iso import CERTIFICATE_VERSION, canonical_form
 from .storage import atomic_write, is_int, json_text
 
 # A batch holds at most this many detour values, one byte each for the
-# groups a scan can afford, so its temporaries stay near 128 kB.
+# groups a scan can afford, so each of its temporaries stays near 128 kB;
+# a batch peaks at about four of them (tracemalloc, 0.37-0.52 MB from
+# AG(2,3)/Z3 to AG(2,7)/Z7).
 BATCH_VALUES = 1 << 17
 # A scan with a checkpoint file saves it whenever it passes a multiple of
 # this many assignments.
@@ -114,17 +116,33 @@ def _unrank(index, radix, width):
 def _unrank_batch(start, count, radix, width):
     """Digits of assignments start .. start+count-1, one column each.
 
-    Only start is unranked, in Python integers; the column offsets are then
-    added with carries, so spaces beyond 2^63 assignments stay exact.
+    The low m digits, the fewest whose span radix^m covers count, come
+    from one np.unravel_index of start's low part plus each column's
+    offset, with one leading digit of 2 taking the carry out of the
+    span.  Columns before the carry share start's high digits, unranked
+    in Python integers so that spaces beyond 2^63 assignments stay
+    exact, and the rest those of the next block of radix^m.  m + 1 stays
+    within numpy 1.24's 32 array dimensions for any count below 2^31.
     """
-    digits = np.array(_unrank(start, radix, width), dtype=np.int64)[:, None].repeat(count, 1)
-    carry = np.arange(count, dtype=np.int64)
-    for j in range(width - 1, -1, -1):
-        if not carry.any():
-            break
-        row = digits[j] + carry
-        digits[j] = row % radix
-        carry = row // radix
+    m, span = 0, 1
+    while span < count and m < width:
+        m, span = m + 1, span * radix
+    high, low = divmod(start, span)
+    digits = np.empty((width, count), dtype=np.int64)
+    if m:
+        digits[width - m:] = np.unravel_index(np.arange(low, low + count),
+                                              (2,) + (radix,) * m)[1:]
+    carried = span - low
+    head = np.array(_unrank(high, radix, width - m), dtype=np.int64)
+    digits[:width - m, :carried] = head[:, None]
+    if carried < count:
+        # high + 1: its last digit below radix - 1 goes up by one and the
+        # digits after it roll over to 0 (high + 1 < radix^(width - m), as
+        # the batch ends within the space)
+        j = np.flatnonzero(head < radix - 1)[-1]
+        head[j] += 1
+        head[j + 1:] = 0
+        digits[:width - m, carried:] = head[:, None]
     return digits
 
 
@@ -179,7 +197,7 @@ def _read_checkpoint(path, digest, total, n_pairs, near_miss):
 
 
 def run_search(base, group, budget=None, unreduced=False, near_miss=True,
-               checkpoint_path=None, stats=None):
+               checkpoint_path=None, stats=None, progress=None):
     """Scan gain assignments on a connected finite linear space.
 
     near_miss=True evaluates every pair of every assignment and tallies
@@ -190,7 +208,10 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     docstring); the survivors are the same.  budget caps the number of
     assignments examined, counted from the start of the scan (a resumed
     scan included); a capped report is flagged partial.  stats, when
-    given, is a list that receives this scan's ScanStats.
+    given, is a list that receives this scan's ScanStats.  progress, when
+    given, is called with the report and the ScanStats each time the scan
+    passes a multiple of CHECKPOINT_EVERY assignments, at most once per
+    batch.
     A batch is edge-major, an (edges, B) array of codes with one column
     per assignment, so the kernel's gathers copy whole rows of B codes.
     """
@@ -312,8 +333,10 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
         report.scanned = stop
         # A skip may pass several checkpoint boundaries; every assignment
         # it passed failed, so one save at its end is exact.
-        if checkpoint_path is not None and stop // CHECKPOINT_EVERY > index // CHECKPOINT_EVERY:
+        if stop // CHECKPOINT_EVERY > index // CHECKPOINT_EVERY:
             save_checkpoint()
+            if progress is not None:
+                progress(report, counts)
     save_checkpoint()
     counts.seconds = time.perf_counter() - started
     return report

@@ -11,7 +11,7 @@ from gainquad import (GF, CyclicGroup, Verdict, affine_gains, affine_plane, expa
                       gq_criterion, is_generalized_ngon, quadrangle_order,
                       structure_from_json, structure_to_json)
 from gainquad.cli import main
-from gainquad.search import _config_digest
+from gainquad.search import CHECKPOINT_EVERY, _config_digest
 from helpers import assert_quadrangle_witness
 
 
@@ -447,6 +447,7 @@ def test_search_budget_exit_code(tmp_path):
 
 SCAN_COUNTERS = (r"scan: (\d+) scanned, (\d+) evaluated, (\d+) survivors, (\d+) classes "
                  r"in \d+\.\d{3} s, (\d+) assignments/s")
+PROGRESS = r"progress: (\d+) scanned, (\d+) evaluated, (\d+) survivors, (\d+) assignments/s"
 
 
 def test_search_verbose_prints_scan_counters_outside_the_report(tmp_path, capsys):
@@ -455,8 +456,9 @@ def test_search_verbose_prints_scan_counters_outside_the_report(tmp_path, capsys
             "--report", report)
     assert run(*argv) == 0
     first = report.read_bytes()
-    err = capsys.readouterr().err
-    match = re.fullmatch(SCAN_COUNTERS + "\n", err)
+    *progress, last = capsys.readouterr().err.splitlines()
+    assert all(re.fullmatch(PROGRESS, line) for line in progress)
+    match = re.fullmatch(SCAN_COUNTERS, last)
     assert match
     scanned, evaluated, survivors, classes, rate = map(int, match.groups())
     doc = read_json(report)
@@ -468,6 +470,26 @@ def test_search_verbose_prints_scan_counters_outside_the_report(tmp_path, capsys
     capsys.readouterr()
     assert run("search", "--base", "ag2:2", "--group", "z:2") == 0
     assert capsys.readouterr().err == ""
+
+
+def test_search_verbose_prints_progress_at_the_checkpoint_cadence(tmp_path, capsys):
+    argv = ("search", "--base", "ag2:3", "--group", "z:3", "--budget", "5000", "--report")
+    assert run(*argv, tmp_path / "quiet.json") == 3
+    assert capsys.readouterr().err == ""
+    assert run("-v", *argv, tmp_path / "loud.json") == 3
+    *progress, last = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(SCAN_COUNTERS, last)
+    # one line in each batch that passes 2048 and 4096; the near-miss scan
+    # evaluates every assignment, and none of the first 5000 survives
+    counters = [re.fullmatch(PROGRESS, line) for line in progress]
+    assert len(counters) == 2 and all(counters)
+    scanned = [int(m[1]) for m in counters]
+    assert [s // CHECKPOINT_EVERY for s in scanned] == [1, 2]
+    assert [(int(m[2]), int(m[3])) for m in counters] == [(s, 0) for s in scanned]
+    # the report differs only in the config, which records argv and -v
+    docs = [read_json(tmp_path / name) for name in ("quiet.json", "loud.json")]
+    configs = [doc.pop("config") for doc in docs]
+    assert docs[0] == docs[1] and [c["verbose"] for c in configs] == [False, True]
 
 
 def test_successive_main_calls_carry_no_state(tmp_path, capsys):

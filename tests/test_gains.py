@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -61,28 +62,54 @@ def test_regular_actions(group):
             assert g == group.identity()
 
 
-# GF(2^4) has the largest order with uint8 codes, Z17 the smallest with uint16.
-CODED_GROUPS = [CyclicGroup(n) for n in (2, 3, 4, 5, 17)] + [
-    AdditiveGroup(GF(p, n)) for p, n in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2))]
+# Z_n and GF(p) compose by add-and-wrap, GF(2^n) by XOR, and GF(9) and
+# GF(27) read the Cayley table; GF(2^4) has the largest order with uint8
+# codes, Z17 the smallest with uint16 and Z257 the smallest with uint32.
+CODED_GROUPS = ([CyclicGroup(n) for n in (*range(1, 21), 255, 256, 257)]
+                + [AdditiveGroup(GF(2, n)) for n in range(1, 9)]
+                + [AdditiveGroup(GF(p)) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+                + [AdditiveGroup(GF(3, n)) for n in (2, 3)])
 
 
 @pytest.mark.parametrize("group", CODED_GROUPS, ids=repr)
 def test_codes_follow_the_group_law(group):
     els = group.elements()
     assert [group.code(g) for g in els] == list(range(len(els)))
-    pairs = list(product(els, els))
-    dtype = code_dtype(group.order)
-    assert dtype == (np.uint8 if group.order <= 16 else np.uint16)
-    a = np.array([group.code(g) for g, _ in pairs], dtype=dtype)
-    b = np.array([group.code(h) for _, h in pairs], dtype=dtype)
-    composed = group.compose_codes(a, b)
-    inverted = group.inverse_codes(a)
-    assert composed.dtype == inverted.dtype == dtype
-    assert composed.tolist() == [group.code(group.compose(g, h)) for g, h in pairs]
-    assert inverted.tolist() == [group.code(group.inverse(g)) for g, _ in pairs]
-    # narrower codes are widened first: Z17 takes uint8 16 + 16 to 15
-    narrow = group.compose_codes(a.astype(np.uint8), b.astype(np.uint8))
-    assert narrow.tolist() == composed.tolist()
+    k = group.order
+    dtype = code_dtype(k)
+    assert dtype == (np.uint8 if k <= 16 else np.uint16 if k <= 256 else np.uint32)
+    # the Cayley table on ranks, built from compose, is the reference
+    table, inverses = group._code_tables
+    a, b = np.divmod(np.arange(k * k), k)
+    # every code pair in each integer dtype that holds the codes; narrower
+    # codes are widened first, so Z17 takes uint8 16 + 16 to 15
+    for width in (np.uint8, np.uint16, np.int64):
+        if k - 1 > np.iinfo(width).max:
+            continue
+        x, y = a.astype(width), b.astype(width)
+        composed, inverted = group.compose_codes(x, y), group.inverse_codes(x)
+        assert composed.dtype == inverted.dtype == dtype
+        assert not (np.shares_memory(composed, x) or np.shares_memory(inverted, x))
+        assert np.array_equal(composed, table) and np.array_equal(inverted, inverses[a])
+    # numpy scalars and 0-d arrays, at the last code, where a sum wraps
+    for last in (np.int64(k - 1), np.array(k - 1, dtype=dtype)):
+        composed, inverted = group.compose_codes(last, last), group.inverse_codes(last)
+        assert composed.dtype == inverted.dtype == dtype
+        assert composed is not last and inverted is not last
+        assert composed == table[-1] and inverted == inverses[-1]
+
+
+@pytest.mark.parametrize("group", [CyclicGroup(3), AdditiveGroup(GF(2, 2))], ids=repr)
+def test_composing_codes_makes_no_wide_index(group):
+    # a table read would widen 1 MB of uint8 codes into an 8 MB intp index
+    a = np.arange(1 << 20, dtype=np.uint8) % np.uint8(group.order)
+    tracemalloc.start()
+    try:
+        group.compose_codes(a, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 def test_group_spec_roundtrip():

@@ -281,6 +281,25 @@ def test_unrank_batch_carries_past_int64():
         assert rows == [_unrank(start + r, radix, width) for r in range(count)]
 
 
+# (radix, width) of the AG(2,2)/Z2, AG(2,3)/Z3 and AG(2,5)/Z5 gauge-fixed scans
+@pytest.mark.parametrize("radix,width", [(2, 3), (3, 16), (5, 96)])
+def test_unrank_batch_matches_unrank_column_by_column(radix, width):
+    total = radix ** width
+    if total <= 8:
+        batches = [(start, count) for start in range(total)
+                   for count in range(1, total - start + 1)]
+    else:
+        # carries into one and into many high digits, and batches that end
+        # at the last assignment
+        batches = [(max(0, radix ** m - d), count) for m in (1, 2, 5, width - 1)
+                   for d in (1, 2, radix + 1) for count in (1, radix, 606)]
+        batches += [(total - count, count) for count in (1, 2, radix ** 2, 606)]
+        batches += [(2 ** 63 - 7, 43)] if total > 2 ** 64 else []
+    for start, count in batches:
+        columns = _unrank_batch(start, count, radix, width).T.tolist()
+        assert columns == [_unrank(start + r, radix, width) for r in range(count)], (start, count)
+
+
 def test_resume_near_the_end_of_a_space_beyond_int64(tmp_path):
     # AG(2,4) over GF(4): 45 free edges, 4^45 ~ 1.2e27 assignments
     base = affine_plane(GF(2, 2)).structure
