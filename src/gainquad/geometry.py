@@ -323,21 +323,26 @@ def is_generalized_quadrangle(s):
 
     Per point p, gathers from padded tables of the lines of each point
     and the points of each line list the points x != p on p's lines M,
-    then the lines through each x.  A bincount of (p, x) counts common
-    lines, and one of (p, L) the pairs (M, x).  Point rows go in blocks
-    of at most _GQ_BLOCK_CELLS gathered entries and counts, or of one
-    row.  A row gathers at most v * b entries per step, because the
-    second gather runs only once no x is repeated.  A failure names its
-    witness as census_ngon would, in eids: ("uniqueness", p, q, count)
-    for points on count > 1 common lines, and for p off L joined by
-    count pairs, ("distance", p, v + L) if count is 0, else
-    ("uniqueness", p, v + L, count).  Within a block the first such pair
-    of points comes before the first such point and line.
+    then the lines through each x.  One bincount of (p, line) counts
+    them.  Where p shares at most one line with each point, a line L
+    off p gets one hit per pair (M, x) joining it to p, and each line M
+    through p gets |M| - 1; a point x on two lines through p gives each
+    of them a hit more.  So the counts alone pass a quadrangle, and only
+    a point row block that fails counts the common lines of (p, x) to
+    name its witness.  Point rows go in blocks of at most
+    _GQ_BLOCK_CELLS gathered entries and counts, or of one row.  A
+    failure names its witness as census_ngon would, in eids:
+    ("uniqueness", p, q, count) for points on count > 1 common lines,
+    and for p off L joined by count pairs, ("distance", p, v + L) if
+    count is 0, else ("uniqueness", p, v + L, count).  Within a block
+    the first such pair of points comes before the first such point and
+    line.
     """
     v, b = s.n_points, s.n_lines
     pt, ln = s.pairs.T
-    lines = padded_lists(ln, s.degrees, b)
-    points = padded_lists(pt[s.line_order], s.sizes, v)
+    # intp tables, so gathered keys take their row offsets in place
+    lines = padded_lists(ln.astype(np.intp), s.degrees, b)
+    points = padded_lists(pt[s.line_order].astype(np.intp), s.sizes, v)
     # Row p gathers the points on its lines, then the lines through each
     # pair (M, x) with x != p, and holds v + b + 1 counts.
     pairs = np.bincount(pt, weights=s.sizes[ln], minlength=v).astype(np.int64) - s.degrees
@@ -346,16 +351,17 @@ def is_generalized_quadrangle(s):
     while lo < v:
         cap = (ends[lo - 1] if lo else 0) + _GQ_BLOCK_CELLS
         hi = max(lo + 1, int(np.searchsorted(ends, cap, side="right")))
-        witness = _quadrangle_block(lines, points, lo, hi)
+        witness = _quadrangle_block(lines, points, s.sizes, lo, hi)
         if witness:
             return Verdict(False, witness)
         lo = hi
     return Verdict(True)
 
 
-def _quadrangle_block(lines, points, lo, hi):
+def _quadrangle_block(lines, points, sizes, lo, hi):
     """The witness of a quadrangle axiom failing at the points in
-    [lo, hi), or None.  lines is padded with b and points with v."""
+    [lo, hi), or None.  lines is padded with b and points with v, and
+    sizes holds the number of points of each line."""
     v, b = len(lines), len(points)
     n = hi - lo
     mine = lines[lo:hi]
@@ -364,22 +370,27 @@ def _quadrangle_block(lines, points, lo, hi):
     x = np.take(points, via, axis=0)
     keep = (x < v) & (x != lo + own[:, None])
     row, x = np.repeat(own, np.count_nonzero(keep, axis=1)), x[keep]
+    # Past v - 1 entries a row, some x repeats and the common lines below
+    # name the witness: so no row gathers more than v * b lines.
+    if len(x) <= n * (v - 1):
+        keys = np.take(lines, x, axis=0)
+        keys += (row * (b + 1))[:, None]
+        joins = np.bincount(keys.ravel(), minlength=n * (b + 1)).reshape(n, b + 1)
+        del keys
+        # 1 on every line: M through p down from |M| - 1, the padding b set
+        joins[own, via] -= sizes[via] - 2
+        joins[:, b] = 1
+        if joins.min() == joins.max() == 1:
+            return None
     common = np.bincount(row * v + x, minlength=n * v).reshape(n, v)
     if common.max() > 1:
         i, q = (int(y) for y in np.argwhere(common > 1)[0])
         return ("uniqueness", lo + i, q, int(common[i, q]))
-    del common
-    # Each x shares just M with p, so the lines through x other than M
-    # miss p; M itself and the padding b fall in bins that are not read.
-    keys = (row * (b + 1))[:, None] + np.take(lines, x, axis=0)
-    joins = np.bincount(keys.ravel(), minlength=n * (b + 1)).reshape(n, b + 1)[:, :b]
-    joins[own, via] = 1
-    if (joins != 1).any():
-        i, line = (int(y) for y in np.argwhere(joins != 1)[0])
-        count = int(joins[i, line])
-        return (("uniqueness", lo + i, v + line, count) if count
-                else ("distance", lo + i, v + line))
-    return None
+    # Each x shares just M with p, so M got its |M| - 1 and now reads 1
+    i, line = (int(y) for y in np.argwhere(joins != 1)[0])
+    count = int(joins[i, line])
+    return (("uniqueness", lo + i, v + line, count) if count
+            else ("distance", lo + i, v + line))
 
 
 # -- structural classifiers -------------------------------------------------
@@ -447,8 +458,13 @@ def verify_isomorphism(s1, s2, iso):
     if (sorted(iso.point_map) != list(range(s2.n_points))
             or sorted(iso.line_map) != list(range(s2.n_lines))):
         return False
-    mapped = {(iso.point_map[p], iso.line_map[b]) for p, b in s1.incidence}
-    return mapped == s2.incidence_set
+    # Keys point * b + line: the images of s1's distinct pairs, sorted,
+    # equal s2's, which its sorted pairs list in order.
+    nb = s2.n_lines
+    point_map = np.array(iso.point_map, dtype=np.int64)
+    line_map = np.array(iso.line_map, dtype=np.int64)
+    mapped = np.sort(point_map[s1.pairs[:, 0]] * nb + line_map[s1.pairs[:, 1]])
+    return np.array_equal(mapped, s2.pairs[:, 0].astype(np.int64) * nb + s2.pairs[:, 1])
 
 
 # -- JSON interchange --------------------------------------------------------
@@ -475,7 +491,7 @@ def structure_from_json(doc):
     tags = doc.get("tags")
     if tags is not None and not (isinstance(tags, dict) and all(
             isinstance(tags.get(k), list) and len(tags[k]) == n
-            and all(isinstance(t, list) and t for t in tags[k])
+            and set(map(type, tags[k])) == {list} and all(tags[k])
             for k, n in (("points", s.n_points), ("lines", s.n_lines)))):
         raise ValueError("tags need one nonempty list per point and per line")
     return s, tags

@@ -36,7 +36,6 @@ before it is returned.
 """
 
 import functools
-import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -159,6 +158,7 @@ class _Refiner:
         sizes = np.bincount(colors, minlength=ncolors).astype(np.int64)
         codes = colors[self.edge_u] * (ncolors + 1) + colors[self.edge_v]
         uniq, counts = np.unique(codes, return_counts=True)
+        import hashlib  # here, so that runs that hash nothing never load OpenSSL
         h = hashlib.sha256()
         h.update(ncolors.to_bytes(8, "big"))
         h.update(sizes.tobytes())
@@ -391,6 +391,7 @@ def _form_from_order(s, order, matrix):
     point_order = tuple(v for v in order if v < s.n_points)
     line_order = tuple(v - s.n_points for v in order if v >= s.n_points)
     header = f"{s.n_points}x{s.n_lines}:".encode()
+    import hashlib  # see _Refiner.invariant
     cert = hashlib.sha256(header + matrix).hexdigest()
     return CanonicalForm(s.n_points, s.n_lines, point_order, line_order,
                          matrix, cert)

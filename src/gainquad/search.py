@@ -27,7 +27,6 @@ free edge it reads, and every assignment sharing those digits with a
 failing one fails the same pair.
 """
 
-import hashlib
 import json
 import time
 from collections import Counter
@@ -147,6 +146,7 @@ def _unrank_batch(start, count, radix, width):
 
 
 def _config_digest(base, group, unreduced, near_miss):
+    import hashlib  # here, so that runs without a checkpoint never load OpenSSL
     blob = json.dumps({
         "base": structure_to_json(base),
         "group": group.spec(),
@@ -227,7 +227,6 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     free = [all_edges[i] for i in free_rows]
     radix = group.order
     total = radix ** len(free)
-    digest = _config_digest(base, group, unreduced, near_miss)
     identity = group.code(group.identity())
     n_pairs = kernel.n_pairs
     width = max(1, BATCH_VALUES // max(1, n_pairs * radix))
@@ -248,6 +247,7 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
         group=group.spec(), gauge_fixed=not unreduced, free_edges=free,
         total_space=total)
     if checkpoint_path is not None:
+        digest = _config_digest(base, group, unreduced, near_miss)
         state = _read_checkpoint(checkpoint_path, digest, total, n_pairs, near_miss)
         if state is not None:
             report.scanned = state["next_index"]

@@ -12,8 +12,11 @@ def is_int(x):
 
 
 def json_text(doc):
-    """doc as compact JSON: keys sorted, no spaces, one trailing newline."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """doc as compact JSON: keys sorted, no spaces, one trailing newline.
+    Every doc is a tree the caller has just built, so the encoder skips
+    its cycle bookkeeping, which costs it a dict entry per list."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      check_circular=False) + "\n"
 
 
 def atomic_write(path, text):

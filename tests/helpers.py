@@ -5,8 +5,9 @@ counting enumerates sequences directly or walks one breadth-first layer
 at a time, isomorphism testing tries point permutations, color
 refinement ranks its rows with one np.unique per round, orbits are
 walked one vertex at a time, field arithmetic is redone with schoolbook
-polynomial division, detour gains are walked one step at a time, and the
-quadrangle criterion is swept label by label.  Exact rationals carry the
+polynomial division, detour gains are walked one step at a time, the
+quadrangle criterion is swept label by label, and the quadrangle check's
+point row blocks count common lines and joins separately.  Exact rationals carry the
 closed-form detour values over an infinite field.
 """
 
@@ -241,6 +242,34 @@ def assert_quadrangle_witness(s, witness):
     else:
         assert kind == "uniqueness" and distance(s, u, w) < 4, witness
         assert count_shortest_chains(s, u, w) == count[0] != 1, witness
+
+
+def two_count_quadrangle_block(lines, points, sizes, lo, hi):
+    """geometry._quadrangle_block as it was when every point row block
+    made two bincounts: the common lines of each (p, x) first, then the
+    pairs (M, x) joining p to each line.  The one-count block must name
+    the same witness on the same block."""
+    v, b = len(lines), len(points)
+    n = hi - lo
+    mine = lines[lo:hi]
+    own, col = np.nonzero(mine < b)
+    via = mine[own, col]
+    x = np.take(points, via, axis=0)
+    keep = (x < v) & (x != lo + own[:, None])
+    row, x = np.repeat(own, np.count_nonzero(keep, axis=1)), x[keep]
+    common = np.bincount(row * v + x, minlength=n * v).reshape(n, v)
+    if common.max() > 1:
+        i, q = (int(y) for y in np.argwhere(common > 1)[0])
+        return ("uniqueness", lo + i, q, int(common[i, q]))
+    keys = (row * (b + 1))[:, None] + np.take(lines, x, axis=0)
+    joins = np.bincount(keys.ravel(), minlength=n * (b + 1)).reshape(n, b + 1)[:, :b]
+    joins[own, via] = 1
+    if (joins != 1).any():
+        i, line = (int(y) for y in np.argwhere(joins != 1)[0])
+        count = int(joins[i, line])
+        return (("uniqueness", lo + i, v + line, count) if count
+                else ("distance", lo + i, v + line))
+    return None
 
 
 def enumerate_chains(s, u, v, k):

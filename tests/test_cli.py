@@ -548,6 +548,14 @@ _BAD_INPUT = {
                                          "incidence": [[0, 0], [1, 0]],
                                          "tags": {"points": [["x"], ["x"]], "lines": 3}}},
                              ["export", "s.json", "--format", "dot"]),
+    "tags-empty-tag": ({"s.json": {"points": [0, 1], "lines": [0],
+                                   "incidence": [[0, 0], [1, 0]],
+                                   "tags": {"points": [["x"], []], "lines": [["b"]]}}},
+                       ["export", "s.json", "--format", "dot"]),
+    "tags-tag-not-a-list": ({"s.json": {"points": [0, 1], "lines": [0],
+                                        "incidence": [[0, 0], [1, 0]],
+                                        "tags": {"points": [["x"], ["x"]], "lines": ["b"]}}},
+                            ["export", "s.json", "--format", "dot"]),
     "rational-zero-denominator": ({"g.json": _ag22_gains({"kind": "Q"}, [1, 0])},
                                   ["build", "ag2", "2", "--gains", "g.json"]),
     "cyclic-gain-as-list": ({"g.json": _ag22_gains({"kind": "Zn", "modulus": 2}, [1])},
@@ -661,3 +669,32 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "graph incidence {" in proc.stdout
+
+
+def test_runs_that_hash_nothing_never_load_openssl(tmp_path):
+    """Only canonical forms and checkpoints hash: verify and a search with
+    no survivor and no checkpoint leave hashlib's OpenSSL module unloaded."""
+    import subprocess
+    import sys
+    script = """
+import importlib, pkgutil, sys
+import gainquad
+for m in pkgutil.iter_modules(gainquad.__path__):
+    if m.name != "__main__":
+        importlib.import_module("gainquad." + m.name)
+from gainquad.cli import main
+assert main(["build", "ag2", "3", "--with-gains", "-o", "m.json"]) == 0
+assert main(["verify", "m.json", "--as", "gq"]) == 0
+assert main(["search", "--base", "ag2:3", "--group", "z:3", "--fast",
+             "--budget", "3000", "--report", "r.json"]) == 3
+print(sorted(m for m in ("_hashlib", "hashlib") if m in sys.modules))
+"""
+    import os
+    import gainquad
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gainquad.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "r.json").read_text())["representatives"] == []

@@ -16,7 +16,7 @@ from gainquad import (GF, CyclicGroup, GainGraph, IncidenceStructure, affine_gai
 from helpers import (assert_quadrangle_witness, count_shortest_chains, distance,
                      enumerate_chains, grid_quadrangle, is_chain, naive_common_lines,
                      naive_incidence, naive_linear_space, naive_shortest_count, quadrilateral,
-                     random_structure, tiny_base)
+                     random_structure, tiny_base, two_count_quadrangle_block)
 
 
 def test_construction_validation():
@@ -411,17 +411,51 @@ def test_quadrangle_check_memory_stays_below_the_incidence_matrix(monkeypatch):
     assert peak < 4 * s.n_points * s.n_lines
 
 
-def test_quadrangle_check_on_every_tiny_structure(quadrangle_check):
+def test_quadrangle_check_gathers_no_lines_for_points_on_many_common_lines(monkeypatch):
+    """Every point on every line: each row would gather b lines for each
+    of its b * (v - 1) pairs (M, x), but the repeated x settle it first."""
+    v = b = 100
+    s = IncidenceStructure(range(v), range(b), [(p, j) for p in range(v) for j in range(b)])
+    monkeypatch.setattr(geometry, "_GQ_BLOCK_CELLS", 1)
+    tracemalloc.start()
+    try:
+        assert is_generalized_ngon(s, 4).witness == ("uniqueness", 0, 1, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one row's gather would take 8 bytes for each of its b * b * (v - 1) lines
+    assert peak < v * b * b
+
+
+def _tiny_structures():
     """Every incidence relation on at most 3 points and 3 lines."""
-    kinds = set()
     for v in (1, 2, 3):
         for b in (1, 2, 3):
             flags = [(p, j) for p in range(v) for j in range(b)]
             for mask in range(1, 1 << len(flags)):
-                s = IncidenceStructure(range(v), range(b),
-                                       [f for k, f in enumerate(flags) if mask >> k & 1])
-                kinds.add(quadrangle_check(s))
+                yield IncidenceStructure(range(v), range(b),
+                                         [f for k, f in enumerate(flags) if mask >> k & 1])
+
+
+def test_quadrangle_check_on_every_tiny_structure(quadrangle_check):
+    kinds = {quadrangle_check(s) for s in _tiny_structures()}
     assert kinds == {"pass", "distance", "uniqueness"}
+
+
+def test_one_count_blocks_name_the_witnesses_of_two_count_blocks(monkeypatch):
+    """Each point row block counts only (p, line) and counts common lines
+    only once it fails; it must return what the block that always
+    counted both returns."""
+    one_count = geometry._quadrangle_block
+    cases = _quadrangle_cases() + list(_tiny_structures())
+    for block_cells in (geometry._GQ_BLOCK_CELLS, 64, 1):
+        monkeypatch.setattr(geometry, "_GQ_BLOCK_CELLS", block_cells)
+        for s in cases:
+            monkeypatch.setattr(geometry, "_quadrangle_block", two_count_quadrangle_block)
+            want = is_generalized_ngon(s, 4)
+            monkeypatch.setattr(geometry, "_quadrangle_block", one_count)
+            got = is_generalized_ngon(s, 4)
+            assert (got.ok, got.witness) == (want.ok, want.witness), s.incidence
 
 
 def test_ovoid_trivia(expansion2):

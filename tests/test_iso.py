@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gainquad import (IncidenceStructure, affine_gains, affine_plane, are_isomorphic,
+from gainquad import (IncidenceStructure, Isomorphism, affine_gains, affine_plane, are_isomorphic,
                       canonical_form, distinguishing_invariant, dual, expand,
                       field_from_order, payne_derivation, symplectic_quadrangle,
                       verify_isomorphism)
@@ -64,6 +64,29 @@ def test_witnesses_are_valid(expansion2):
         iso = are_isomorphic(expansion2, copy)
         assert iso is not None
         assert verify_isomorphism(expansion2, copy, iso)
+
+
+def test_verify_isomorphism_refuses_a_map_that_breaks_one_incidence(expansion2):
+    """A bijection that carries every incidence but one onto the target is
+    refused, as are maps that are not bijections or have the wrong length."""
+    s = expansion2
+    identity = Isomorphism(tuple(range(s.n_points)), tuple(range(s.n_lines)))
+    assert verify_isomorphism(s, s, identity)
+    pairs = list(s.incidence)
+    p, b = pairs.pop(7)
+    q = next(x for x in range(s.n_points) if (x, b) not in s.incidence_set)
+    moved = IncidenceStructure(s.point_labels, s.line_labels, pairs + [(q, b)])
+    assert len(moved.pairs) == len(s.pairs)
+    assert not verify_isomorphism(s, moved, identity)
+    assert not verify_isomorphism(moved, s, identity)
+    # two points swapped: a bijection that moves each one's incidences
+    swap = list(range(s.n_points))
+    swap[p], swap[q] = q, p
+    assert not verify_isomorphism(s, s, Isomorphism(tuple(swap), identity.line_map))
+    repeated = (0,) + identity.point_map[1:-1] + (0,)
+    assert not verify_isomorphism(s, s, Isomorphism(repeated, identity.line_map))
+    assert not verify_isomorphism(s, s, Isomorphism(identity.point_map[:-1],
+                                                    identity.line_map))
 
 
 def test_different_counts_not_isomorphic(expansion2, expansion3):
