@@ -5,13 +5,18 @@ with points and lines as separate initial classes (the two sides are
 never interchanged; duality is an explicit catalog operation).  Colors
 are assigned by sorting signatures, so the refined partition does not
 depend on the input labeling.  A vertex's signature is its color and
-its sorted neighbor colors.  Each round gathers every signature with
-one take from the colors plus a sentinel, packs the rows into int64
-keys with one matrix product (as many columns a key as fit in base
-number of colors + 1), and ranks them by sorting the keys, which gives
-the order np.unique(axis=0) would.  Refinement stops at a round that
-leaves the color count unchanged, or as soon as the partition is
-discrete, as a discrete partition cannot split.
+its sorted neighbor colors.  Points are numbered below lines, and a
+round ranks the two sides apart: for each, one take from the colors
+plus a sentinel gathers its signatures, one matrix product packs the
+rows into int64 keys (as many columns a key as fit in base number of
+colors + 1), and sorting the keys ranks them, in the order
+np.unique(axis=0) would.  A point's neighbors are all lines and a
+line's all points, so after the first round a side can only split in a
+round after the other side has; a round ranks only the side whose
+neighbors split, and the other keeps its colors, shifted past the
+points.  Refinement stops at a round that leaves the color count
+unchanged, or as soon as the partition is discrete, as a discrete
+partition cannot split.
 
 One search routine serves both entry points, in the individualize-
 refine scheme of McKay & Piperno, "Practical graph isomorphism II"
@@ -104,61 +109,124 @@ class _Refiner:
     """Vectorized refinement context for one structure."""
 
     def __init__(self, s):
-        self.n = s.n_elements
-        self.n_points = s.n_points
+        self.n = n = s.n_elements
+        self.n_points = v = s.n_points
         self.degs = np.concatenate([s.degrees, s.sizes])
-        self.edge_u = np.repeat(np.arange(self.n, dtype=np.int64), self.degs)
+        self.edge_u = np.repeat(np.arange(n, dtype=np.int64), self.degs)
         self.edge_v = s.neighbours().astype(np.int64)
         # Row v is v itself, then v's neighbors padded with index n; slot n
         # of the color buffer holds a sentinel, the color count, that
-        # sorts after every real color id.  One take from the buffer then
-        # gathers every signature.
+        # sorts after every real color id.  One take of a side's rows from
+        # the buffer then gathers that side's signatures.
         self.selfpad = np.column_stack(
-            [np.arange(self.n), padded_lists(self.edge_v, self.degs, self.n)])
+            [np.arange(n), padded_lists(self.edge_v, self.degs, n)])
+        # Per side (points, then lines): its rows of selfpad, only as wide
+        # as its own largest degree needs; a signature buffer and its
+        # neighbor columns; a rank buffer, whose last slot receives the
+        # side's color count, and its other slots.
+        self.sides = []
+        for rows in (self.selfpad[:v, :1 + int(s.degrees.max())],
+                     self.selfpad[v:, :1 + int(s.sizes.max())]):
+            rows = np.ascontiguousarray(rows)
+            sig = np.empty(rows.shape, dtype=np.int64)
+            rank = np.empty(len(rows) + 1, dtype=np.int64)
+            self.sides.append((rows, sig, sig[:, 1:], rank, rank[:-1]))
         m = len(s.pairs)
         self.flags = self.edge_u[:m], self.edge_v[:m]  # (point, line) pairs
+        # Cell sizes and edge-code counts of a discrete partition: all 1.
+        self.ones = np.ones(max(n, len(self.edge_u)), dtype=np.int64)
         self.rounds = 0  # refinement rounds run, for SearchStats
+        self.seconds = 0.0  # and the wall seconds they took
 
     def initial_colors(self):
         side = (np.arange(self.n) >= self.n_points).astype(np.int64)
         return _dense_rank(np.stack([side, self.degs], axis=1), self.n + 1)
 
-    def refine(self, colors):
-        """The coarsest equitable refinement of colors.  Rounds stop when
-        one leaves the color count unchanged or the partition is discrete,
-        as a discrete partition cannot split."""
-        n = self.n
+    def refine(self, colors, changed=(True, True)):
+        """The coarsest equitable refinement of colors, which must be
+        dense and number every point below every line, as initial_colors
+        does; so does the result.  Rounds stop when one leaves the color
+        count unchanged or the partition is discrete, as a discrete
+        partition cannot split.
+
+        A round ranks a side only when the other side's color count
+        changed in the round before; changed says whether the points' and
+        the lines' counts changed before the first round.  A point's row
+        holds its own color and line colors only, and a line's row the
+        reverse.  If the lines did not split in a round, every point's
+        row in the next one is fixed by its own color, which already
+        separates the rows the lines' colors could tell apart; so the
+        points keep their colors, 0 to the point count, and the lines,
+        ranked after them, shift by the change in that count.  The same
+        holds with the sides swapped, so every round yields the colors a
+        round over both sides would, and stops at the same round."""
+        tick = time.perf_counter()
+        n, v = self.n, self.n_points
         ext = np.empty(n + 1, dtype=np.int64)
         ext[:n] = colors
-        ext[n] = ncolors = int(colors.max()) + 1
-        sig = np.empty(self.selfpad.shape, dtype=np.int64)
+        npoints = int(colors[:v].max()) + 1
+        ext[n] = ncolors = int(colors[v:].max()) + 1
+        nlines = ncolors - npoints
+        (prows, psig, pnb, prank, pranks), (lrows, lsig, lnb, lrank, lranks) = self.sides
+        rank_points, rank_lines = changed[1], changed[0]
         while True:
             self.rounds += 1
             # Every index is in range; mode "clip" lets take write into
-            # sig without a buffer.
-            ext.take(self.selfpad, out=sig, mode="clip")
-            sig[:, 1:].sort(axis=1)
-            _dense_rank(sig, ncolors + 1, out=ext)
-            count = int(ext[n])
+            # the signature buffer without a buffer of its own.
+            new_points, new_lines = npoints, nlines
+            if rank_points:
+                ext.take(prows, out=psig, mode="clip")
+                pnb.sort(axis=1)
+                _dense_rank(psig, ncolors + 1, out=prank)
+                new_points = int(prank[v])
+            if rank_lines:
+                ext.take(lrows, out=lsig, mode="clip")
+                lnb.sort(axis=1)
+                _dense_rank(lsig, ncolors + 1, out=lrank)
+                new_lines = int(lrank[-1])
+            # Both sides have read this round's colors; rewrite them.
+            if rank_points:
+                ext[:v] = pranks
+            if rank_lines:
+                np.add(lranks, new_points, out=ext[v:n])
+            elif new_points != npoints:
+                ext[v:n] += new_points - npoints
+            count = new_points + new_lines
             if count == ncolors or count == n:
+                self.seconds += time.perf_counter() - tick
                 return ext[:n]
-            ncolors = count
+            # A side whose count held still gives the other nothing new.
+            rank_points, rank_lines = new_lines != nlines, new_points != npoints
+            npoints, nlines = new_points, new_lines
+            ext[n] = ncolors = count
 
     def individualize(self, colors, v):
         """Refine after giving v a cell of its own, numbered just before
-        the rest of its cell, which must hold at least one other vertex."""
+        the rest of its cell, which must hold at least one other vertex.
+        colors must be equitable, as refine returns them: then only v's
+        side has split, and the first round ranks only the other side."""
         c = colors[v]
         new = colors + (colors >= c)
         new[v] = c
-        return self.refine(new)
+        point = v < self.n_points
+        return self.refine(new, (point, not point))
 
     def invariant(self, colors):
-        """Stable digest of cell sizes plus the edge-color quotient."""
+        """Stable digest of cell sizes plus the edge-color quotient, of
+        dense colors, as refine returns them."""
         ncolors = int(colors.max()) + 1
-        sizes = np.bincount(colors, minlength=ncolors).astype(np.int64)
         codes = colors[self.edge_u] * (ncolors + 1) + colors[self.edge_v]
-        uniq, counts = np.unique(codes, return_counts=True)
         import hashlib  # here, so that runs that hash nothing never load OpenSSL
+        if ncolors == self.n:
+            # Discrete: every cell holds one vertex, and no edge code
+            # repeats, as no (point, line) pair does.  The digest is the
+            # one below, with every size and count 1, in one hash call.
+            codes.sort()
+            return hashlib.sha256(b"".join((
+                ncolors.to_bytes(8, "big"), self.ones[:ncolors], codes,
+                self.ones[:len(codes)]))).digest()
+        sizes = np.bincount(colors, minlength=ncolors).astype(np.int64)
+        uniq, counts = np.unique(codes, return_counts=True)
         h = hashlib.sha256()
         h.update(ncolors.to_bytes(8, "big"))
         h.update(sizes.tobytes())
@@ -228,17 +296,18 @@ class SearchStats:
     siblings skipped as images of explored ones, backjumps taken from
     leaves that tie the best, the deepest individualization (the root is
     0), and the distinct seeded automorphisms; then the search's wall
-    seconds, of which seed_seconds went to checking the seeds.
+    seconds, of which seed_seconds went to checking the seeds and
+    refine_seconds to refinement.
     A plain class, not a dataclass, so importing the module stays cheap."""
 
     __slots__ = ("nodes", "leaves", "automorphisms", "refinement_rounds",
                  "orbit_prunes", "backjumps", "max_depth", "seeds", "seconds",
-                 "seed_seconds")
+                 "seed_seconds", "refine_seconds")
 
     def __init__(self):
         self.nodes = self.leaves = self.automorphisms = self.refinement_rounds = 0
         self.orbit_prunes = self.backjumps = self.max_depth = self.seeds = 0
-        self.seconds = self.seed_seconds = 0.0
+        self.seconds = self.seed_seconds = self.refine_seconds = 0.0
 
 
 def _checked_seeds(s, automorphisms):
@@ -383,6 +452,7 @@ def _search(s, target=None, deadline=None, stats=None, automorphisms=()):
     finally:
         counts.automorphisms = len(autos) - counts.seeds
         counts.refinement_rounds = ref.rounds
+        counts.refine_seconds = ref.seconds
         counts.seconds = time.perf_counter() - start
     return best if target is None else None
 

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own algorithms: chain
 counting enumerates sequences directly or walks one breadth-first layer
 at a time, isomorphism testing tries point permutations, color
-refinement ranks its rows with one np.unique per round, orbits are
+refinement ranks its rows with one np.unique per round, the node
+invariant counts edge codes with one np.unique, orbits are
 walked one vertex at a time, field arithmetic is redone with schoolbook
 polynomial division, detour gains are walked one step at a time, the
 quadrangle criterion is swept label by label, and the quadrangle check's
@@ -11,6 +12,7 @@ point row blocks count common lines and joins separately.  Exact rationals carry
 closed-form detour values over an infinite field.
 """
 
+import hashlib
 import math
 import operator
 from fractions import Fraction
@@ -525,13 +527,14 @@ def brute_force_isomorphic(s1, s2):
     return False
 
 
-def reference_refine(s, colors):
+def reference_refine(s, colors, trace=None):
     """Color refinement of s's incidence graph from colors, one int per
     element id (points first), the slow way: each round ranks the rows
     (own color, sorted neighbor colors padded with the color count) with
     one np.unique(axis=0), until a round leaves the color count as it
     was, with no early exit at a discrete partition.  Returns the colors
-    and the number of rounds run."""
+    and the number of rounds run; trace, when given, is a list that
+    receives the colors entering each round."""
     v, n = s.n_points, s.n_elements
     rows = [[] for _ in range(n)]
     for p, b in s.incidence:
@@ -541,6 +544,8 @@ def reference_refine(s, colors):
     colors, rounds = np.asarray(colors, dtype=np.int64), 0
     while True:
         rounds += 1
+        if trace is not None:
+            trace.append(colors)
         count, c = int(colors.max()) + 1, colors.tolist()
         sig = [[c[e]] + sorted(c[x] for x in row) + [count] * (width - len(row))
                for e, row in enumerate(rows)]
@@ -549,6 +554,23 @@ def reference_refine(s, colors):
         if int(new.max()) + 1 == count:
             return new, rounds
         colors = new
+
+
+def reference_invariant(s, colors):
+    """The search's node invariant the slow way: a sha256 of the color
+    count, the cell sizes, and the distinct (color, neighbor color) codes
+    of the incidence graph's directed edges with their counts, from one
+    np.unique over edges listed pair by pair."""
+    colors = np.asarray(colors, dtype=np.int64)
+    ncolors, v = int(colors.max()) + 1, s.n_points
+    ends = np.array([(p, v + b) for p, b in s.incidence], dtype=np.int64)
+    tails, heads = np.concatenate([ends, ends[:, ::-1]]).T
+    codes = colors[tails] * (ncolors + 1) + colors[heads]
+    uniq, counts = np.unique(codes, return_counts=True)
+    h = hashlib.sha256(ncolors.to_bytes(8, "big"))
+    for part in (np.bincount(colors, minlength=ncolors), uniq, counts):
+        h.update(part.astype(np.int64).tobytes())
+    return h.digest()
 
 
 def orbit_hits(v, explored, gens):

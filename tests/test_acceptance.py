@@ -1,5 +1,7 @@
 """Acceptance suite: one test per criterion, printing a pass line each."""
 
+import hashlib
+import json
 import math
 import random
 import time
@@ -236,6 +238,7 @@ def _payne_cross_check(q, family, budget_seconds):
                          automorphisms=affine_expansion_automorphisms(plane))
     assert iso is not None
     assert verify_isomorphism(left, right, iso)
+    return iso
 
 
 def test_criterion_7_dual_derivation(family):
@@ -247,12 +250,27 @@ def test_criterion_7_dual_derivation(family):
           f"{{2,3,4,5}} with verified witnesses [{time.time() - start:.1f}s]")
 
 
+# sha256 of json.dumps([point_map, line_map]) of the cross-check's witness
+# at CERTIFICATE_VERSION 2: a change to refinement, the invariant or the
+# search order that keeps certificates can still move the witness.
+WITNESSES = {
+    7: "b54eba8404205a43527c91c621a148fbc6f97b5e401fa16f4fa2e2b4880d4747",
+    8: "f2946531730ddf02305a968ad84bf459159050fe283cc2713e99ed10c4895039",
+    9: "762abba6494f1580bcdb1a51b82d10fcc65407370884bf1857fd1aafc82b9e46",
+    11: "828506083dc1e2ce5d33ac65277048be3b86b331e280c9eceb12513144eafc96",
+    16: "ae923f5a9f101c2cf33f150b462e38a085679051eb7568b2dd9f07a6d3193800",
+}
+
+
 @pytest.mark.parametrize("q", [7, 8, 9, 11, 16])
 def test_criterion_7_extended(q, family):
     """The same cross-check at q in {7,8,9,11,16}, 16 being the largest
-    W(q) shipped, within 60 s each; a TimeoutError fails it."""
+    W(q) shipped, within 60 s each; a TimeoutError fails it.  The
+    witness is pinned."""
     start = time.time()
-    _payne_cross_check(q, family, budget_seconds=60)
+    iso = _payne_cross_check(q, family, budget_seconds=60)
+    text = json.dumps([iso.point_map, iso.line_map])
+    assert hashlib.sha256(text.encode()).hexdigest() == WITNESSES[q]
     print(f"\nPASS 7x: dual-derivation cross-check at q={q} "
           f"[{time.time() - start:.1f}s]")
 

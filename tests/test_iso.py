@@ -13,7 +13,8 @@ from gainquad import (IncidenceStructure, Isomorphism, affine_gains, affine_plan
 from gainquad.catalog import affine_expansion_automorphisms
 from gainquad.iso import _Refiner, _dense_rank, _orbit_labels, _search
 from helpers import (brute_force_isomorphic, grid_quadrangle, orbit_hits, quadrilateral,
-                     random_structure, reference_refine, relabeled, tiny_base)
+                     random_structure, reference_invariant, reference_refine, relabeled,
+                     tiny_base)
 
 
 def test_canonical_form_is_relabeling_invariant(expansion2):
@@ -303,6 +304,107 @@ def test_refinement_matches_the_oracle_on_payne_pairs(q):
         assert _refine_to_a_leaf(s, ref, root) >= 1
 
 
+@pytest.mark.extended
+@pytest.mark.parametrize("q", [8, 9, 11])
+def test_refinement_matches_the_oracle_on_larger_payne_pairs(q):
+    test_refinement_matches_the_oracle_on_payne_pairs(q)
+
+
+def _random_subjects():
+    """The 200 structures of the random oracle test above."""
+    rng = random.Random(25)
+    subjects = [IncidenceStructure(["p"], ["b"], [(0, 0)])]
+    while len(subjects) < 200:
+        subjects.append(_structure_with_repeated_lines(rng) if rng.random() < 0.3
+                        else random_structure(rng, max_points=8, max_lines=8))
+    return subjects
+
+
+def _individualizes_as_refine(ref, colors, v):
+    """individualize(colors, v), whose first round ranks one side only,
+    against refine of the same individualized colors with both sides
+    ranked: the same colors in the same number of rounds.  Returns them."""
+    c = colors[v]
+    new = colors + (colors >= c)
+    new[v] = c
+    before = ref.rounds
+    expected = ref.refine(new)
+    rounds = ref.rounds - before
+    got = ref.individualize(colors, v)
+    assert np.array_equal(got, expected) and ref.rounds - before == 2 * rounds
+    return got
+
+
+def _individualize_to_a_leaf(ref, colors):
+    """_individualizes_as_refine on up to four vertices of each target
+    cell, following the first down to a discrete partition.  Returns the
+    number of vertices checked."""
+    checked = 0
+    while (cell := ref.target_cell(colors)) is not None:
+        first, *others = np.flatnonzero(colors == cell)[:4].tolist()
+        for v in others:
+            _individualizes_as_refine(ref, colors, v)
+        colors = _individualizes_as_refine(ref, colors, first)
+        checked += 1 + len(others)
+    return checked
+
+
+def _side_splits(s, colors):
+    """Whether the point and the line color counts grew, per round of the
+    oracle's refinement from colors."""
+    trace, v = [], s.n_points
+    reference_refine(s, colors, trace)
+    counts = [(len(np.unique(c[:v])), len(np.unique(c[v:]))) for c in trace]
+    return [(a[0] > b[0], a[1] > b[1]) for b, a in zip(counts, counts[1:])]
+
+
+def test_a_side_splits_only_after_the_other_side_has():
+    # The oracle ranks both sides every round; after the first round, a
+    # side's count grows only in a round after the other side's grew.
+    both_late = checked = 0
+    for s in _random_subjects():
+        ref = _Refiner(s)
+        splits = _side_splits(s, ref.initial_colors())
+        for before, now in zip(splits, splits[1:]):
+            assert now[0] <= before[1] and now[1] <= before[0]
+        # some structure splits both sides in one round after the first,
+        # so refine's rounds over both sides at once are exercised
+        both_late += any(all(now) for now in splits[1:])
+        checked += _individualize_to_a_leaf(ref, ref.refine(ref.initial_colors()))
+    assert both_late and checked > 200
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_individualize_ranks_as_refine_on_payne_pairs(q):
+    left = expand(affine_gains(affine_plane(field_from_order(q))))
+    right = dual(payne_derivation(symplectic_quadrangle(q)))
+    for s in (left, right):
+        ref = _Refiner(s)
+        assert _individualize_to_a_leaf(ref, ref.refine(ref.initial_colors())) >= 4
+
+
+def test_invariant_matches_the_oracle():
+    # Refined colorings from the root to a leaf, and random dense ones:
+    # permutations, which are discrete, and colorings with few colors.
+    rng = np.random.default_rng(29)
+    subjects = _random_subjects()[::4] + [
+        expand(affine_gains(affine_plane(field_from_order(q)))) for q in (2, 3, 4)]
+    kinds = set()
+    for s in subjects:
+        ref, n = _Refiner(s), s.n_elements
+        colors = ref.refine(ref.initial_colors())
+        colorings = [colors, rng.permutation(n)]
+        colorings.append(np.unique(rng.integers(0, 3, n), return_inverse=True)[1])
+        while (cell := ref.target_cell(colors)) is not None:
+            colors = ref.individualize(colors, int(np.flatnonzero(colors == cell)[0]))
+            colorings.append(colors)
+        for colors in colorings:
+            colors = colors.reshape(-1).astype(np.int64)
+            assert ref.invariant(colors) == reference_invariant(s, colors)
+            kinds.add(int(colors.max()) + 1 == n)
+    assert kinds == {False, True}
+
+
 # Certificates at CERTIFICATE_VERSION 2; a change to any of these values
 # changes what a checkpoint of that version means.
 PINNED = {
@@ -324,6 +426,16 @@ def test_refiner_tables_list_each_vertex_neighbours(seed):
     rows += [[p for p, b in s.incidence if b == e] for e in range(s.n_lines)]
     width = max(map(len, rows))
     assert ref.selfpad[:, 1:].tolist() == [row + [n] * (width - len(row)) for row in rows]
+    # each side's rows, only as wide as that side's largest degree
+    for (table, sig, neighbours, rank, ranks), side in zip(ref.sides,
+                                                           (range(v), range(v, n))):
+        side_width = max(len(rows[e]) for e in side)
+        assert table.flags.c_contiguous and table.dtype == np.intp
+        assert table.tolist() == [[e] + rows[e] + [n] * (side_width - len(rows[e]))
+                                  for e in side]
+        assert sig.shape == table.shape and rank.shape == (len(side) + 1,)
+        assert neighbours.base is sig and neighbours.shape == (len(side), side_width)
+        assert ranks.base is rank and ranks.shape == (len(side),)
     assert ref.degs.tolist() == [len(row) for row in rows]
     assert list(zip(ref.edge_u.tolist(), ref.edge_v.tolist())) == [
         (e, x) for e, row in enumerate(rows) for x in row]
