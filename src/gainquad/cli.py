@@ -134,7 +134,9 @@ def _isomorphism(args, s1, s2, seeds=None):
                         f"{st.refinement_rounds} refinement rounds, "
                         f"{st.orbit_prunes} orbit prunes, {st.backjumps} backjumps, "
                         f"depth {st.max_depth}, {st.seconds:.3f} s, "
-                        f"of which refinement {st.refine_seconds:.3f} s")
+                        f"of which refinement {st.refine_seconds:.3f} s, "
+                        f"{st.stabiliser_elements} stabiliser elements "
+                        f"in {st.stabiliser_seconds:.3f} s")
         if seeds is not None and stats:
             _note(args, f"seeds: {stats[0].seeds} lifted automorphisms of the first "
                         f"structure, built in {built:.3f} s, checked in "

@@ -24,14 +24,20 @@ refine scheme of McKay & Piperno, "Practical graph isomorphism II"
 non-singleton cell and keeps the minimal (invariant path, bit matrix)
 leaf; large target cells give shallow trees, in which automorphism
 pruning cuts early.  Leaves that tie the current best yield
-automorphisms, and sibling branches in the same orbit of the discovered
-group are skipped; that pruning is what makes the very symmetric
-quadrangles tractable.  Orbits are read off labels, the least vertex of
-each orbit, recomputed once whenever a leaf adds an automorphism.
-Automorphisms known in advance can seed that group before the root.
-Each is first checked against the incidence, and a seed only prunes
-images of explored branches, so seeded and unseeded searches reach the
-same first minimal leaf: the same canonical form and orderings.
+automorphisms, and a sibling branch is skipped when an element of the
+discovered group that fixes the base maps an explored sibling onto it;
+that pruning is what makes the very symmetric quadrangles tractable.
+Orbits are read off labels on the target cell, the least vertex of each
+orbit, recomputed whenever a leaf adds an automorphism fixing the base.
+From two-vertex bases on, a sibling those leave unpruned brings in
+further stabiliser elements: quotients of products of two known
+automorphisms that agree on the base, built on the cell only and at
+most STABILISER_CAP a time (_stabiliser_elements); SearchStats, and so
+-v, counts them and their seconds.  Automorphisms known in advance can
+seed that group before the root.  Each is first checked against the
+incidence.  Seeds and stabiliser elements only prune images of explored
+branches, so every search reaches the same first minimal leaf: the
+same canonical form, orderings and witness.
 
 canonical_form runs the search to its end.  are_isomorphic runs it to
 the end on the first structure, then on the second with the first's
@@ -46,11 +52,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Isomorphism, padded_lists, verify_isomorphism
+from .geometry import Isomorphism, verify_isomorphism
 
 # Bump on any change that can change certificates (refinement, invariant,
 # search order, matrix encoding): search checkpoints record it.
 CERTIFICATE_VERSION = 2
+
+# Stabiliser elements built per call, and the automorphisms their
+# products take factors from (see _stabiliser_elements).
+STABILISER_CAP = 64
+STABILISER_FACTORS = 64
 
 
 @functools.lru_cache(maxsize=4096)
@@ -105,6 +116,18 @@ def _dense_rank(sig, base, out=None):
     return out[:n]
 
 
+_ONES = np.ones(1024, dtype=np.int64).tobytes()
+
+
+def _update_ones(h, count):
+    """Feed the hash h the bytes of count int64 ones, from one fixed block
+    of them, so that no digest allocates ones by the structure's size."""
+    whole, rest = divmod(count * 8, len(_ONES))
+    for _ in range(whole):
+        h.update(_ONES)
+    h.update(_ONES[:rest])
+
+
 class _Refiner:
     """Vectorized refinement context for one structure."""
 
@@ -117,9 +140,14 @@ class _Refiner:
         # Row v is v itself, then v's neighbors padded with index n; slot n
         # of the color buffer holds a sentinel, the color count, that
         # sorts after every real color id.  One take of a side's rows from
-        # the buffer then gathers that side's signatures.
-        self.selfpad = np.column_stack(
-            [np.arange(n), padded_lists(self.edge_v, self.degs, n)])
+        # the buffer then gathers that side's signatures.  Edge i, the
+        # j-th of its vertex, goes to column j + 1, with no padded copy.
+        self.selfpad = np.full((n, 1 + int(self.degs.max())), n, dtype=np.intp)
+        self.selfpad[:, 0] = np.arange(n)
+        column = np.arange(1, len(self.edge_u) + 1)
+        column -= (np.cumsum(self.degs) - self.degs)[self.edge_u]
+        self.selfpad[self.edge_u, column] = self.edge_v
+        del column  # freed before the side buffers, for a lower peak
         # Per side (points, then lines): its rows of selfpad, only as wide
         # as its own largest degree needs; a signature buffer and its
         # neighbor columns; a rank buffer, whose last slot receives the
@@ -133,8 +161,6 @@ class _Refiner:
             self.sides.append((rows, sig, sig[:, 1:], rank, rank[:-1]))
         m = len(s.pairs)
         self.flags = self.edge_u[:m], self.edge_v[:m]  # (point, line) pairs
-        # Cell sizes and edge-code counts of a discrete partition: all 1.
-        self.ones = np.ones(max(n, len(self.edge_u)), dtype=np.int64)
         self.rounds = 0  # refinement rounds run, for SearchStats
         self.seconds = 0.0  # and the wall seconds they took
 
@@ -220,11 +246,14 @@ class _Refiner:
         if ncolors == self.n:
             # Discrete: every cell holds one vertex, and no edge code
             # repeats, as no (point, line) pair does.  The digest is the
-            # one below, with every size and count 1, in one hash call.
+            # one below, with every size and count 1, fed from one block
+            # of int64 ones.
             codes.sort()
-            return hashlib.sha256(b"".join((
-                ncolors.to_bytes(8, "big"), self.ones[:ncolors], codes,
-                self.ones[:len(codes)]))).digest()
+            h = hashlib.sha256(ncolors.to_bytes(8, "big"))
+            _update_ones(h, ncolors)
+            h.update(codes)
+            _update_ones(h, len(codes))
+            return h.digest()
         sizes = np.bincount(colors, minlength=ncolors).astype(np.int64)
         uniq, counts = np.unique(codes, return_counts=True)
         h = hashlib.sha256()
@@ -260,21 +289,77 @@ def _orbit_labels(gens, n):
     """The least vertex of each vertex's orbit under the group generated
     by the rows of gens, permutations of range(n).
 
-    Min-label propagation: a pass lowers each label to the label of its
-    image under every generator in turn, then jumps pointers (labels of
-    labels).  A label always lies in its vertex's orbit and never rises,
-    so a pass that changes nothing leaves labels constant on every orbit,
-    each equal to its orbit's least vertex.
+    Min-label propagation: a pass lowers each label to the least label
+    of its images under all the generators, in one gather, then jumps
+    pointers (labels of labels).  A label always lies in its vertex's
+    orbit and never rises, so a pass that changes nothing leaves labels
+    constant on every orbit, each equal to its orbit's least vertex.
     """
     labels = np.arange(n)
     while True:
-        new = labels
-        for g in gens:
-            new = np.minimum(new, new[g])
+        new = np.minimum.reduce(labels[gens], axis=0, initial=n)
+        np.minimum(new, labels, out=new)
         new = new[new]
         if np.array_equal(new, labels):
             return labels
         labels = new
+
+
+def _stabiliser_elements(perms, fixed, v, support):
+    """Elements of the pointwise stabiliser of the base fixed in the group
+    the rows of perms generate that move the vertex v, restricted to the
+    vertices support.
+
+    perms are automorphisms of one structure, permutations of its vertex
+    ids; fixed is a nonempty tuple of vertex ids; support is a sorted
+    array of vertex ids that every automorphism fixing each vertex of
+    fixed maps onto itself: all vertex ids, or a cell of the search's
+    coloring at that base.  The products x = a b of two of the first
+    STABILISER_FACTORS rows or the identity, in the order identity,
+    rows, then a b with a running slowest, fall in classes by their
+    images of fixed.  With x0 the first of x's class, the quotient
+    x0^-1 x fixes each vertex of fixed.  From each class one quotient
+    is taken for each image x(v) other than x0(v), from the first x
+    that gives it, so each moves v; the rows that fix fixed are left
+    out.  The first STABILISER_CAP of them are built on support only:
+    x and x0 map it onto the same vertices, so x0^-1 x takes the
+    position of the m-th least image under x to that of the m-th least
+    under x0.  The working set is the products' images of fixed and v,
+    and two rows of len(support) a quotient.
+
+    Returns an (r, len(support)) array, r <= STABILISER_CAP, whose row i
+    maps support[j] to support[row[j]].
+    """
+    perms = perms[:STABILISER_FACTORS]
+    (k, n), d = perms.shape, len(fixed)
+    points = np.array(fixed + (v,), dtype=np.int64)
+    images = perms[:, points]
+    keys = np.concatenate([points[None], images, perms[:, images].reshape(k * k, d + 1)])
+    ranks = _dense_rank(keys[:, :d], n)
+    rep = np.unique(ranks, return_index=True)[1][ranks]
+    ranks = _dense_rank(keys, n)
+    first = np.unique(ranks, return_index=True)[1][ranks] == np.arange(len(keys))
+    wanted = first & (ranks != ranks[rep])
+    wanted[1:k + 1] &= rep[1:k + 1] != 0
+    chosen = np.flatnonzero(wanted)[:STABILISER_CAP]
+    if not len(chosen):
+        return np.empty((0, len(support)), dtype=np.int64)
+    # Element t of that order is a b: the identity for t = 0, row t - 1
+    # for t <= k, else rows divmod(t - 1 - k, k); -1 is the identity.
+    t = np.concatenate([chosen, rep[chosen]])
+    a, b = np.divmod(t - 1 - k, k)
+    alone = t <= k
+    a[alone], b[alone] = -1, t[alone] - 1
+    values = perms[b[:, None], support]
+    values[b < 0] = support
+    values[a >= 0] = perms[a[a >= 0, None], values[a >= 0]]
+    x, x0 = values[:len(chosen)], values[len(chosen):]
+    source, dest = x.argsort(axis=1), x0.argsort(axis=1)
+    row = np.arange(len(chosen))[:, None]
+    assert (x[row, source] == x0[row, dest]).all(), "support is not invariant"
+    rows = np.empty_like(dest)
+    rows[row, source] = dest
+    return rows
 
 
 @dataclass(frozen=True)
@@ -295,19 +380,24 @@ class SearchStats:
     leaves reached, automorphisms found at leaves, refinement rounds run,
     siblings skipped as images of explored ones, backjumps taken from
     leaves that tie the best, the deepest individualization (the root is
-    0), and the distinct seeded automorphisms; then the search's wall
-    seconds, of which seed_seconds went to checking the seeds and
-    refine_seconds to refinement.
+    0), the distinct seeded automorphisms, and the stabiliser elements
+    built to prune siblings (see _stabiliser_elements); then the
+    search's wall seconds, of which seed_seconds went to checking the
+    seeds, refine_seconds to refinement and stabiliser_seconds to
+    building stabiliser elements and relabelling with them.
     A plain class, not a dataclass, so importing the module stays cheap."""
 
     __slots__ = ("nodes", "leaves", "automorphisms", "refinement_rounds",
-                 "orbit_prunes", "backjumps", "max_depth", "seeds", "seconds",
-                 "seed_seconds", "refine_seconds")
+                 "orbit_prunes", "backjumps", "max_depth", "seeds",
+                 "stabiliser_elements", "seconds", "seed_seconds",
+                 "refine_seconds", "stabiliser_seconds")
 
     def __init__(self):
         self.nodes = self.leaves = self.automorphisms = self.refinement_rounds = 0
         self.orbit_prunes = self.backjumps = self.max_depth = self.seeds = 0
+        self.stabiliser_elements = 0
         self.seconds = self.seed_seconds = self.refine_seconds = 0.0
+        self.stabiliser_seconds = 0.0
 
 
 def _checked_seeds(s, automorphisms):
@@ -376,6 +466,17 @@ def _search(s, target=None, deadline=None, stats=None, automorphisms=()):
     ref = _Refiner(s)
     n = s.n_elements
     best = {"path": None, "cert": None, "order": None, "base": None}
+    stacked = np.empty((0, n), dtype=np.int64)
+    where = np.empty(n, dtype=np.int64)  # a cell member's position in its cell
+
+    def group():
+        """The automorphisms as rows of one array, stacked again once
+        leaves have added some."""
+        nonlocal stacked
+        if len(stacked) < len(autos):
+            stacked = np.array(list(autos.values()))
+        return stacked
+
     stage = "canonical labeling" if target is None else "isomorphism search"
 
     def rec(colors, path, fixed):
@@ -419,24 +520,49 @@ def _search(s, target=None, deadline=None, stats=None, automorphisms=()):
                     raise _Backjump(diverge)
             return
         # A sibling is skipped when its orbit label is that of an explored
-        # one; without labels, each vertex is its own label.
-        explored, seen = [], set()
-        labels, filtered = None, 0
-        for v in np.flatnonzero(colors == cell).tolist():
+        # one; without labels, each vertex is its own label.  Every
+        # automorphism fixing the base maps the cell onto itself, so the
+        # generators and labels are local to it: position i is members[i].
+        members = np.flatnonzero(colors == cell)
+        explored, seen, gens = [], set(), []  # gens: blocks of rows
+        labels, filtered, stabilised = None, 0, 0
+        for i, v in enumerate(members.tolist()):
             if explored and len(autos) > filtered:
                 # Only automorphisms fixing the base so far map siblings
-                # onto siblings; relabel only once a leaf has added one
-                # and an explored sibling can make a label count.
-                perms = np.array(list(autos.values()))
-                gens = perms[(perms[:, fixed] == fixed).all(axis=1)]
-                labels = _orbit_labels(gens, n)
-                seen = set(labels[explored].tolist())
+                # onto siblings.  Look at those that leaves have added
+                # since the last look, once an explored sibling can make a
+                # label count.
+                perms = group()
+                new = filtered + np.flatnonzero((perms[filtered:, fixed] == fixed).all(axis=1))
                 filtered = len(autos)
-            label = v if labels is None else int(labels[v])
+                if len(new):
+                    where[members] = np.arange(len(members))
+                    gens.append(where[perms[new[:, None], members]])
+                    labels = _orbit_labels(np.concatenate(gens), len(members))
+                    seen = set(labels[explored].tolist())
+            label = i if labels is None else int(labels[i])
+            if (label not in seen and len(fixed) >= 2 and filtered > stabilised
+                    and filtered >= 2):
+                # Products of known automorphisms can fix the base where
+                # none does alone: build such elements once leaves have
+                # added automorphisms since the last build.  Not at the
+                # root, which every automorphism fixes, nor at one-vertex
+                # bases or with one automorphism known: there they cost
+                # more than they pruned.
+                tick = time.perf_counter()
+                stabilised = filtered
+                extra = _stabiliser_elements(perms, fixed, v, members)
+                counts.stabiliser_elements += len(extra)
+                if len(extra):
+                    gens.append(extra)
+                    labels = _orbit_labels(np.concatenate(gens), len(members))
+                    seen = set(labels[explored].tolist())
+                    label = int(labels[i])
+                counts.stabiliser_seconds += time.perf_counter() - tick
             if label in seen:
                 counts.orbit_prunes += 1
                 continue
-            explored.append(v)
+            explored.append(i)
             seen.add(label)
             try:
                 rec(ref.individualize(colors, v), path, fixed + (v,))

@@ -5,7 +5,8 @@ counting enumerates sequences directly or walks one breadth-first layer
 at a time, isomorphism testing tries point permutations, color
 refinement ranks its rows with one np.unique per round, the node
 invariant counts edge codes with one np.unique, orbits are
-walked one vertex at a time, field arithmetic is redone with schoolbook
+walked one vertex at a time and stabiliser orbits one vertex tuple at a
+time, field arithmetic is redone with schoolbook
 polynomial division, detour gains are walked one step at a time, the
 quadrangle criterion is swept label by label, and the quadrangle check's
 point row blocks count common lines and joins separately.  Exact rationals carry the
@@ -589,6 +590,39 @@ def orbit_hits(v, explored, gens):
                 orbit.add(y)
                 frontier.append(y)
     return any(w in orbit for w in explored)
+
+
+def tuple_orbit(gens, start):
+    """The orbit of the vertex tuple start under the group the
+    permutations gens generate, as a set of tuples, found breadth first:
+    every tuple reached is mapped by every generator until nothing new
+    turns up."""
+    gens = np.asarray(gens)
+    seen = {tuple(start)}
+    frontier = np.array([start], dtype=np.int64)
+    while len(frontier) and len(gens):
+        images = gens[:, frontier].reshape(-1, frontier.shape[1])
+        new = {t for t in map(tuple, images.tolist()) if t not in seen}
+        seen |= new
+        frontier = np.array(sorted(new), dtype=np.int64).reshape(-1, frontier.shape[1])
+    return seen
+
+
+def stabiliser_orbit_hits(v, explored, fixed, gens, orbits=None):
+    """True when some element of the group the permutations gens generate
+    fixes every vertex of the tuple fixed and maps an explored vertex onto
+    v: when fixed + (v,) lies in the orbit of fixed + (w,), w explored.
+    orbits, when given, is a dict that keeps the tuple orbits found, for
+    further calls with the same gens."""
+    orbits = {} if orbits is None else orbits
+    target = tuple(fixed) + (v,)
+    for w in explored:
+        start = tuple(fixed) + (w,)
+        if start not in orbits:
+            orbits[start] = tuple_orbit(gens, start)
+        if target in orbits[start]:
+            return True
+    return False
 
 
 # -- field oracle --------------------------------------------------------------

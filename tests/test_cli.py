@@ -343,7 +343,8 @@ def test_isocheck_timeout_exits_3_without_a_witness(tmp_path, capsys):
 SEARCH_COUNTERS = (r"search on the (first|second) structure: \d+ nodes, \d+ leaves, "
                    r"\d+ automorphisms, \d+ refinement rounds, \d+ orbit prunes, "
                    r"\d+ backjumps, depth \d+, \d+\.\d{3} s, "
-                   r"of which refinement \d+\.\d{3} s")
+                   r"of which refinement \d+\.\d{3} s, "
+                   r"\d+ stabiliser elements in \d+\.\d{3} s")
 BUILT = r"built the (affine expansion|dual derivation): \d+/\d+, \d+\.\d{3} s"
 SEEDS = (r"seeds: (\d+) lifted automorphisms of the first structure, "
          r"built in \d+\.\d{3} s, checked in \d+\.\d{3} s")

@@ -1,6 +1,7 @@
 """Canonical forms and isomorphism witnesses."""
 
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,10 +12,12 @@ from gainquad import (IncidenceStructure, Isomorphism, affine_gains, affine_plan
                       field_from_order, payne_derivation, symplectic_quadrangle,
                       verify_isomorphism)
 from gainquad.catalog import affine_expansion_automorphisms
-from gainquad.iso import _Refiner, _dense_rank, _orbit_labels, _search
+from gainquad import iso
+from gainquad.iso import (SearchStats, _checked_seeds, _dense_rank, _orbit_labels, _Refiner,
+                          _search, _stabiliser_elements)
 from helpers import (brute_force_isomorphic, grid_quadrangle, orbit_hits, quadrilateral,
                      random_structure, reference_invariant, reference_refine, relabeled,
-                     tiny_base)
+                     stabiliser_orbit_hits, tiny_base)
 
 
 def test_canonical_form_is_relabeling_invariant(expansion2):
@@ -474,11 +477,13 @@ def test_search_stats_count_each_search(expansion2, expansion3):
 
 # SearchStats of are_isomorphic(expansion, dual derivation) at certificate
 # version 2, first search then second: (nodes, leaves, automorphisms,
-# refinement rounds, orbit prunes, backjumps, max depth).
+# refinement rounds, orbit prunes, backjumps, max depth, stabiliser
+# elements).  These count work, not results: the witnesses are pinned
+# apart (PINNED, test_acceptance.WITNESSES).
 PAYNE_COUNTERS = {
-    3: ((20, 7, 6, 97, 87, 6, 4), (5, 1, 0, 20, 0, 0, 4)),
-    4: ((30, 10, 9, 165, 218, 9, 4), (5, 1, 0, 21, 0, 0, 4)),
-    5: ((45, 11, 9, 293, 628, 9, 3), (12, 6, 4, 74, 112, 4, 3)),
+    3: ((20, 7, 6, 97, 87, 6, 4, 2), (5, 1, 0, 20, 0, 0, 4, 0)),
+    4: ((30, 10, 9, 165, 218, 9, 4, 11), (5, 1, 0, 21, 0, 0, 4, 0)),
+    5: ((24, 9, 7, 150, 649, 7, 3, 29), (12, 6, 4, 74, 112, 4, 3, 3)),
 }
 
 
@@ -489,9 +494,10 @@ def test_payne_pair_search_counters_are_pinned(q):
     stats = []
     assert are_isomorphic(left, right, stats=stats) is not None
     assert tuple((st.nodes, st.leaves, st.automorphisms, st.refinement_rounds,
-                  st.orbit_prunes, st.backjumps, st.max_depth)
+                  st.orbit_prunes, st.backjumps, st.max_depth, st.stabiliser_elements)
                  for st in stats) == PAYNE_COUNTERS[q]
     assert all(st.seconds > 0 for st in stats)
+    assert all(st.stabiliser_seconds > 0 for st in stats if st.stabiliser_elements)
 
 
 def _random_permutations(rng, n, k):
@@ -624,3 +630,157 @@ def test_seeds_that_are_no_automorphisms_are_refused(expansion3):
     with pytest.raises(ValueError, match="maps a point onto a line"):
         canonical_form(grid, automorphisms=[[2, 3, 0, 1]])
     assert canonical_form(grid, automorphisms=[[1, 0, 3, 2]]) == canonical_form(grid)
+
+
+def test_refiner_peak_allocation_at_q11():
+    # Before the discrete digest fed its ones from one fixed block and
+    # the neighbor table was filled in place, this peaked at 1,896,177
+    # traced bytes (numpy 2.4): the refiner kept max(n, 2E) int64 ones,
+    # and built a padded copy of the neighbor lists besides the table.
+    import tracemalloc
+    s = expand(affine_gains(affine_plane(field_from_order(11))))
+    tracemalloc.start()
+    try:
+        _Refiner(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_896_177
+
+
+def _group_elements(gens):
+    """Every element of the group the rows of gens generate, as tuples; a
+    closure under composition, for small degrees."""
+    identity = tuple(range(gens.shape[1]))
+    elements, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [y for y in {tuple(g[list(x)]) for x in frontier for g in gens}
+                    if y not in elements]
+        elements.update(frontier)
+    return elements
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_stabiliser_elements_lie_in_the_pointwise_stabiliser(seed, monkeypatch):
+    # Every permutation of the points of one line is an automorphism of
+    # that structure; the line's id, the last, stays put.
+    rng = random.Random(seed)
+    m = rng.randint(2, 6)
+    s = IncidenceStructure(range(m), ["L"], [(p, 0) for p in range(m)])
+    k = rng.randint(1, 5)
+    gens = np.column_stack([_random_permutations(rng, m, k), np.full(k, m)])
+    group = _group_elements(gens)
+    for _ in range(5):
+        fixed = tuple(rng.sample(range(m), rng.randint(1, m - 1)))
+        v = rng.randrange(m)
+        rows = _stabiliser_elements(gens, fixed, v, np.arange(m + 1))
+        assert rows.shape[1] == m + 1 and len(rows) <= iso.STABILISER_CAP
+        _checked_seeds(s, rows)
+        for row in rows:
+            assert tuple(row) in group and (row[list(fixed)] == fixed).all()
+            assert row[v] != v
+        # on the points off the base, which the stabiliser maps onto
+        # themselves, the same elements come out restricted
+        support = np.setdiff1d(np.arange(m), fixed)
+        local = _stabiliser_elements(gens, fixed, v, support)
+        assert np.array_equal(support[local], rows[:, support])
+        with monkeypatch.context() as patch:
+            patch.setattr(iso, "STABILISER_CAP", 1)
+            assert len(_stabiliser_elements(gens, fixed, v, support)) == min(len(rows), 1)
+
+
+def _payne_pair(q):
+    return (expand(affine_gains(affine_plane(field_from_order(q)))),
+            dual(payne_derivation(symplectic_quadrangle(q))))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_stabiliser_elements_of_payne_searches_are_automorphisms(q, monkeypatch):
+    calls = []
+
+    def recorded(perms, fixed, v, support):
+        rows = build(perms, fixed, v, support)
+        calls.append((perms, fixed, v, support, rows))
+        return rows
+
+    build = iso._stabiliser_elements
+    monkeypatch.setattr(iso, "_stabiliser_elements", recorded)
+    left, right = _payne_pair(q)
+    best = _search(left)
+    searches = [(left, calls[:])]
+    del calls[:]
+    assert _search(right, (best["path"], best["cert"])) is not None
+    searches.append((right, calls[:]))
+    built = 0
+    for s, made in searches:
+        for perms, fixed, v, support, rows in made:
+            full = build(perms, fixed, v, np.arange(s.n_elements))
+            assert (full[:, list(fixed)] == fixed).all()
+            assert len(_checked_seeds(s, full)) == len(np.unique(full, axis=0))
+            # the search's elements are these, on the target cell
+            assert np.array_equal(support[rows], full[:, support])
+            built += len(rows)
+    assert built > 0 or q == 2
+
+
+class _SkipRecorder(SearchStats):
+    """SearchStats that records each sibling the search skips: the base,
+    the sibling, the explored siblings and the automorphisms known then,
+    read off the frame of the search node that counts the skip."""
+
+    def __init__(self):
+        self.skips = []
+        super().__init__()
+
+    @property
+    def orbit_prunes(self):
+        return self.__dict__.get("prunes", 0)
+
+    @orbit_prunes.setter
+    def orbit_prunes(self, value):
+        if value:
+            node = sys._getframe(1).f_locals
+            self.skips.append((node["fixed"], node["v"],
+                               node["members"][node["explored"]].tolist(),
+                               np.array(list(node["autos"].values()))))
+        self.__dict__["prunes"] = value
+
+
+def _assert_skips_lie_in_explored_orbits(stats):
+    """Every skipped sibling is the image of an explored one under an
+    automorphism in the group the automorphisms known then generate that
+    fixes the base; returns the skips the automorphisms fixing the base
+    alone do not explain."""
+    beyond = 0
+    for st in stats:
+        orbits = {}  # tuple orbits, per number of automorphisms known
+        for fixed, v, explored, autos in st.skips:
+            known = orbits.setdefault(len(autos), {})
+            assert stabiliser_orbit_hits(v, explored, fixed, autos, known)
+            fixing = autos[(autos[:, list(fixed)] == fixed).all(axis=1)]
+            beyond += not orbit_hits(v, explored, fixing)
+    return beyond
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_skipped_siblings_lie_in_explored_orbits_on_payne_pairs(q, monkeypatch):
+    monkeypatch.setattr(iso, "SearchStats", _SkipRecorder)
+    stats = []
+    assert are_isomorphic(*_payne_pair(q), stats=stats) is not None
+    beyond = _assert_skips_lie_in_explored_orbits(stats)
+    assert sum(len(st.skips) for st in stats) == sum(st.orbit_prunes for st in stats) > 0
+    # at q = 5 stabiliser elements skip siblings no fixing automorphism does
+    assert beyond > 0 or q < 5
+
+
+def test_skipped_siblings_lie_in_explored_orbits_on_random_structures(monkeypatch):
+    monkeypatch.setattr(iso, "SearchStats", _SkipRecorder)
+    rng = random.Random(30)
+    skips = 0
+    for _ in range(50):
+        s = random_structure(rng, max_points=8, max_lines=8)
+        stats = []
+        assert are_isomorphic(s, relabeled(s, rng)[0], stats=stats) is not None
+        _assert_skips_lie_in_explored_orbits(stats)
+        skips += sum(len(st.skips) for st in stats)
+    assert skips > 0
