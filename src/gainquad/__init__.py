@@ -20,7 +20,8 @@ from .gains import (GainGraph, gains_from_json, gains_to_json, identity_gains,
 from .construction import (Expansion, bijective_pair_count, detour_gains, expand,
                            gq_criterion, gq_parameters, switching_isomorphism)
 from .catalog import (AffinePlane, SymplecticQuadrangle, affine_gains,
-                      affine_plane, dual, payne_derivation, symplectic_quadrangle)
+                      affine_plane, dual, payne_derivation, payne_isomorphism,
+                      symplectic_quadrangle)
 from .iso import CanonicalForm, are_isomorphic, canonical_form, distinguishing_invariant
 from .search import SearchReport, run_search
 

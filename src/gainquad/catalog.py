@@ -7,11 +7,11 @@ from itertools import combinations
 import numpy as np
 
 from .fields import field_from_order
-from .geometry import IncidenceStructure
+from .geometry import IncidenceStructure, Isomorphism, verify_isomorphism
 from .groups import AdditiveGroup
 from .gains import GainGraph, spanning_tree_potential, switch_codes
 
-MAX_SYMPLECTIC_ORDER = 16
+MAX_SYMPLECTIC_ORDER = 32
 
 
 class AffinePlane:
@@ -273,6 +273,26 @@ def payne_derivation(w, x_index=0):
     line_labels = [f"d{j}" for j in range(len(rows))]
     pairs = np.column_stack([rows.ravel(), np.arange(rows.size) // q])
     return IncidenceStructure(point_labels, line_labels, pairs)
+
+
+def payne_isomorphism(plane, w, left, right):
+    """The verified isomorphism from left = expand(affine_gains(plane)) to
+    right = dual(payne_derivation(w)) over GF(q).  Line z[(x, y), t] goes to
+    the W(q) point <-t, 1, x, y>, off the perp of the base point <1,0,0,0>,
+    and each point to the point of right whose q lines are the images of
+    its own: two points of a quadrangle share at most one line."""
+    q, F, tables = w.q, plane.field, w.field.code_tables
+    p, t = np.divmod(np.arange(left.n_lines), q)
+    one = np.full_like(t, F.elements().index(F.one))
+    image = w.point_index(np.column_stack([F.code_tables[2][t], one, *np.divmod(p, q)]))
+    line_map = np.searchsorted(np.flatnonzero(_form(tables, w.codes[0], w.codes) != 0), image)
+    rows = np.sort(line_map[left.pairs[:, 1]].reshape(-1, q), axis=1)
+    point_map = np.empty(left.n_points, dtype=np.int64)
+    point_map[np.lexsort(rows.T[::-1])] = np.lexsort(right.pairs[:, 1].reshape(-1, q).T[::-1])
+    iso = Isomorphism(tuple(point_map.tolist()), tuple(line_map.tolist()))
+    if not verify_isomorphism(left, right, iso):
+        raise RuntimeError("Payne map failed the isomorphism check")
+    return iso
 
 
 def dual(s):

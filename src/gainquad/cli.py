@@ -116,33 +116,6 @@ def _note(args, message):
         print(message, file=sys.stderr)
 
 
-def _isomorphism(args, s1, s2, seeds=None):
-    """are_isomorphic under the --timeout budget, the first search seeded
-    with the automorphisms of seeds, a pair (automorphisms of s1, seconds
-    taken to build them), when given.  With -v, one stderr line of
-    counters and wall seconds per search it ran, also when the budget
-    ends it, and with seeds one line of their count and seconds."""
-    stats = []
-    automorphisms, built = seeds or ((), 0.0)
-    try:
-        return are_isomorphic(s1, s2, deadline=_deadline(args.timeout), stats=stats,
-                              automorphisms=automorphisms)
-    finally:
-        for which, st in zip(("first", "second"), stats):
-            _note(args, f"search on the {which} structure: {st.nodes} nodes, "
-                        f"{st.leaves} leaves, {st.automorphisms} automorphisms, "
-                        f"{st.refinement_rounds} refinement rounds, "
-                        f"{st.orbit_prunes} orbit prunes, {st.backjumps} backjumps, "
-                        f"depth {st.max_depth}, {st.seconds:.3f} s, "
-                        f"of which refinement {st.refine_seconds:.3f} s, "
-                        f"{st.stabiliser_elements} stabiliser elements "
-                        f"in {st.stabiliser_seconds:.3f} s")
-        if seeds is not None and stats:
-            _note(args, f"seeds: {stats[0].seeds} lifted automorphisms of the first "
-                        f"structure, built in {built:.3f} s, checked in "
-                        f"{stats[0].seed_seconds:.3f} s")
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -245,9 +218,23 @@ def cmd_verify(args):
 
 
 def cmd_isocheck(args):
+    """With -v, one stderr line of counters and wall seconds per search it
+    ran, also when the --timeout budget ends it."""
     s1 = realize_base(args.first)["structure"]
     s2 = realize_base(args.second)["structure"]
-    iso = _isomorphism(args, s1, s2)
+    stats = []
+    try:
+        iso = are_isomorphic(s1, s2, deadline=_deadline(args.timeout), stats=stats)
+    finally:
+        for which, st in zip(("first", "second"), stats):
+            _note(args, f"search on the {which} structure: {st.nodes} nodes, "
+                        f"{st.leaves} leaves, {st.automorphisms} automorphisms, "
+                        f"{st.refinement_rounds} refinement rounds, "
+                        f"{st.orbit_prunes} orbit prunes, {st.backjumps} backjumps, "
+                        f"depth {st.max_depth}, {st.seconds:.3f} s, "
+                        f"of which refinement {st.refine_seconds:.3f} s, "
+                        f"{st.stabiliser_elements} stabiliser elements "
+                        f"in {st.stabiliser_seconds:.3f} s")
     if iso is None:
         inv = distinguishing_invariant(s1, s2) or "search-exhausted"
         if args.witness:
@@ -264,6 +251,8 @@ def cmd_isocheck(args):
 
 
 def cmd_payne_check(args):
+    """The witness is catalog.payne_isomorphism's verified map.  With -v,
+    one stderr line of wall seconds for each side built and for the map."""
     q = args.q
     if q > catalog.MAX_SYMPLECTIC_ORDER:  # W(q)'s ceiling, before anything is built
         raise ValueError(f"order {q} exceeds the {catalog.MAX_SYMPLECTIC_ORDER} ceiling")
@@ -273,26 +262,17 @@ def cmd_payne_check(args):
     _note(args, f"built the affine expansion: {left.n_points}/{left.n_lines}, "
                 f"{time.perf_counter() - start:.3f} s")
     start = time.perf_counter()
-    lifts = catalog.affine_expansion_automorphisms(plane)
-    seeds = lifts, time.perf_counter() - start
-    start = time.perf_counter()
-    right = catalog.dual(catalog.payne_derivation(catalog.symplectic_quadrangle(q)))
+    w = catalog.symplectic_quadrangle(q)
+    right = catalog.dual(catalog.payne_derivation(w))
     _note(args, f"built the dual derivation: {right.n_points}/{right.n_lines}, "
                 f"{time.perf_counter() - start:.3f} s")
-    iso = _isomorphism(args, left, right, seeds)
+    start = time.perf_counter()
+    iso = catalog.payne_isomorphism(plane, w, left, right)
+    _note(args, f"mapped and verified: {time.perf_counter() - start:.3f} s")
     doc = {"q": q, "config": _config(args, "payne-check"),
            "left": {"points": left.n_points, "lines": left.n_lines},
-           "right": {"points": right.n_points, "lines": right.n_lines}}
-    if iso is None:
-        doc["isomorphic"] = False
-        doc["distinguishing"] = distinguishing_invariant(left, right) or "search-exhausted"
-        if args.witness:
-            _write_json(args.witness, doc)
-        print(f"q={q}: NOT isomorphic ({doc['distinguishing']})")
-        return 1
-    doc["isomorphic"] = True
-    doc["point_map"] = list(iso.point_map)
-    doc["line_map"] = list(iso.line_map)
+           "right": {"points": right.n_points, "lines": right.n_lines},
+           "isomorphic": True, "point_map": list(iso.point_map), "line_map": list(iso.line_map)}
     if args.witness:
         _write_json(args.witness, doc)
     print(f"q={q}: isomorphic (witness verified)")
@@ -488,7 +468,6 @@ def build_parser():
                             "dual derived symplectic quadrangle")
     p.add_argument("q", type=int)
     p.add_argument("--witness")
-    p.add_argument("--timeout", type=float, default=None, help="positive seconds")
     p.set_defaults(func=cmd_payne_check)
 
     p = sub.add_parser("search", help="scan gain functions on a linear space")

@@ -12,8 +12,8 @@ import pytest
 from gainquad import (GF, CyclicGroup, GainGraph, affine_gains, affine_plane,
                       are_isomorphic, chain_census, detour_gains, dual, expand,
                       field_from_order, gq_criterion, gq_parameters, identity_gains,
-                      is_generalized_ngon, is_ovoid, payne_derivation, run_search,
-                      switch, switching_isomorphism, symplectic_quadrangle,
+                      is_generalized_ngon, is_ovoid, payne_derivation, payne_isomorphism,
+                      run_search, switch, switching_isomorphism, symplectic_quadrangle,
                       verify_isomorphism)
 from gainquad.catalog import affine_expansion_automorphisms
 from helpers import (Rationals, brute_force_isomorphic, count_shortest_chains,
@@ -228,8 +228,8 @@ def test_criterion_6_closed_form():
 
 
 def _payne_cross_check(q, family, budget_seconds):
-    """payne-check's match, its expansion side seeded with the lifted
-    affine automorphisms."""
+    """The canonical search's match, its expansion side seeded with the
+    lifted affine automorphisms: the oracle of payne-check's closed form."""
     plane = affine_plane(field_from_order(q))
     left = family[q] if q in family else expand(affine_gains(plane))
     right = dual(payne_derivation(symplectic_quadrangle(q)))
@@ -242,10 +242,14 @@ def _payne_cross_check(q, family, budget_seconds):
 
 
 def test_criterion_7_dual_derivation(family):
-    """The expansion is the dual of the derived symplectic quadrangle."""
+    """The expansion is the dual of the derived symplectic quadrangle, by
+    the search and by the closed form, which verifies itself."""
     start = time.time()
     for q in (2, 3, 4, 5):
         _payne_cross_check(q, family, budget_seconds=600)
+        w = symplectic_quadrangle(q)
+        payne_isomorphism(affine_plane(field_from_order(q)), w, family[q],
+                          dual(payne_derivation(w)))
     print(f"\nPASS 7: expansion matched dual derivation for q in "
           f"{{2,3,4,5}} with verified witnesses [{time.time() - start:.1f}s]")
 
@@ -263,10 +267,9 @@ WITNESSES = {
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 11, 16])
-def test_criterion_7_extended(q, family):
-    """The same cross-check at q in {7,8,9,11,16}, 16 being the largest
-    W(q) shipped, within 60 s each; a TimeoutError fails it.  The
-    witness is pinned."""
+def test_criterion_7_pinned_witnesses(q, family):
+    """The same cross-check at q in {7,8,9,11,16} within 60 s each; a
+    TimeoutError fails it.  The witness is pinned."""
     start = time.time()
     iso = _payne_cross_check(q, family, budget_seconds=60)
     text = json.dumps([iso.point_map, iso.line_map])

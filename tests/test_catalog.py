@@ -203,8 +203,9 @@ def test_point_index_ranks_every_scaling(q):
 
 
 def test_symplectic_rejects_oversized():
-    with pytest.raises(ValueError):
-        symplectic_quadrangle(17)
+    assert catalog.MAX_SYMPLECTIC_ORDER == 32
+    with pytest.raises(ValueError, match="exceeds the 32 ceiling"):
+        symplectic_quadrangle(37)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -294,6 +295,60 @@ def test_dual_derivation_matches_expansion_order(expansions_small):
         w = symplectic_quadrangle(q)
         d = dual(payne_derivation(w))
         assert quadrangle_order(d) == gq_parameters(expansions_small[q])
+
+
+def _payne_pair(q):
+    plane = affine_plane(field_from_order(q))
+    w = symplectic_quadrangle(q)
+    return plane, w, expand(affine_gains(plane)), dual(payne_derivation(w))
+
+
+def _looped_payne_map(w, left, right, vector, base=0):
+    """payne_isomorphism's map built one element at a time: line
+    z[(x, y), t] goes to the survivor vector(t, x, y), ranked among the
+    points off the perp of w.codes[base], and each point to the point of
+    right on the images of its lines (-1 where there is none)."""
+    q = w.q
+    survivors = np.flatnonzero(_form(w.field.code_tables, w.codes[base], w.codes) != 0)
+    rank = {p: i for i, p in enumerate(survivors.tolist())}
+    line_map = [rank.get(int(w.point_index(np.array(vector(t, x, y)))), -1)
+                for x in range(q) for y in range(q) for t in range(q)]
+    points = {frozenset(lines): j for j, lines in enumerate(right.lines_of_point)}
+    point_map = [points.get(frozenset(line_map[b] for b in lines), -1)
+                 for lines in left.lines_of_point]
+    return Isomorphism(tuple(point_map), tuple(line_map))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_payne_isomorphism_matches_the_looped_map(q):
+    plane, w, left, right = _payne_pair(q)
+    _, _, neg = w.field.code_tables
+    one = w.field.elements().index(w.field.one)
+    iso = catalog.payne_isomorphism(plane, w, left, right)
+    assert iso == _looped_payne_map(w, left, right, lambda t, x, y: (neg[t], one, x, y))
+    assert verify_isomorphism(left, right, iso)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_mutated_payne_maps_fail_the_check(q):
+    """At odd q the check refuses the closed form with its sign dropped,
+    with t offset by x, and built against the base point w.codes[1].  A
+    constant offset of t is no mutation: it composes the map with the
+    label translation t -> t + 1, an automorphism of the expansion.  It
+    and the swap of x and y without the sign verify, so the check does
+    not refuse everything."""
+    plane, w, left, right = _payne_pair(q)
+    add, _, neg = w.field.code_tables
+    one = w.field.elements().index(w.field.one)
+
+    def check(vector, base=0):
+        return verify_isomorphism(left, right, _looped_payne_map(w, left, right, vector, base))
+
+    assert not check(lambda t, x, y: (t, one, x, y))
+    assert not check(lambda t, x, y: (add[neg[t], neg[x]], one, x, y))
+    assert not check(lambda t, x, y: (neg[t], one, x, y), base=1)
+    assert check(lambda t, x, y: (add[neg[t], neg[one]], one, x, y))
+    assert check(lambda t, x, y: (t, one, y, x))
 
 
 @pytest.mark.parametrize("q, switched", [(2, False), (3, False), (4, False), (5, False),

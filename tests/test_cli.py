@@ -7,9 +7,11 @@ import pytest
 
 import gainquad.cli as cli
 import gainquad.geometry as geometry
-from gainquad import (GF, CyclicGroup, Verdict, affine_gains, affine_plane, expand,
-                      gq_criterion, is_generalized_ngon, quadrangle_order,
-                      structure_from_json, structure_to_json)
+import gainquad.iso as iso
+from gainquad import (GF, CyclicGroup, Isomorphism, Verdict, affine_gains, affine_plane, dual,
+                      expand, field_from_order, gq_criterion, is_generalized_ngon,
+                      payne_derivation, quadrangle_order, structure_from_json,
+                      structure_to_json, symplectic_quadrangle, verify_isomorphism)
 from gainquad.cli import main
 from gainquad.search import CHECKPOINT_EVERY, _config_digest
 from helpers import assert_quadrangle_witness
@@ -310,14 +312,45 @@ def test_payne_check(tmp_path, capsys):
     assert doc["isomorphic"] and len(doc["point_map"]) == 16
 
 
-def test_payne_check_writes_a_failed_match(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_isomorphism", lambda args, s1, s2, seeds: None)
+def test_payne_check_raises_on_a_map_that_fails_without_a_witness(tmp_path, monkeypatch):
+    """A closed-form map that does not verify is a bug, not a disproof:
+    derived at another base point, the right side no longer matches it."""
+    derive = cli.catalog.payne_derivation
+    monkeypatch.setattr(cli.catalog, "payne_derivation", lambda w: derive(w, 1))
     witness = tmp_path / "w.json"
-    assert run("payne-check", "2", "--witness", witness) == 1
-    assert capsys.readouterr().out == "q=2: NOT isomorphic (search-exhausted)\n"
+    with pytest.raises(RuntimeError, match="failed the isomorphism check"):
+        run("payne-check", "3", "--witness", witness)
+    assert not witness.exists()
+
+
+def _check_payne_witness(q, tmp_path, monkeypatch):
+    """payne-check q with the canonical search unreachable, its witness
+    revalidated against structures built here."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("canonical search reached")
+
+    monkeypatch.setattr(iso, "_search", unreachable)
+    witness = tmp_path / f"w{q}.json"
+    assert run("payne-check", q, "--witness", witness) == 0
     doc = read_json(witness)
-    assert doc["isomorphic"] is False and doc["distinguishing"] == "search-exhausted"
-    assert "point_map" not in doc and "line_map" not in doc
+    plane = affine_plane(field_from_order(q))
+    left = expand(affine_gains(plane))
+    right = dual(payne_derivation(symplectic_quadrangle(q)))
+    assert doc["isomorphic"] and doc["q"] == q
+    assert verify_isomorphism(left, right, Isomorphism(tuple(doc["point_map"]),
+                                                       tuple(doc["line_map"])))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 17])
+def test_payne_check_reaches_no_canonical_search(q, tmp_path, monkeypatch):
+    _check_payne_witness(q, tmp_path, monkeypatch)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
+def test_payne_check_every_prime_power_to_the_ceiling(q, tmp_path, monkeypatch):
+    assert q <= cli.catalog.MAX_SYMPLECTIC_ORDER
+    _check_payne_witness(q, tmp_path, monkeypatch)
 
 
 def test_payne_check_refuses_an_order_past_the_ceiling_before_building(monkeypatch, capsys):
@@ -346,8 +379,7 @@ SEARCH_COUNTERS = (r"search on the (first|second) structure: \d+ nodes, \d+ leav
                    r"of which refinement \d+\.\d{3} s, "
                    r"\d+ stabiliser elements in \d+\.\d{3} s")
 BUILT = r"built the (affine expansion|dual derivation): \d+/\d+, \d+\.\d{3} s"
-SEEDS = (r"seeds: (\d+) lifted automorphisms of the first structure, "
-         r"built in \d+\.\d{3} s, checked in \d+\.\d{3} s")
+MAPPED = r"mapped and verified: \d+\.\d{3} s"
 
 
 @pytest.mark.parametrize("command", [("payne-check", "3"),
@@ -358,18 +390,15 @@ def test_verbose_prints_search_counters(command, capsys):
     assert run("-v", *command) == 0
     loud = capsys.readouterr()
     assert quiet.err == "" and loud.out == quiet.out
-    lines = [line for line in loud.err.splitlines() if line.startswith("search ")]
-    assert len(lines) == 2
-    assert all(re.fullmatch(SEARCH_COUNTERS, line) for line in lines)
-    # every stage line ends with its wall seconds
-    built = [line for line in loud.err.splitlines() if line.startswith("built ")]
-    assert len(built) == (2 if command[0] == "payne-check" else 0)
-    assert all(re.fullmatch(BUILT, line) for line in built)
-    # payne-check seeds the expansion's search with its 6 lifts at q=3
-    seeds = [re.fullmatch(SEEDS, line) for line in loud.err.splitlines()
-             if line.startswith("seeds: ")]
-    assert [m and m[1] for m in seeds] == (["6"] if command[0] == "payne-check" else [])
-    assert len(loud.err.splitlines()) == len(lines) + len(built) + len(seeds)
+    lines = loud.err.splitlines()
+    # isocheck prints one line per search; payne-check, which maps by
+    # the closed form, one per side built and one for the map, each
+    # ending with its wall seconds
+    if command[0] == "isocheck":
+        assert len(lines) == 2 and all(re.fullmatch(SEARCH_COUNTERS, line) for line in lines)
+    else:
+        assert len(lines) == 3 and all(re.fullmatch(BUILT, line) for line in lines[:2])
+        assert re.fullmatch(MAPPED, lines[2])
 
 
 def test_payne_check_q3():
@@ -612,7 +641,7 @@ _BAD_INPUT = {
     "negative-budget": ({}, ["search", "--base", "ag2:2", "--group", "z:2",
                              "--budget", "-5"]),
     "timeout-zero": ({}, ["isocheck", "ag2:2", "ag2:2", "--timeout", "0"]),
-    "timeout-nan": ({}, ["payne-check", "2", "--timeout", "nan"]),
+    "timeout-nan": ({}, ["isocheck", "ag2:2", "ag2:2", "--timeout", "nan"]),
     "timeout-negative": ({}, ["isocheck", "ag2:2", "ag2:2", "--timeout", "-1"]),
     "timeout-infinite": ({}, ["isocheck", "ag2:2", "ag2:2", "--timeout", "inf"]),
 }
