@@ -9,7 +9,7 @@ import numpy as np
 from .fields import field_from_order
 from .geometry import IncidenceStructure, Isomorphism, verify_isomorphism
 from .groups import AdditiveGroup
-from .gains import GainGraph, spanning_tree_potential, switch_codes
+from .gains import GainGraph
 
 MAX_SYMPLECTIC_ORDER = 32
 
@@ -71,70 +71,6 @@ def affine_gains(plane):
     x, y = np.divmod(p, q)
     codes = np.where(b < q, neg[mul[b % q, y]], mul[x, (b - q) % q])
     return GainGraph(s, AdditiveGroup(plane.field), codes)
-
-
-def affine_expansion_automorphisms(plane):
-    """Automorphisms of expand(affine_gains(plane)), lifted from affine
-    maps of the plane: an (S, elements) int64 array whose row i maps
-    element id e, points first, to row i's entry e.
-
-    The base maps are the translations of x and of y and the shears
-    y += a x, for a in the F_p-basis of codes p^j; every x-dilation
-    but the identity; and the swap of x and y.  A line's image is read
-    off line_table at the images of two of its points.  A base map s
-    lifts when, for one scalar c in GF(q)* and one potential f on the
-    base, g(s b, s p) = c g(b, p) + f(s p) - f(s b) on every flag: then
-    x_p -> x_sp, y[b, t] -> y[s b, c t + f(s b)] and z[p, t] -> z[s p,
-    c t + f(s p)] preserve incidence.  That holds exactly when g and
-    c g', g' the gains that s carries, gauge to the same codes, and f
-    is then the difference of their potentials; one spanning-tree walk
-    gauges g and every c g' of every map at once.  A map that does not
-    lift is left out.  The label translations t -> t + a, for a in the
-    same basis, are the lifts of the identity with c = 1 and f = a.
-    """
-    F, s = plane.field, plane.structure
-    q, v, nb = F.order, s.n_points, s.n_lines
-    add, mul, neg = F.code_tables
-    one = F.elements().index(F.one)
-    basis = F.p ** np.arange(F.n)
-    x, y = np.divmod(np.arange(v), q)
-    dilations = np.delete(np.arange(1, q), one - 1)
-    points = np.concatenate([add[x, basis[:, None]] * q + y,
-                             x * q + add[y, basis[:, None]],
-                             x * q + add[y, mul[basis[:, None], x]],
-                             mul[dilations[:, None], x] * q + y,
-                             (y * q + x)[None]])
-    on = s.pairs[s.line_order, 0].reshape(nb, q)
-    lines = s.line_table()[points[:, on[:, 0]], points[:, on[:, 1]]]
-
-    # carried[m] holds at the edge (s b, s p) the code g holds at (b, p),
-    # and column 1 + m (q - 1) + c - 1 of columns is c carried[m]
-    gains = affine_gains(plane)
-    g = gains.codes
-    p, b = s.pairs[s.line_order].T
-    image = s.edge_ids[lines[:, b], points[:, p]]
-    carried = np.empty_like(image)
-    carried[np.arange(len(points))[:, None], image] = g
-    columns = np.concatenate([g[:, None], mul[np.arange(1, q), carried.T[:, :, None]]
-                              .reshape(len(g), -1)], axis=1)
-    f = spanning_tree_potential(s, gains.group, columns)
-    fixed = switch_codes(s, gains.group, columns, f)
-    match = (fixed[:, 1:] == fixed[:, :1]).all(axis=0).reshape(len(points), q - 1)
-    lifts = match.any(axis=1)
-    c = np.argmax(match, axis=1)[lifts] + 1
-    f = add[f[:, np.flatnonzero(lifts) * (q - 1) + c].T, neg[f[:, :1].T]]
-
-    k = len(basis)
-    points = np.concatenate([points[lifts], np.tile(np.arange(v), (k, 1))])
-    lines = np.concatenate([lines[lifts], np.tile(np.arange(nb), (k, 1))])
-    c = np.concatenate([c, np.full(k, one)])
-    f = np.concatenate([f, np.repeat(basis[:, None], v + nb, axis=1)])
-    ct = mul[c[:, None], np.arange(q)]
-    fb = np.take_along_axis(f[:, v:], lines, axis=1)
-    fp = np.take_along_axis(f[:, :v], points, axis=1)
-    ys = v + lines[:, :, None] * q + add[ct[:, None, :], fb[:, :, None]]
-    zs = v + nb * q + points[:, :, None] * q + add[ct[:, None, :], fp[:, :, None]]
-    return np.concatenate([points, ys.reshape(len(c), -1), zs.reshape(len(c), -1)], axis=1)
 
 
 # -- symplectic quadrangle and the Payne derivation ---------------------------

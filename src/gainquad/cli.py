@@ -403,14 +403,6 @@ def cmd_selftest(args):
     check("canonical form survives relabeling",
           canonical_form(c) == canonical_form(shuffled))
 
-    plane3 = catalog.affine_plane(GF(3))
-    c = expand(catalog.affine_gains(plane3))
-    plain = canonical_form(c)
-    seeded = canonical_form(c, automorphisms=catalog.affine_expansion_automorphisms(plane3))
-    check("seeded canonical form equals unseeded",
-          seeded == plain and (seeded.point_order, seeded.line_order)
-          == (plain.point_order, plain.line_order))
-
     report = run_search(plane.structure, CyclicGroup(2))
     check("gauge-fixed scan of the smallest plane finds quadrangles",
           report.scanned == 8 and report.gq_count >= 1)

@@ -131,37 +131,24 @@ def spanning_tree_edges(base):
     return sorted((b, p) for _, _, b, p in _tree_walk(base))
 
 
-def spanning_tree_potential(base, group, codes):
-    """The switching functions that gauge-fix many assignments at once:
-    an (eids, S) code array whose column j, switching column j of codes
-    (see switch_codes), puts the identity gain on every spanning-tree
-    edge.  Row i of the (edges, S) array codes holds the gain codes of
-    edge i, numbered as in GainGraph, one column per assignment."""
+def spanning_tree_gauge_codes(base, group, codes):
+    """Switch many assignments at once so that every spanning-tree edge
+    carries the identity gain, column j of the result being column j of
+    codes gauge-fixed, code for code.  Row i of the (edges, S) array codes
+    holds the gain codes of edge i, numbered as in GainGraph, one column
+    per assignment.  Two columns gauge to the same codes exactly when
+    their assignments are switching-equivalent."""
+    # f holds one switching function per column; switching puts the gain
+    # f(p) phi f(b)^-1 on each edge (b, p).
     f = np.empty((base.n_elements, codes.shape[1]), dtype=codes.dtype)
     f[base.line_eid(0)] = group.code(group.identity())
     for u, v, b, p in _tree_walk(base):
         # new gain f(p) phi f(b)^-1 = id  =>  f(p) = f(b) phi^-1, f(b) = f(p) phi
         phi = codes[base.edge_ids[b, p]]
         f[v] = group.compose_codes(f[u], group.inverse_codes(phi) if v == p else phi)
-    return f
-
-
-def switch_codes(base, group, codes, f):
-    """switch on code arrays: the gain f(p) phi f(b)^-1 of each edge
-    (b, p) and column of the (edges, S) codes, f holding one column of
-    codes per eid, as spanning_tree_potential returns."""
     p, b = base.pairs[base.line_order].T
     fb = group.inverse_codes(f[base.n_points + b])
     return group.compose_codes(f[p], group.compose_codes(codes, fb))
-
-
-def spanning_tree_gauge_codes(base, group, codes):
-    """Switch many assignments at once so that every spanning-tree edge
-    carries the identity gain, column j of the result being column j of
-    codes gauge-fixed, code for code.  Two columns gauge to the same
-    codes exactly when their assignments are switching-equivalent."""
-    f = spanning_tree_potential(base, group, codes)
-    return switch_codes(base, group, codes, f)
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -19,18 +19,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import GF
+from .fields import GF, MAX_ORDER
 from .storage import is_int
 
 
 def code_dtype(order):
     """Narrowest unsigned dtype that holds order*order - 1, the largest
     index into the flat Cayley table of a group of this order.  It also
-    holds the sum of two codes, at most 2 (order - 1)."""
-    for dtype, bits in ((np.uint8, 8), (np.uint16, 16), (np.uint32, 32)):
+    holds the sum of two codes, at most 2 (order - 1).  Orders are at
+    most MAX_ORDER, so uint32 always does."""
+    for dtype, bits in ((np.uint8, 8), (np.uint16, 16)):
         if order * order <= 1 << bits:
             return dtype
-    return np.uint64
+    return np.uint32
 
 
 def _wrapped(s, n):
@@ -114,6 +115,8 @@ class CyclicGroup(GroupAction):
     def __init__(self, n):
         if n < 1:
             raise ValueError("modulus must be positive")
+        if n > MAX_ORDER:
+            raise ValueError(f"modulus {n} exceeds the {MAX_ORDER} ceiling")
         self.n = n
         self.order = n
 

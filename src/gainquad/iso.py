@@ -33,11 +33,9 @@ From two-vertex bases on, a sibling those leave unpruned brings in
 further stabiliser elements: quotients of products of two known
 automorphisms that agree on the base, built on the cell only and at
 most STABILISER_CAP a time (_stabiliser_elements); SearchStats, and so
--v, counts them and their seconds.  Automorphisms known in advance can
-seed that group before the root.  Each is first checked against the
-incidence.  Seeds and stabiliser elements only prune images of explored
-branches, so every search reaches the same first minimal leaf: the
-same canonical form, orderings and witness.
+-v, counts them and their seconds.  Stabiliser elements only prune
+images of explored branches, so every search reaches the same first
+minimal leaf: the same canonical form, orderings and witness.
 
 canonical_form runs the search to its end.  are_isomorphic runs it to
 the end on the first structure, then on the second with the first's
@@ -380,49 +378,22 @@ class SearchStats:
     leaves reached, automorphisms found at leaves, refinement rounds run,
     siblings skipped as images of explored ones, backjumps taken from
     leaves that tie the best, the deepest individualization (the root is
-    0), the distinct seeded automorphisms, and the stabiliser elements
-    built to prune siblings (see _stabiliser_elements); then the
-    search's wall seconds, of which seed_seconds went to checking the
-    seeds, refine_seconds to refinement and stabiliser_seconds to
-    building stabiliser elements and relabelling with them.
+    0), and the stabiliser elements built to prune siblings (see
+    _stabiliser_elements); then the search's wall seconds, of which
+    refine_seconds went to refinement and stabiliser_seconds to building
+    stabiliser elements and relabelling with them.
     A plain class, not a dataclass, so importing the module stays cheap."""
 
     __slots__ = ("nodes", "leaves", "automorphisms", "refinement_rounds",
-                 "orbit_prunes", "backjumps", "max_depth", "seeds",
-                 "stabiliser_elements", "seconds", "seed_seconds",
-                 "refine_seconds", "stabiliser_seconds")
+                 "orbit_prunes", "backjumps", "max_depth",
+                 "stabiliser_elements", "seconds", "refine_seconds",
+                 "stabiliser_seconds")
 
     def __init__(self):
         self.nodes = self.leaves = self.automorphisms = self.refinement_rounds = 0
-        self.orbit_prunes = self.backjumps = self.max_depth = self.seeds = 0
+        self.orbit_prunes = self.backjumps = self.max_depth = 0
         self.stabiliser_elements = 0
-        self.seconds = self.seed_seconds = self.refine_seconds = 0.0
-        self.stabiliser_seconds = 0.0
-
-
-def _checked_seeds(s, automorphisms):
-    """The automorphisms as a dict from their bytes to int64 arrays, each
-    a permutation of the element ids, points first, mapping e to its
-    entry e.  ValueError for one of the wrong length, one that is no
-    permutation or moves a point onto a line, and one under which the
-    structure's pairs, mapped and sorted, differ from its own."""
-    n, v, nb = s.n_elements, s.n_points, s.n_lines
-    key = s.pairs[:, 0].astype(np.int64) * nb + s.pairs[:, 1]
-    seeds = {}
-    for i, g in enumerate(automorphisms):
-        g = np.asarray(g)
-        if g.shape != (n,) or g.dtype.kind not in "iu":
-            raise ValueError(f"seed {i} is not a sequence of {n} element ids")
-        g = g.astype(np.int64)
-        if not np.array_equal(np.sort(g), np.arange(n)):
-            raise ValueError(f"seed {i} is not a permutation of the element ids")
-        if (g[:v] >= v).any():
-            raise ValueError(f"seed {i} maps a point onto a line")
-        mapped = np.sort(g[s.pairs[:, 0]] * nb + g[v + s.pairs[:, 1]] - v)
-        if not np.array_equal(mapped, key):
-            raise ValueError(f"seed {i} does not preserve the incidence")
-        seeds.setdefault(g.tobytes(), g)
-    return seeds
+        self.seconds = self.refine_seconds = self.stabiliser_seconds = 0.0
 
 
 class _Backjump(Exception):
@@ -441,7 +412,7 @@ class _Stop(Exception):
         self.order = order
 
 
-def _search(s, target=None, deadline=None, stats=None, automorphisms=()):
+def _search(s, target=None, deadline=None, stats=None):
     """Individualize-refine search for the minimal (path, matrix) leaf.
 
     Without a target, returns the best leaf as a dict with its path,
@@ -453,16 +424,13 @@ def _search(s, target=None, deadline=None, stats=None, automorphisms=()):
     the target answers no, since leaf keys are relabeling-invariant, and
     so does a root whose invariant differs from the target's first one.
     stats, when given, is a list that receives this search's SearchStats,
-    filled in also when the search times out.  automorphisms seed the
-    group before the root (see _checked_seeds).
+    filled in also when the search times out.
     """
     start = time.perf_counter()
     counts = SearchStats()
     if stats is not None:
         stats.append(counts)
-    autos = _checked_seeds(s, automorphisms)  # bytes -> the permutation
-    counts.seeds = len(autos)
-    counts.seed_seconds = time.perf_counter() - start
+    autos = {}  # the automorphisms found at leaves: bytes -> the permutation
     ref = _Refiner(s)
     n = s.n_elements
     best = {"path": None, "cert": None, "order": None, "base": None}
@@ -576,7 +544,7 @@ def _search(s, target=None, deadline=None, stats=None, automorphisms=()):
     except _Stop as stop:
         return stop.order
     finally:
-        counts.automorphisms = len(autos) - counts.seeds
+        counts.automorphisms = len(autos)
         counts.refinement_rounds = ref.rounds
         counts.refine_seconds = ref.seconds
         counts.seconds = time.perf_counter() - start
@@ -593,12 +561,9 @@ def _form_from_order(s, order, matrix):
                          matrix, cert)
 
 
-def canonical_form(s, deadline=None, automorphisms=()):
-    """The canonical form of s.  automorphisms, permutations of the
-    element ids (points first), seed the search; they change how much it
-    prunes, never its result, and ValueError refuses any that is not an
-    automorphism of s."""
-    best = _search(s, deadline=deadline, automorphisms=automorphisms)
+def canonical_form(s, deadline=None):
+    """The canonical form of s."""
+    best = _search(s, deadline=deadline)
     return _form_from_order(s, best["order"], best["cert"])
 
 
@@ -621,7 +586,7 @@ def distinguishing_invariant(s1, s2):
     return None
 
 
-def are_isomorphic(s1, s2, deadline=None, stats=None, automorphisms=()):
+def are_isomorphic(s1, s2, deadline=None, stats=None):
     """An explicit verified isomorphism witness, or None.
 
     The first structure is canonicalized in full; the second is then
@@ -632,12 +597,11 @@ def are_isomorphic(s1, s2, deadline=None, stats=None, automorphisms=()):
     search raises TimeoutError.  stats, when given, is a list that
     receives one SearchStats per search run: none when the point, line
     or incidence counts differ, else one for each structure.
-    automorphisms of s1 seed its search, as in canonical_form.
     """
     if (s1.n_points != s2.n_points or s1.n_lines != s2.n_lines
             or len(s1.pairs) != len(s2.pairs)):
         return None
-    best = _search(s1, deadline=deadline, stats=stats, automorphisms=automorphisms)
+    best = _search(s1, deadline=deadline, stats=stats)
     order2 = _search(s2, (best["path"], best["cert"]), deadline=deadline,
                      stats=stats)
     if order2 is None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from gainquad.construction import detour_gains, expand
 from gainquad.gains import _tree_walk, switch
-from gainquad.geometry import IncidenceStructure
+from gainquad.geometry import IncidenceStructure, Isomorphism, verify_isomorphism
 
 
 def quadrilateral():
@@ -526,6 +526,15 @@ def brute_force_isomorphic(s1, s2):
         if mapped == sets2:
             return True
     return False
+
+
+def is_automorphism(s, perm):
+    """Whether perm, a permutation of s's element ids (points first, so
+    entry e is the image of element e), is an automorphism of s, by the
+    library's exact isomorphism check."""
+    v = s.n_points
+    return verify_isomorphism(s, s, Isomorphism(tuple(perm[:v].tolist()),
+                                                tuple((perm[v:] - v).tolist())))
 
 
 def reference_refine(s, colors, trace=None):

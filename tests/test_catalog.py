@@ -12,10 +12,10 @@ import pytest
 from gainquad import (GF, Isomorphism, affine_gains, affine_plane, are_isomorphic, dual,
                       expand, field_from_order, gq_parameters, is_generalized_ngon,
                       is_linear_space, payne_derivation, quadrangle_order,
-                      steiner_parameters, structure_to_json, switch,
-                      symplectic_quadrangle, verify_isomorphism)
+                      steiner_parameters, structure_to_json, symplectic_quadrangle,
+                      verify_isomorphism)
 import gainquad.catalog as catalog
-from gainquad.catalog import _form, affine_expansion_automorphisms
+from gainquad.catalog import _form
 from helpers import Rationals, detour_formula, naive_payne, naive_symplectic, walk_gain
 
 
@@ -349,29 +349,3 @@ def test_mutated_payne_maps_fail_the_check(q):
     assert not check(lambda t, x, y: (neg[t], one, x, y), base=1)
     assert check(lambda t, x, y: (add[neg[t], neg[one]], one, x, y))
     assert check(lambda t, x, y: (t, one, y, x))
-
-
-@pytest.mark.parametrize("q, switched", [(2, False), (3, False), (4, False), (5, False),
-                                         (7, False), (8, False), (9, False), (16, False),
-                                         (3, True), (5, True), (9, True)])
-def test_affine_expansion_automorphisms_verify(q, switched, monkeypatch):
-    F = field_from_order(q)
-    plane = affine_plane(F)
-    g = affine_gains(plane)
-    if switched:
-        # the shipped gains carry 0 on every spanning-tree edge; these
-        # do not, so the lifts also need the gains' own potential
-        rng = random.Random(q)
-        f = {e: rng.choice(F.elements()) for e in range(plane.structure.n_elements)}
-        g = switch(g, f)
-        monkeypatch.setattr(catalog, "affine_gains", lambda plane: g)
-    c = expand(g)
-    seeds = affine_expansion_automorphisms(plane)
-    # translations of x and y, shears and label translations by a basis,
-    # the q - 2 dilations other than the identity, and the swap: all lift
-    assert seeds.shape == (4 * F.n + q - 2 + 1, c.n_elements)
-    assert len({perm.tobytes() for perm in seeds}) == len(seeds)
-    v = c.n_points
-    for perm in seeds.tolist():
-        iso = Isomorphism(tuple(perm[:v]), tuple(x - v for x in perm[v:]))
-        assert verify_isomorphism(c, c, iso)

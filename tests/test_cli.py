@@ -638,6 +638,15 @@ _BAD_INPUT = {
     "group-degree-past-ceiling": (
         {"g.json": _ag22_gains({"kind": "GFpn", "p": 2, "n": 1000000000}, [1])},
         ["build", "ag2", "2", "--gains", "g.json"]),
+    # cyclic moduli past the field ceiling are refused before any table
+    # of the group's elements is built
+    "group-modulus-past-ceiling-build": ({}, ["build", "ag2", "2", "--identity-gains",
+                                              "--group", "z:65537"]),
+    "group-modulus-past-ceiling-search": ({}, ["search", "--base", "ag2:2", "--group",
+                                               "z:65537", "--budget", "1"]),
+    "group-modulus-past-ceiling-gains": (
+        {"g.json": _ag22_gains({"kind": "Zn", "modulus": 65537}, 1)},
+        ["build", "ag2", "2", "--gains", "g.json"]),
     "negative-budget": ({}, ["search", "--base", "ag2:2", "--group", "z:2",
                              "--budget", "-5"]),
     "timeout-zero": ({}, ["isocheck", "ag2:2", "ag2:2", "--timeout", "0"]),
@@ -674,6 +683,12 @@ def test_rational_group_is_refused_before_any_file_is_written(tmp_path, monkeypa
     expected = {"spec": "error: unknown group spec 'q'", "kind": "error: unknown group kind 'Q'"}
     assert capsys.readouterr().err.startswith(expected[kind])
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_cyclic_modulus_ceiling_is_the_field_ceiling():
+    assert cli.parse_group("z:65536") == CyclicGroup(1 << 16)
+    with pytest.raises(ValueError, match="^modulus 65537 exceeds the 65536 ceiling$"):
+        cli.parse_group("z:65537")
 
 
 def test_unknown_file_is_usage_error():

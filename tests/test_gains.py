@@ -13,6 +13,7 @@ from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, affine_gains,
                       gains_to_json, gq_criterion, group_from_spec, identity_gains,
                       spanning_tree_edges, switch)
 from gainquad.gains import spanning_tree_gauge_codes
+from gainquad.fields import MAX_ORDER
 from gainquad.groups import code_dtype
 from helpers import spanning_tree_gauge, walk_gain
 
@@ -110,6 +111,15 @@ def test_composing_codes_makes_no_wide_index(group):
     finally:
         tracemalloc.stop()
     assert peak < 3 << 20
+
+
+def test_codes_at_the_order_ceiling_fit_uint32():
+    # no group is larger (CyclicGroup refuses a modulus past MAX_ORDER),
+    # and the largest sum of two codes of the largest still fits
+    top = np.array([MAX_ORDER - 1])
+    composed = CyclicGroup(MAX_ORDER).compose_codes(top, top)
+    assert code_dtype(MAX_ORDER) == composed.dtype == np.uint32
+    assert composed.tolist() == [MAX_ORDER - 2]
 
 
 def test_group_spec_roundtrip():
