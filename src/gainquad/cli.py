@@ -199,7 +199,10 @@ def cmd_verify(args):
                                  else "unequal-line-sizes")
     elif args.check == "gq":
         if ok:
-            report["s"], report["t"] = quadrangle_order(s)
+            try:
+                report["s"], report["t"] = quadrangle_order(s)
+            except ValueError:  # unequal degrees, as in a 2 x 3 grid: no order
+                report["s"] = report["t"] = None
         else:
             report["witness"] = verdict.witness
     elif not verdict:

@@ -299,17 +299,21 @@ _COMMON_BLOCK_CELLS = 1 << 18
 
 # Entries held by one block of point rows in is_generalized_quadrangle:
 # gathered table entries and counts, about 8 bytes each.  Blocks that
-# stay in cache are also the fastest.
+# stay in cache are also the fastest.  The same budget bounds the
+# uint64 words of one window of point bitsets.
 _GQ_BLOCK_CELLS = 1 << 18
 
 
 def padded_lists(member, length, pad):
     """Row i of the table, of member's dtype, lists the next length[i]
     entries of member, padded with pad to the longest list."""
-    start = np.cumsum(length) - length
-    row = np.repeat(np.arange(len(length)), length)
-    table = np.full((len(length), int(length.max())), pad, dtype=member.dtype)
-    table[row, np.arange(len(member)) - start[row]] = member
+    width = int(length.max())
+    table = np.full((len(length), width), pad, dtype=member.dtype)
+    # entry e, of list i starting at entry start[i], goes to cell
+    # i * width + e - start[i]
+    cell = np.repeat(np.arange(len(length)) * width - (np.cumsum(length) - length), length)
+    cell += np.arange(len(member))
+    table.ravel()[cell] = member
     return table
 
 
@@ -321,24 +325,32 @@ def is_generalized_quadrangle(s):
     0.)  They hold exactly when the census finds the structure connected
     with girth >= 8 and diameter <= 4.
 
-    Per point p, gathers from padded tables of the lines of each point
-    and the points of each line list the points x != p on p's lines M,
-    then the lines through each x.  One bincount of (p, line) counts
-    them.  Where p shares at most one line with each point, a line L
-    off p gets one hit per pair (M, x) joining it to p, and each line M
-    through p gets |M| - 1; a point x on two lines through p gives each
-    of them a hit more.  So the counts alone pass a quadrangle, and only
-    a point row block that fails counts the common lines of (p, x) to
-    name its witness.  Point rows go in blocks of at most
-    _GQ_BLOCK_CELLS gathered entries and counts, or of one row.  A
-    failure names its witness as census_ngon would, in eids:
+    Let h_p(L) count the pairs (M, x) with p I M I x I L, x != p.  Row p
+    passes when h_p(L) = 1 for each line L off p and h_p(M) = |M| - 1 for
+    each M through p; a point x on two lines M, M' through p adds (M', x)
+    to h_p(M), so the axioms hold exactly when every row passes.  Row p
+    passes if and only if
+    (A) sum over M through p of (S(M) - deg p) = b - deg p + sum (|M| - 1),
+        S(M) the sum of the degrees of M's points: the sums of h_p and of
+        its targets over all lines (_identity_holds), and
+    (B) every line meets N[p], p and its collinear points (_first_unmet).
+    For h_p(M) >= |M| - 1 always, and h_p(L) >= 1 for L off p meeting
+    N[p]: under (B) no count is below its target, and (A) puts each on it.
+
+    A failure names the witness census_ngon would, in eids:
     ("uniqueness", p, q, count) for points on count > 1 common lines,
     and for p off L joined by count pairs, ("distance", p, v + L) if
-    count is 0, else ("uniqueness", p, v + L, count).  Within a block
-    the first such pair of points comes before the first such point and
-    line.
+    count is 0, else ("uniqueness", p, v + L, count).  _quadrangle_block
+    reads it off the block of point rows holding the first failing
+    point, rows going in blocks of at most _GQ_BLOCK_CELLS gathered
+    entries and counts, or of one row; within a block the first such
+    pair of points comes before the first such point and line.
     """
     v, b = s.n_points, s.n_lines
+    bad = np.flatnonzero(~_identity_holds(s))
+    first = _first_unmet(s, int(bad[0]) if len(bad) else v)
+    if first == v:
+        return Verdict(True)
     pt, ln = s.pairs.T
     # intp tables, so gathered keys take their row offsets in place
     lines = padded_lists(ln.astype(np.intp), s.degrees, b)
@@ -347,21 +359,75 @@ def is_generalized_quadrangle(s):
     # pair (M, x) with x != p, and holds v + b + 1 counts.
     pairs = np.bincount(pt, weights=s.sizes[ln], minlength=v).astype(np.int64) - s.degrees
     ends = np.cumsum(s.degrees * points.shape[1] + pairs * lines.shape[1] + v + b + 1)
-    lo = 0
-    while lo < v:
+    lo = hi = 0
+    while hi <= first:
+        lo = hi
         cap = (ends[lo - 1] if lo else 0) + _GQ_BLOCK_CELLS
         hi = max(lo + 1, int(np.searchsorted(ends, cap, side="right")))
-        witness = _quadrangle_block(lines, points, s.sizes, lo, hi)
-        if witness:
-            return Verdict(False, witness)
-        lo = hi
-    return Verdict(True)
+    return Verdict(False, _quadrangle_block(lines, points, s.sizes, lo, hi))
+
+
+def _identity_holds(s):
+    """(A) of is_generalized_quadrangle at every point: a bool array."""
+    pt, ln = s.pairs.T
+    d = s.degrees
+    # S(M) - |M| per line, exact in float64 below 2^53, and its sums
+    # over each point's lines: the pairs come sorted by point, so each
+    # point's lines are one run
+    excess = np.bincount(ln, weights=(d - 1.0)[pt], minlength=s.n_lines).astype(np.int64)
+    total = np.zeros(s.n_points, dtype=np.int64)
+    on = d > 0
+    total[on] = np.add.reduceat(excess[ln], (np.cumsum(d) - d)[on])
+    return total == s.n_lines + d * (d - 2)
+
+
+def _first_unmet(s, stop):
+    """(B) of is_generalized_quadrangle: the first point p < stop with a
+    line missing N[p], else stop.  Points go in windows of 64 k.  uint64
+    bitsets over a window give P[M], the window's points on line M, then
+    C[x], the OR of P over x's lines, then U[L], the OR of C over L's
+    points; p's bit is missing from some U[L] iff (B) fails at p.  The
+    words of X (one bit per window point, then C), Y (P, then U) and one
+    gathered copy stay within _GQ_BLOCK_CELLS; X[v] and Y[b] stay 0.
+    """
+    v, b = s.n_points, s.n_lines
+    # one contiguous int32 row per column: take converts it fastest
+    lines = np.ascontiguousarray(padded_lists(s.pairs[:, 1], s.degrees, b).T)
+    points = np.ascontiguousarray(padded_lists(s.pairs[s.line_order, 0], s.sizes, v).T)
+    k = max(1, min(_GQ_BLOCK_CELLS // (v + b + max(v, b) + 2), -(-stop // 64)))
+    X = np.zeros((v + 1, k), dtype=np.uint64)
+    Y = np.zeros((b + 1, k), dtype=np.uint64)
+    buf = np.empty((max(v, b), k), dtype=np.uint64)
+    bit = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+    def gather_or(out, src, table):
+        # out[i] = OR of the rows of src that column i of table lists
+        np.take(src, table[0], axis=0, out=out, mode="wrap")
+        tmp = buf[:len(out)]
+        for col in table[1:]:
+            np.take(src, col, axis=0, out=tmp, mode="wrap")
+            out |= tmp
+
+    for w0 in range(0, stop, 64 * k):
+        n = min(v - w0, 64 * k)
+        X[:] = 0
+        i = np.arange(n)
+        X[w0 + i, i >> 6] = bit[i & 63]
+        gather_or(Y[:b], X, points)
+        gather_or(X[:v], Y, lines)
+        gather_or(Y[:b], X, points)
+        met = np.bitwise_and.reduce(Y[:b], axis=0).tolist()
+        for j, word in enumerate(met):
+            unmet = ~word & ((1 << min(64, max(0, n - 64 * j))) - 1)
+            if unmet:
+                return min(stop, w0 + 64 * j + (unmet & -unmet).bit_length() - 1)
+    return stop
 
 
 def _quadrangle_block(lines, points, sizes, lo, hi):
-    """The witness of a quadrangle axiom failing at the points in
-    [lo, hi), or None.  lines is padded with b and points with v, and
-    sizes holds the number of points of each line."""
+    """The witness of a quadrangle axiom failing at some point in
+    [lo, hi).  lines is padded with b and points with v, and sizes holds
+    the number of points of each line."""
     v, b = len(lines), len(points)
     n = hi - lo
     mine = lines[lo:hi]
@@ -380,8 +446,6 @@ def _quadrangle_block(lines, points, sizes, lo, hi):
         # 1 on every line: M through p down from |M| - 1, the padding b set
         joins[own, via] -= sizes[via] - 2
         joins[:, b] = 1
-        if joins.min() == joins.max() == 1:
-            return None
     common = np.bincount(row * v + x, minlength=n * v).reshape(n, v)
     if common.max() > 1:
         i, q = (int(y) for y in np.argwhere(common > 1)[0])

@@ -8,8 +8,9 @@ invariant counts edge codes with one np.unique, orbits are
 walked one vertex at a time and stabiliser orbits one vertex tuple at a
 time, field arithmetic is redone with schoolbook
 polynomial division, detour gains are walked one step at a time, the
-quadrangle criterion is swept label by label, and the quadrangle check's
-point row blocks count common lines and joins separately.  Exact rationals carry the
+quadrangle criterion is swept label by label, and the quadrangle check
+runs every block of point rows in turn, counting common lines and joins
+separately.  Exact rationals carry the
 closed-form detour values over an infinite field.
 """
 
@@ -23,7 +24,8 @@ import numpy as np
 
 from gainquad.construction import detour_gains, expand
 from gainquad.gains import _tree_walk, switch
-from gainquad.geometry import IncidenceStructure, Isomorphism, verify_isomorphism
+from gainquad.geometry import (IncidenceStructure, Isomorphism, Verdict, padded_lists,
+                               verify_isomorphism)
 
 
 def quadrilateral():
@@ -273,6 +275,28 @@ def two_count_quadrangle_block(lines, points, sizes, lo, hi):
         return (("uniqueness", lo + i, v + line, count) if count
                 else ("distance", lo + i, v + line))
     return None
+
+
+def block_loop_quadrangle(s, block_cells):
+    """geometry.is_generalized_quadrangle as it was when it ran every
+    block of point rows in turn, with blocks of at most block_cells
+    entries: the verdict, with the witness of the first block that
+    fails.  The check must return the same at the same block size."""
+    v, b = s.n_points, s.n_lines
+    pt, ln = s.pairs.T
+    lines = padded_lists(ln.astype(np.intp), s.degrees, b)
+    points = padded_lists(pt[s.line_order].astype(np.intp), s.sizes, v)
+    pairs = np.bincount(pt, weights=s.sizes[ln], minlength=v).astype(np.int64) - s.degrees
+    ends = np.cumsum(s.degrees * points.shape[1] + pairs * lines.shape[1] + v + b + 1)
+    lo = 0
+    while lo < v:
+        cap = (ends[lo - 1] if lo else 0) + block_cells
+        hi = max(lo + 1, int(np.searchsorted(ends, cap, side="right")))
+        witness = two_count_quadrangle_block(lines, points, s.sizes, lo, hi)
+        if witness:
+            return Verdict(False, witness)
+        lo = hi
+    return Verdict(True)
 
 
 def enumerate_chains(s, u, v, k):

@@ -195,6 +195,17 @@ def test_verify_gq(tmp_path):
     assert doc["config"]["command"] == "verify"
 
 
+def test_verify_gq_on_a_quadrangle_without_an_order(tmp_path):
+    # the 2 x 3 grid: rows of 3 points, columns of 2, so no order (s, t)
+    grid, report = tmp_path / "grid.json", tmp_path / "r.json"
+    grid.write_text(json.dumps({
+        "points": list(range(6)), "lines": list(range(5)),
+        "incidence": [[p, p // 3] for p in range(6)] + [[p, 2 + p % 3] for p in range(6)]}))
+    assert run("verify", grid, "--as", "gq", "--report", report) == 0
+    doc = read_json(report)
+    assert doc["ok"] and doc["s"] is None and doc["t"] is None
+
+
 def test_ag2_takes_a_prime_power(tmp_path):
     outputs = {}
     for spec in (["4"], ["2", "2"]):

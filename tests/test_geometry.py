@@ -13,10 +13,11 @@ from gainquad import (GF, CyclicGroup, GainGraph, IncidenceStructure, affine_gai
                       is_generalized_ngon, is_linear_space, is_ovoid, payne_derivation,
                       steiner_parameters, structure_from_json, structure_to_json,
                       symplectic_quadrangle)
-from helpers import (assert_quadrangle_witness, count_shortest_chains, distance,
-                     enumerate_chains, grid_quadrangle, is_chain, naive_common_lines,
-                     naive_incidence, naive_linear_space, naive_shortest_count, quadrilateral,
-                     random_structure, tiny_base, two_count_quadrangle_block)
+from helpers import (assert_quadrangle_witness, block_loop_quadrangle, count_shortest_chains,
+                     distance, enumerate_chains, grid_quadrangle, is_chain,
+                     naive_common_lines, naive_incidence, naive_linear_space,
+                     naive_shortest_count, quadrilateral, random_structure, tiny_base,
+                     two_count_quadrangle_block)
 
 
 def test_construction_validation():
@@ -456,6 +457,92 @@ def test_one_count_blocks_name_the_witnesses_of_two_count_blocks(monkeypatch):
             monkeypatch.setattr(geometry, "_quadrangle_block", one_count)
             got = is_generalized_ngon(s, 4)
             assert (got.ok, got.witness) == (want.ok, want.witness), s.incidence
+
+
+def test_identity_and_bitsets_find_the_first_failing_row():
+    """The first point failing (A) or (B) of is_generalized_quadrangle is
+    the first point row that fails when every row is a block of its own.
+    At some of those rows only (A) fails, and at others only (B), so
+    neither half can go."""
+    halves = set()
+    for s in _quadrangle_cases() + list(_tiny_structures()):
+        v = s.n_points
+        a = np.flatnonzero(~geometry._identity_holds(s))
+        fa, fb = int(a[0]) if len(a) else v, geometry._first_unmet(s, v)
+        want = block_loop_quadrangle(s, 1)
+        assert min(fa, fb) == (v if want else want.witness[1]), s.incidence
+        if not want:
+            halves.add(("A" if fa == want.witness[1] else "")
+                       + ("B" if fb == want.witness[1] else ""))
+    assert {"A", "B"} <= halves
+
+
+def test_bitset_windows_of_64_points(monkeypatch):
+    """With one block cell (B) runs in windows of one uint64 word: the
+    expansions for q = 3, 4, 5 still pass, and copies with one incidence
+    removed or moved name the witnesses of the block loop, as does one
+    where only (B) fails and the first failing point lies past the first
+    window."""
+    monkeypatch.setattr(geometry, "_GQ_BLOCK_CELLS", 1)
+    rng = random.Random(45)
+    later = 0
+    for q in (3, 4, 5):
+        c = expand(affine_gains(affine_plane(field_from_order(q))))
+        assert is_generalized_ngon(c, 4)
+        copies = [_perturbed(c, rng, move) for move in (False, True) for _ in range(8)]
+        if q == 5:
+            copies.append(_swapped_far(c))
+            assert geometry._identity_holds(copies[-1]).all()
+        for s in copies:
+            got, want = is_generalized_ngon(s, 4), block_loop_quadrangle(s, 1)
+            assert (got.ok, got.witness) == (want.ok, want.witness), s.incidence
+            later += not got and got.witness[1] >= 64
+    assert later
+
+
+def _swapped_far(c):
+    """c with incidences (0, L) and (y, M) swapped for (0, M) and (y, L),
+    y the first point not collinear with 0.  Every degree and line size
+    stays, so (A) still holds at every point.  Only points collinear
+    with 0 or y see the change, and they are labelled last."""
+    pt, ln = c.pairs.T
+    near = np.isin(pt, pt[np.isin(ln, ln[pt == 0])])
+    y = int(np.flatnonzero(~np.isin(np.arange(c.n_points), pt[near]))[0])
+    near |= np.isin(pt, pt[np.isin(ln, ln[pt == y])])
+    last = np.zeros(c.n_points, dtype=bool)
+    last[pt[near]] = True
+    rank = np.argsort(np.argsort(last, kind="stable"))
+    i, j = int(np.flatnonzero(pt == 0)[0]), int(np.flatnonzero(pt == y)[0])
+    ln = ln.copy()
+    ln[[i, j]] = ln[[j, i]]
+    return IncidenceStructure(c.point_labels, c.line_labels, np.column_stack([rank[pt], ln]))
+
+
+def test_passing_check_runs_no_block(monkeypatch):
+    """A quadrangle passes on (A) and (B) alone: no point row block runs."""
+    def block(*args):
+        raise AssertionError("a point row block ran")
+
+    monkeypatch.setattr(geometry, "_quadrangle_block", block)
+    for q in (2, 3, 4, 5, 7):
+        w = symplectic_quadrangle(q)
+        for s in (expand(affine_gains(affine_plane(field_from_order(q)))),
+                  w.structure, payne_derivation(w)):
+            assert is_generalized_ngon(s, 4) and is_generalized_ngon(dual(s), 4)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("q", [8, 9, 11, 13, 16])
+def test_quadrangle_check_matches_the_block_loop_at_large_q(q):
+    rng = random.Random(q)
+    w = symplectic_quadrangle(q)
+    cases = [w.structure, expand(affine_gains(affine_plane(field_from_order(q)))),
+             dual(payne_derivation(w))]
+    cases += [_perturbed(c, rng, move) for c in cases for move in (False, True)]
+    for s in cases:
+        got = is_generalized_ngon(s, 4)
+        want = block_loop_quadrangle(s, geometry._GQ_BLOCK_CELLS)
+        assert (got.ok, got.witness) == (want.ok, want.witness)
 
 
 def test_ovoid_trivia(expansion2):
