@@ -129,17 +129,15 @@ class IncidenceStructure:
         int32 tables of the line through two distinct points (-1 on the
         diagonal; meaningful where count is 1) and of their number of
         common lines (0 on the diagonal).  bad is the first pair p < q
-        whose count is not 1, or None.  Where two points share several
-        lines, line holds the last of them.
+        whose count is not 1, or None.
 
         Row p lists, for each line through p, that line's points.  Rows
         go in blocks of at most _COMMON_BLOCK_CELLS such entries and
         table cells, or of one row, with int32 cell indices relative to
         the block, which fills a contiguous stretch of both tables.  A
-        bincount of the cells gives the counts; the rare cells hit more
-        than once get the last line by a maximum.  Lines of unequal
-        sizes are padded with point v, an extra column that is cut off
-        at the end.
+        bincount of the cells gives the counts.  Lines of unequal sizes
+        are padded with point v, an extra column that is cut off at the
+        end.
         """
         v = self.n_points
         w = v + int(self.sizes.min() != self.sizes.max())
@@ -161,10 +159,6 @@ class IncidenceStructure:
             hits[np.arange(p1 - p0) * (w + 1) + p0] = 0  # the diagonal
             count[stretch] = hits
             line[stretch][cells] = b[rows, None]
-            if hits.max() > 1:
-                many = hits[cells] > 1
-                lines = np.broadcast_to(b[rows, None], cells.shape)
-                np.maximum.at(line[stretch], cells[many], lines[many])
             p0 = p1
         line = np.ascontiguousarray(line.reshape(v, w)[:, :v])
         count = np.ascontiguousarray(count.reshape(v, w)[:, :v])
@@ -297,10 +291,8 @@ def census_ngon(s, n):
 # entries and int64 counts stay near 1 and 2 MB.
 _COMMON_BLOCK_CELLS = 1 << 18
 
-# Entries held by one block of point rows in is_generalized_quadrangle:
-# gathered table entries and counts, about 8 bytes each.  Blocks that
-# stay in cache are also the fastest.  The same budget bounds the
-# uint64 words of one window of point bitsets.
+# uint64 words of one window of point bitsets in is_generalized_quadrangle,
+# about 2 MB: windows that stay in cache are also the fastest.
 _GQ_BLOCK_CELLS = 1 << 18
 
 
@@ -309,11 +301,7 @@ def padded_lists(member, length, pad):
     entries of member, padded with pad to the longest list."""
     width = int(length.max())
     table = np.full((len(length), width), pad, dtype=member.dtype)
-    # entry e, of list i starting at entry start[i], goes to cell
-    # i * width + e - start[i]
-    cell = np.repeat(np.arange(len(length)) * width - (np.cumsum(length) - length), length)
-    cell += np.arange(len(member))
-    table.ravel()[cell] = member
+    table[np.arange(width) < length[:, None]] = member
     return table
 
 
@@ -337,34 +325,18 @@ def is_generalized_quadrangle(s):
     For h_p(M) >= |M| - 1 always, and h_p(L) >= 1 for L off p meeting
     N[p]: under (B) no count is below its target, and (A) puts each on it.
 
-    A failure names the witness census_ngon would, in eids:
-    ("uniqueness", p, q, count) for points on count > 1 common lines,
-    and for p off L joined by count pairs, ("distance", p, v + L) if
-    count is 0, else ("uniqueness", p, v + L, count).  _quadrangle_block
-    reads it off the block of point rows holding the first failing
-    point, rows going in blocks of at most _GQ_BLOCK_CELLS gathered
-    entries and counts, or of one row; within a block the first such
-    pair of points comes before the first such point and line.
+    A failure names the first failing point p (_row_witness) in
+    census_ngon's format, in eids: ("uniqueness", p, q, count) for the
+    first point q on count > 1 common lines with p, else, for the first
+    line L off p joined to p by count pairs, ("distance", p, v + L) if
+    count is 0 and ("uniqueness", p, v + L, count) otherwise.
     """
-    v, b = s.n_points, s.n_lines
+    v = s.n_points
     bad = np.flatnonzero(~_identity_holds(s))
     first = _first_unmet(s, int(bad[0]) if len(bad) else v)
     if first == v:
         return Verdict(True)
-    pt, ln = s.pairs.T
-    # intp tables, so gathered keys take their row offsets in place
-    lines = padded_lists(ln.astype(np.intp), s.degrees, b)
-    points = padded_lists(pt[s.line_order].astype(np.intp), s.sizes, v)
-    # Row p gathers the points on its lines, then the lines through each
-    # pair (M, x) with x != p, and holds v + b + 1 counts.
-    pairs = np.bincount(pt, weights=s.sizes[ln], minlength=v).astype(np.int64) - s.degrees
-    ends = np.cumsum(s.degrees * points.shape[1] + pairs * lines.shape[1] + v + b + 1)
-    lo = hi = 0
-    while hi <= first:
-        lo = hi
-        cap = (ends[lo - 1] if lo else 0) + _GQ_BLOCK_CELLS
-        hi = max(lo + 1, int(np.searchsorted(ends, cap, side="right")))
-    return Verdict(False, _quadrangle_block(lines, points, s.sizes, lo, hi))
+    return Verdict(False, _row_witness(s, first))
 
 
 def _identity_holds(s):
@@ -424,37 +396,25 @@ def _first_unmet(s, stop):
     return stop
 
 
-def _quadrangle_block(lines, points, sizes, lo, hi):
-    """The witness of a quadrangle axiom failing at some point in
-    [lo, hi).  lines is padded with b and points with v, and sizes holds
-    the number of points of each line."""
-    v, b = len(lines), len(points)
-    n = hi - lo
-    mine = lines[lo:hi]
-    own, col = np.nonzero(mine < b)
-    via = mine[own, col]
-    x = np.take(points, via, axis=0)
-    keep = (x < v) & (x != lo + own[:, None])
-    row, x = np.repeat(own, np.count_nonzero(keep, axis=1)), x[keep]
-    # Past v - 1 entries a row, some x repeats and the common lines below
-    # name the witness: so no row gathers more than v * b lines.
-    if len(x) <= n * (v - 1):
-        keys = np.take(lines, x, axis=0)
-        keys += (row * (b + 1))[:, None]
-        joins = np.bincount(keys.ravel(), minlength=n * (b + 1)).reshape(n, b + 1)
-        del keys
-        # 1 on every line: M through p down from |M| - 1, the padding b set
-        joins[own, via] -= sizes[via] - 2
-        joins[:, b] = 1
-    common = np.bincount(row * v + x, minlength=n * v).reshape(n, v)
+def _row_witness(s, p):
+    """is_generalized_quadrangle's witness at a point p where it fails."""
+    v, b = s.n_points, s.n_lines
+    pt, ln = s.pairs.T
+    mine = np.zeros(b, dtype=bool)
+    mine[ln[pt == p]] = True
+    common = np.bincount(pt[mine[ln]], minlength=v)  # x: p's collinear points
+    common[p] = 0
     if common.max() > 1:
-        i, q = (int(y) for y in np.argwhere(common > 1)[0])
-        return ("uniqueness", lo + i, q, int(common[i, q]))
-    # Each x shares just M with p, so M got its |M| - 1 and now reads 1
-    i, line = (int(y) for y in np.argwhere(joins != 1)[0])
-    count = int(joins[i, line])
-    return (("uniqueness", lo + i, v + line, count) if count
-            else ("distance", lo + i, v + line))
+        q = int(np.argmax(common > 1))
+        return ("uniqueness", p, q, int(common[q]))
+    # Each x is on one line M through p, so the pairs (M, x) joining p
+    # to L are the x on L.  A line through p meets its target |M| - 1.
+    joins = np.bincount(ln[common[pt] > 0], minlength=b)
+    joins[mine] = 1
+    line = int(np.argmax(joins != 1))
+    count = int(joins[line])
+    return (("uniqueness", p, v + line, count) if count
+            else ("distance", p, v + line))
 
 
 # -- structural classifiers -------------------------------------------------

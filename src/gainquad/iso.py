@@ -140,12 +140,10 @@ class _Refiner:
         # sorts after every real color id.  One take of a side's rows from
         # the buffer then gathers that side's signatures.  Edge i, the
         # j-th of its vertex, goes to column j + 1, with no padded copy.
-        self.selfpad = np.full((n, 1 + int(self.degs.max())), n, dtype=np.intp)
+        width = int(self.degs.max())
+        self.selfpad = np.full((n, 1 + width), n, dtype=np.intp)
         self.selfpad[:, 0] = np.arange(n)
-        column = np.arange(1, len(self.edge_u) + 1)
-        column -= (np.cumsum(self.degs) - self.degs)[self.edge_u]
-        self.selfpad[self.edge_u, column] = self.edge_v
-        del column  # freed before the side buffers, for a lower peak
+        self.selfpad[:, 1:][np.arange(width) < self.degs[:, None]] = self.edge_v
         # Per side (points, then lines): its rows of selfpad, only as wide
         # as its own largest degree needs; a signature buffer and its
         # neighbor columns; a rank buffer, whose last slot receives the

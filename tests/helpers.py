@@ -46,6 +46,13 @@ def grid_quadrangle(n):
     return IncidenceStructure(points, lines, pairs)
 
 
+def swapped_lines(s, i, j):
+    """s with the lines of its pairs i and j swapped."""
+    pairs = s.pairs.copy()
+    pairs[[i, j], 1] = pairs[[j, i], 1]
+    return IncidenceStructure(s.point_labels, s.line_labels, pairs)
+
+
 def tiny_base():
     """One line carrying two points: the smallest valid structure."""
     return IncidenceStructure(["p", "p'"], ["b"], [(0, 0), (1, 0)])
@@ -146,6 +153,16 @@ def naive_common_lines(s):
     np.fill_diagonal(count, 0)
     bad = np.argwhere(np.triu(count != 1, 1))
     return line, count, tuple(int(x) for x in bad[0]) if len(bad) else None
+
+
+def naive_padded_lists(member, length, pad):
+    """geometry.padded_lists by one row at a time."""
+    width = max(length, default=0)
+    rows, start = [], 0
+    for n in length:
+        rows.append(list(member[start:start + n]) + [pad] * (width - n))
+        start += n
+    return np.array(rows, dtype=member.dtype).reshape(len(length), width)
 
 
 # -- expansion oracle ------------------------------------------------------------
@@ -250,10 +267,10 @@ def assert_quadrangle_witness(s, witness):
 
 
 def two_count_quadrangle_block(lines, points, sizes, lo, hi):
-    """geometry._quadrangle_block as it was when every point row block
-    made two bincounts: the common lines of each (p, x) first, then the
-    pairs (M, x) joining p to each line.  The one-count block must name
-    the same witness on the same block."""
+    """A witness of the quadrangle axioms failing at a point row in
+    [lo, hi), or None, by two bincounts over the block: the first (p, x)
+    on several common lines, else the first (p, L) that other than one
+    pair (M, x) joins."""
     v, b = len(lines), len(points)
     n = hi - lo
     mine = lines[lo:hi]
@@ -278,10 +295,10 @@ def two_count_quadrangle_block(lines, points, sizes, lo, hi):
 
 
 def block_loop_quadrangle(s, block_cells):
-    """geometry.is_generalized_quadrangle as it was when it ran every
-    block of point rows in turn, with blocks of at most block_cells
-    entries: the verdict, with the witness of the first block that
-    fails.  The check must return the same at the same block size."""
+    """geometry.is_generalized_quadrangle by every block of point rows in
+    turn, with blocks of at most block_cells entries: the verdict, with
+    the witness of the first block that fails.  At block_cells = 1 every
+    row is a block of its own, and the check must return the same."""
     v, b = s.n_points, s.n_lines
     pt, ln = s.pairs.T
     lines = padded_lists(ln.astype(np.intp), s.degrees, b)

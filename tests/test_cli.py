@@ -14,7 +14,7 @@ from gainquad import (GF, CyclicGroup, Isomorphism, Verdict, affine_gains, affin
                       structure_to_json, symplectic_quadrangle, verify_isomorphism)
 from gainquad.cli import main
 from gainquad.search import CHECKPOINT_EVERY, _config_digest
-from helpers import assert_quadrangle_witness
+from helpers import assert_quadrangle_witness, swapped_lines
 
 
 def run(*argv):
@@ -291,6 +291,16 @@ def test_verify_gq_failure_witness(tmp_path):
     report = tmp_path / "r.json"
     assert run("verify", "ag2:2", "--as", "gq", "--report", report) == 1
     assert read_json(report)["witness"]
+
+
+def test_verify_gq_names_the_first_failing_point(tmp_path):
+    # W(3) with the lines of pairs 7 and 41 swapped fails first at point
+    # 0, which no pair joins to line 6 (eid 46)
+    s = swapped_lines(symplectic_quadrangle(3).structure, 7, 41)
+    path, report = tmp_path / "s.json", tmp_path / "r.json"
+    path.write_text(json.dumps(structure_to_json(s)))
+    assert run("verify", path, "--as", "gq", "--report", report) == 1
+    assert read_json(report)["witness"] == ["distance", 0, 46]
 
 
 def test_isocheck(tmp_path):
