@@ -143,8 +143,10 @@ class SymplecticQuadrangle:
         rows = rows[np.lexsort(rows.T[::-1])]
 
         names = [F.render(a) for a in els]
-        point_labels = [f"<{','.join(names[c] for c in row)}>" for row in codes.tolist()]
-        line_labels = ["{" + ",".join(map(str, r)) + "}" for r in rows.tolist()]
+        point_labels = [f"<{names[a]},{names[b]},{names[c]},{names[d]}>"
+                        for a, b, c, d in codes.tolist()]
+        decimal = np.array([str(i) for i in range(len(codes))], dtype=object)
+        line_labels = ["{" + ",".join(r) + "}" for r in decimal[rows].tolist()]
         pairs = np.column_stack([rows.ravel(), np.arange(rows.size) // (q + 1)])
         self.structure = IncidenceStructure(point_labels, line_labels, pairs)
 

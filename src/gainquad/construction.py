@@ -54,11 +54,12 @@ class Expansion(IncidenceStructure):
 
         # x_p lies on every z[p, t], and y[b, t] on z[p, row[t]], where
         # row[t] is the position of gain(bp) . lambdas[t]: one action row
-        # per distinct gain code.
-        els, codes = group.elements(), gains.codes.tolist()
-        rows = {c: [lambda_index[group.act(els[c], lam)] for lam in lambdas]
-                for c in set(codes)}
-        row = np.array([rows[c] for c in codes])
+        # per gain code in use, in a table indexed by code.
+        els = group.elements()
+        row = np.zeros((len(els), k), dtype=np.int64)
+        for c in set(gains.codes.tolist()):
+            row[c] = [lambda_index[group.act(els[c], lam)] for lam in lambdas]
+        row = row[gains.codes]
         p, b = base.pairs[base.line_order].T
         z = np.arange(v * k)
         pairs = np.concatenate([

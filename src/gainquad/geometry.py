@@ -495,10 +495,12 @@ def verify_isomorphism(s1, s2, iso):
 
 
 def structure_to_json(s, tags=None):
+    """The structure file's document, its 'incidence' the read-only pairs
+    array: write it with storage.json_text, not a bare json.dumps."""
     doc = {
         "points": list(s.point_labels),
         "lines": list(s.line_labels),
-        "incidence": s.pairs.tolist(),
+        "incidence": s.pairs,
     }
     if tags is not None:
         doc["tags"] = tags
@@ -508,9 +510,10 @@ def structure_to_json(s, tags=None):
 def structure_from_json(doc):
     """Returns (structure, tags-or-None); ValueError on a malformed doc."""
     if not isinstance(doc, dict) or not all(
-            isinstance(doc.get(k), list) for k in ("points", "lines", "incidence")):
-        raise ValueError("a structure is an object with 'points', 'lines' "
-                         "and 'incidence' lists")
+            isinstance(doc.get(k), (list, np.ndarray) if k == "incidence" else list)
+            for k in ("points", "lines", "incidence")):
+        raise ValueError("a structure is an object with 'points' and 'lines' "
+                         "lists and an 'incidence' list or array")
     s = IncidenceStructure(doc["points"], doc["lines"], doc["incidence"])
     tags = doc.get("tags")
     if tags is not None and not (isinstance(tags, dict) and all(

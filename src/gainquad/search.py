@@ -148,7 +148,7 @@ def _unrank_batch(start, count, radix, width):
 def _config_digest(base, group, unreduced, near_miss):
     import hashlib  # here, so that runs without a checkpoint never load OpenSSL
     blob = json.dumps({
-        "base": structure_to_json(base),
+        "base": dict(structure_to_json(base), incidence=base.pairs.tolist()),
         "group": group.spec(),
         "unreduced": unreduced,
         "near_miss": near_miss,
@@ -288,7 +288,8 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
                 "assignment_index": index,
                 "gains": gains_to_json(g),
                 "order": [s_par, t_par],
-                "structure": structure_to_json(c, tags=c.tags_json()),
+                "structure": dict(structure_to_json(c, tags=c.tags_json()),
+                                  incidence=c.pairs.tolist()),
             })
 
     end = total if budget is None else min(total, budget)

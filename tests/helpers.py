@@ -749,6 +749,16 @@ def naive_symplectic(F):
     return vectors, sorted(lines, key=sorted)
 
 
+def joined_symplectic_labels(w):
+    """(point labels, line labels) of W(q) by the expressions the catalog
+    used before it built them from tables: a join per point over the
+    coordinate names, and per line over its points' decimal ids."""
+    names = [w.field.render(a) for a in w.field.elements()]
+    points = [f"<{','.join(names[c] for c in row)}>" for row in w.codes.tolist()]
+    lines = ["{" + ",".join(map(str, r)) + "}" for r in w.structure.points_of_line]
+    return points, lines
+
+
 def naive_payne(F, x):
     """(survivors, lines) of the Payne derivation of W(q) at point x.
 

@@ -16,7 +16,8 @@ from gainquad import (GF, Isomorphism, affine_gains, affine_plane, are_isomorphi
                       verify_isomorphism)
 import gainquad.catalog as catalog
 from gainquad.catalog import _form
-from helpers import Rationals, detour_formula, naive_payne, naive_symplectic, walk_gain
+from helpers import (Rationals, detour_formula, joined_symplectic_labels, naive_payne,
+                     naive_symplectic, walk_gain)
 
 
 def test_plane_counts():
@@ -217,9 +218,17 @@ def test_payne_derivation(q):
     assert quadrangle_order(d) == (q - 1, q + 1)
 
 
-# sha256 of json.dumps(structure_to_json(payne_derivation(w, x))) for x
-# in (0, n//2, n-1): the line order, and with it the payne-check witness
-# files, stay fixed.
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_symplectic_labels_match_the_joined_rows(q):
+    w = symplectic_quadrangle(q)
+    points, lines = joined_symplectic_labels(w)
+    assert w.structure.point_labels == tuple(points)
+    assert w.structure.line_labels == tuple(lines)
+
+
+# sha256 of json.dumps(structure_to_json(payne_derivation(w, x))), the
+# incidence array dumped as its tolist(), for x in (0, n//2, n-1): the
+# line order, and with it the payne-check witness files, stay fixed.
 PAYNE_DIGESTS = {
     2: ('3b915ad3ba46d50cd426b6484393078293f0f4cf9239cf121f880d8342290b52',
          'efb2e0a41c6107fdf4837a45532e526171e45d71ba2a2bfdce2a373bcbbaeb64',
@@ -250,7 +259,7 @@ def test_payne_derivation_bytes_are_pinned(q):
     w = symplectic_quadrangle(q)
     n = w.structure.n_points
     got = tuple(hashlib.sha256(json.dumps(structure_to_json(
-                    payne_derivation(w, x))).encode()).hexdigest()
+                    payne_derivation(w, x)), default=np.ndarray.tolist).encode()).hexdigest()
                 for x in (0, n // 2, n - 1))
     assert got == PAYNE_DIGESTS[q]
 

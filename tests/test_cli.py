@@ -1,5 +1,6 @@
 """The command-line surface: subcommands, exit codes, file formats."""
 
+import hashlib
 import json
 import re
 
@@ -14,6 +15,7 @@ from gainquad import (GF, CyclicGroup, Isomorphism, Verdict, affine_gains, affin
                       structure_to_json, symplectic_quadrangle, verify_isomorphism)
 from gainquad.cli import main
 from gainquad.search import CHECKPOINT_EVERY, _config_digest
+from gainquad.storage import json_text
 from helpers import assert_quadrangle_witness, swapped_lines
 
 
@@ -176,7 +178,7 @@ def test_build_and_verify_build_no_tuple_views(tmp_path):
     out = tmp_path / "m5.json"
     assert run("build", "ag2", "5", "--with-gains", "-o", out) == 0
     s, _ = structure_from_json(read_json(out))
-    assert structure_to_json(s)["incidence"] == doc["incidence"]
+    assert structure_to_json(s)["incidence"].tolist() == doc["incidence"].tolist()
     assert is_generalized_ngon(s, 4) and quadrangle_order(s) == (6, 4)
     assert not _TUPLE_VIEWS & set(vars(s))
 
@@ -293,12 +295,35 @@ def test_verify_gq_failure_witness(tmp_path):
     assert read_json(report)["witness"]
 
 
+# sha256 of CLI structure files, each from a fixed argv run in an empty
+# directory: the build document (its config holds the argv), the base
+# beside it, a generated structure, and a search class file.
+FILE_DIGESTS = [
+    (["build", "ag2", "5", "--with-gains", "-o", "m5.json", "--emit-base", "b5.json"], {
+        "m5.json": "d3e837cc2eb9112cf16eadaa26bcf53032ab3e646ad2113362abb4dc7a20e05c",
+        "b5.json": "9c13075142f5f949ac7c1ecab0c41680896b9b9b38a6d0689f211b5721e49c59"}),
+    (["export", "w:5", "--format", "json", "-o", "w5.json"], {
+        "w5.json": "0eeee1c4310392f1ea9fa3d3572fdda528b1805414c8625f861d232c5ead35b3"}),
+    (["search", "--base", "ag2:2", "--group", "z:2", "--unreduced", "--report", "full.json"], {
+        "full.class000.json":
+            "2d096525cede4d81da6799aad40a5917c4af37f46e46cf0fc6dd66f00b558878"}),
+]
+
+
+@pytest.mark.parametrize("argv, digests", FILE_DIGESTS, ids=["build", "export", "search"])
+def test_structure_file_bytes_are_pinned(tmp_path, monkeypatch, argv, digests):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
 def test_verify_gq_names_the_first_failing_point(tmp_path):
     # W(3) with the lines of pairs 7 and 41 swapped fails first at point
     # 0, which no pair joins to line 6 (eid 46)
     s = swapped_lines(symplectic_quadrangle(3).structure, 7, 41)
     path, report = tmp_path / "s.json", tmp_path / "r.json"
-    path.write_text(json.dumps(structure_to_json(s)))
+    path.write_text(json_text(structure_to_json(s)))
     assert run("verify", path, "--as", "gq", "--report", report) == 1
     assert read_json(report)["witness"] == ["distance", 0, 46]
 

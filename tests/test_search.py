@@ -70,6 +70,25 @@ def test_report_bytes_are_pinned(request, plane, n, budget, unreduced, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# _config_digest of three scans: a checkpoint stores it and a resume
+# compares it, so a checkpoint written by an earlier version resumes only
+# while these stay put.
+CONFIG_DIGESTS = [
+    ((2, 1), CyclicGroup(2), False, True,
+     "8024087f0c912dcab45fca37032fd159a6e22a50f92cc39274c97afe0a273124"),
+    ((3, 1), CyclicGroup(3), False, False,
+     "8b442438a5d4c230273e0dfa387815b02a6830b81e8ebeae67a44bcf96bb40e8"),
+    ((2, 2), AdditiveGroup(GF(2, 2)), True, True,
+     "da224f79407fda1191c64d7ed7f398be06d776f3c6e5cd5a343bd66adedf7f1e"),
+]
+
+
+@pytest.mark.parametrize("field, group, unreduced, near_miss, digest", CONFIG_DIGESTS)
+def test_config_digest_is_pinned(field, group, unreduced, near_miss, digest):
+    base = affine_plane(GF(*field)).structure
+    assert _config_digest(base, group, unreduced, near_miss) == digest
+
+
 def test_unreduced_matches_gauge_fixed(plane2):
     gauge = run_search(plane2.structure, CyclicGroup(2))
     full = run_search(plane2.structure, CyclicGroup(2), unreduced=True)
