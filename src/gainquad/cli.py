@@ -33,7 +33,7 @@ from .geometry import (IncidenceStructure, census_ngon, is_generalized_ngon,
 from .groups import AdditiveGroup, CyclicGroup
 from .iso import are_isomorphic, canonical_form, distinguishing_invariant
 from .search import run_search
-from .storage import atomic_write, json_text
+from .storage import atomic_write, json_text, read_json
 
 GENERATORS = ("ag2", "w", "payne-dual")
 
@@ -59,9 +59,7 @@ def realize_base(spec):
     """
     # a file name may itself contain ":"
     if os.path.isfile(spec):
-        with open(spec) as fh:
-            doc = json.load(fh)
-        s, tags = structure_from_json(doc)
+        s, tags = structure_from_json(read_json(spec))
         return {"structure": s, "tags": tags, "plane": None, "name": spec}
     name, *args = spec.split(":")
     if name not in GENERATORS:
@@ -128,29 +126,29 @@ def cmd_build(args):
     # with a generator name are "build base.json gains.json"
     if gains_path is None and len(tokens) == 2 and tokens[0] not in GENERATORS:
         tokens, gains_path = tokens[:1], tokens[1]
+    if ((gains_path is not None) + args.with_gains + args.identity_gains != 1
+            or (args.group is not None and not args.identity_gains)):
+        raise ValueError("give one gain source: a gains file, --with-gains, "
+                         "or --identity-gains with an optional --group")
     start = time.perf_counter()
     base = realize_base(":".join(tokens))
     s = base["structure"]
     _note(args, f"base {base['name']}: {s.n_points} points, {s.n_lines} lines "
                 f"in {time.perf_counter() - start:.3f} s")
     start = time.perf_counter()
-    if gains_path:
-        with open(gains_path) as fh:
-            g = gains_from_json(s, json.load(fh))
+    if gains_path is not None:
+        g = gains_from_json(s, read_json(gains_path))
     elif args.with_gains:
         if base["plane"] is None:
             raise ValueError("--with-gains needs an ag2 base")
         g = catalog.affine_gains(base["plane"])
-    elif args.identity_gains:
+    else:
         group = parse_group(args.group) if args.group else None
         if group is None and base["plane"] is not None:
             group = AdditiveGroup(base["plane"].field)
         if group is None:
             raise ValueError("--identity-gains needs --group for this base")
         g = identity_gains(s, group)
-    else:
-        raise ValueError("no gain source: give a gains file, --with-gains, "
-                         "or --identity-gains")
     _note(args, f"gains: {len(g.codes)} edges in {time.perf_counter() - start:.3f} s")
     if args.emit_base:
         _write_json(args.emit_base, structure_to_json(s))

@@ -192,27 +192,17 @@ class DetourKernel:
         self.full = np.flatnonzero(base.sizes == k)
         self.block_lines = max(1, BLOCK_ENTRIES // max(1, k * (v - k)))
         self._kept = (None,)
-        # b2p[q, p] = eid[b', p] for b' = line[q, p], int32 (about 5.8M
-        # entries at q = 49), built a block of at most BLOCK_ENTRIES rows q
-        # at a time through one intp index array (the indices are in range,
-        # and mode "clip" lets take write into b2p without a buffer); the
-        # diagonal, which no detour reads, is set to edge 0.
-        line, self.b2p = base.line_table(), np.empty((v, v), dtype=np.int32)
-        step = max(1, BLOCK_ENTRIES // v)
-        for start in range(0, v, step):
-            index = np.maximum(line[start:start + step], 0, dtype=np.intp)
-            index *= v
-            index += np.arange(v)
-            np.take(eid, index, out=self.b2p[start:start + step], mode="clip")
-            del index
-        np.fill_diagonal(self.b2p, 0)
+        # b2p[q, p] = eid[b', p], b' the line through p and q: the base's
+        # own edge table, not a copy.  Its diagonal is -1, which take
+        # accepts, and no detour reads D[p, p].
+        self.b2p = base.edge_table()
 
     def _pair_table(self, x, y, combine):
         """D = combine(x[b2p], y[b2p.T]), flat, b2p.T being the edges
-        (b', q) as line is symmetric.  Rows go in blocks of at most
-        BLOCK_ENTRIES entries, or of one row, as take makes an intp copy
-        of an int32 index table; a table that fits in one block is built
-        in one step."""
+        (b', q) as b' is the same line for (p, q) and (q, p).  Rows go in
+        blocks of at most BLOCK_ENTRIES entries, or of one row, as take
+        makes an intp copy of an int32 index table; a table that fits in
+        one block is built in one step."""
         b2p, v = self.b2p, self.eid.shape[1]
         step = max(1, BLOCK_ENTRIES // v)
         if v <= step:

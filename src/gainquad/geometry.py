@@ -125,25 +125,24 @@ class IncidenceStructure:
 
     @cached_property
     def _common_lines(self):
-        """(line, count, bad).  line and count are (points, points)
-        int32 tables of the line through two distinct points (-1 on the
-        diagonal; meaningful where count is 1) and of their number of
-        common lines (0 on the diagonal).  bad is the first pair p < q
-        whose count is not 1, or None.
+        """(edge, bad).  edge is the (points, points) int32 table of the
+        edge (b, q), numbered as in edge_ids, at [p, q], b the one line
+        through p and q; -1 on the diagonal and where p and q share no
+        line or several.  bad is the first pair p < q with cell -1, or None.
 
         Row p lists, for each line through p, that line's points.  Rows
         go in blocks of at most _COMMON_BLOCK_CELLS such entries and
         table cells, or of one row, with int32 cell indices relative to
-        the block, which fills a contiguous stretch of both tables.  A
-        bincount of the cells gives the counts.  Lines of unequal sizes
-        are padded with point v, an extra column that is cut off at the
-        end.
+        the block, which fills a contiguous stretch of the table with
+        each line's edges, listed as ``on`` lists its points.  A bincount
+        clears the cells not hit once.  Lines of unequal sizes are padded
+        with point v, an extra column that is cut off at the end.
         """
         v = self.n_points
         w = v + int(self.sizes.min() != self.sizes.max())
-        line = np.full(v * w, -1, dtype=np.int32)
-        count = np.zeros(v * w, dtype=np.int32)
+        edge = np.empty(v * w, dtype=np.int32)
         on = padded_lists(self.pairs[self.line_order, 0], self.sizes, v)
+        at = padded_lists(np.arange(len(self.pairs), dtype=np.int32), self.sizes, -1)
         p, b = self.pairs.T
         first = np.concatenate(([0], np.cumsum(self.degrees)))  # each row's first pair
         reach = first[1:] * on.shape[1]  # entries in the rows up to each row
@@ -154,40 +153,42 @@ class IncidenceStructure:
             p1 = min(max(p0 + 1, p1), p0 + max(1, _COMMON_BLOCK_CELLS // w))
             rows = slice(first[p0], first[p1])
             cells = ((p[rows] - p0) * w)[:, None] + on[b[rows]]
-            stretch = slice(p0 * w, p1 * w)
+            block = edge[p0 * w:p1 * w]
+            block[cells] = at[b[rows]]
             hits = np.bincount(cells.ravel(), minlength=(p1 - p0) * w)
             hits[np.arange(p1 - p0) * (w + 1) + p0] = 0  # the diagonal
-            count[stretch] = hits
-            line[stretch][cells] = b[rows, None]
+            block[hits != 1] = -1
             p0 = p1
-        line = np.ascontiguousarray(line.reshape(v, w)[:, :v])
-        count = np.ascontiguousarray(count.reshape(v, w)[:, :v])
-        np.fill_diagonal(line, -1)
-        np.fill_diagonal(count, 0)
-        bad = np.argwhere(np.triu(count != 1, 1))
-        return line, count, tuple(int(x) for x in bad[0]) if len(bad) else None
+        edge = np.ascontiguousarray(edge.reshape(v, w)[:, :v])
+        bad = np.argwhere(np.triu(edge < 0, 1))
+        return edge, tuple(int(x) for x in bad[0]) if len(bad) else None
 
-    def line_table(self):
-        """(points, points) int32 table of the common line of two distinct
-        points, -1 on the diagonal (cached).
+    def _lines_through(self, p, q):
+        """The lines through both points p and q, ascending."""
+        return tuple(sorted(set(self.lines_of_point[p]) & set(self.lines_of_point[q])))
+
+    def edge_table(self):
+        """(points, points) int32 table of the edge (b, q), numbered as in
+        edge_ids, at [p, q], b the common line of two distinct points; -1
+        on the diagonal (cached).
 
         Raises ValueError unless every two distinct points lie on exactly
         one common line.
         """
-        line, count, bad = self._common_lines
+        edge, bad = self._common_lines
         if bad is not None:
-            p, q = bad
-            raise ValueError(f"points {p},{q} lie on {count[p, q]} common lines")
-        return line
+            self.common_line(*bad)  # raises, naming the pair
+        return edge
 
     def common_line(self, p, q):
         """The unique line through two distinct points; error otherwise."""
-        line, count, _ = self._common_lines
         v = self.n_points
-        n = int(count[p, q]) if 0 <= p < v and 0 <= q < v else 0
-        if n != 1:
+        two = p != q and 0 <= p < v and 0 <= q < v
+        e = int(self._common_lines[0][p, q]) if two else -1
+        if e < 0:
+            n = len(self._lines_through(p, q)) if two else 0
             raise ValueError(f"points {p},{q} lie on {n} common lines")
-        return int(line[p, q])
+        return int(self.pairs[self.line_order[e], 1])
 
     def __repr__(self):
         return (f"IncidenceStructure({self.n_points} points, "
@@ -426,12 +427,12 @@ def is_linear_space(s):
     short = np.flatnonzero(s.sizes < 2)
     if len(short):
         return Verdict(False, ("short-line", int(short[0])))
-    _, count, bad = s._common_lines
+    bad = s._common_lines[1]
     if bad is not None:
         p, q = bad
-        if count[p, q] == 0:
+        lines = s._lines_through(p, q)
+        if not lines:
             return Verdict(False, ("points-on-no-common-line", p, q))
-        lines = tuple(sorted(set(s.lines_of_point[p]) & set(s.lines_of_point[q])))
         return Verdict(False, ("points-on-multiple-lines", p, q, lines))
     if len(s.pairs) == s.n_points * s.n_lines:
         return Verdict(False, ("no-non-incident-pair",))

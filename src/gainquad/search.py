@@ -38,7 +38,7 @@ from .construction import DetourKernel, expand, gq_parameters
 from .gains import GainGraph, gains_to_json, spanning_tree_edges, spanning_tree_gauge_codes
 from .geometry import structure_to_json
 from .iso import CERTIFICATE_VERSION, canonical_form
-from .storage import atomic_write, is_int, json_text
+from .storage import atomic_write, is_int, json_text, read_json
 
 # A batch holds at most this many detour values, one byte each for the
 # groups a scan can afford, so each of its temporaries stays near 128 kB;
@@ -168,8 +168,7 @@ def _read_checkpoint(path, digest, total, n_pairs, near_miss):
     checkpoints also hold "scanned" and "certificates") are ignored.
     """
     try:
-        with open(path) as fh:
-            state = json.load(fh)
+        state = read_json(path)
     except FileNotFoundError:
         return None
     if not isinstance(state, dict):

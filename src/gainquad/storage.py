@@ -1,5 +1,6 @@
-"""Crash-safe file output in one JSON layout, shared by the CLI and the
-search checkpoint, and the integer check that JSON input is validated with."""
+"""Crash-safe file output in one JSON layout and the one JSON file reader,
+shared by the CLI and the search checkpoint, and the integer check that
+JSON input is validated with."""
 
 import contextlib
 import json
@@ -13,6 +14,16 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular
 def is_int(x):
     """True for a plain integer; bools and floats are refused."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def read_json(path):
+    """The JSON document in the file at path; ValueError, as for malformed
+    JSON, when it nests too deeply to parse."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def json_text(doc):

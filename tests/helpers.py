@@ -141,18 +141,19 @@ def naive_linear_space(s):
 
 def naive_common_lines(s):
     """IncidenceStructure._common_lines by one table assignment per line:
-    the last line through two points wins, and the diagonal is cleared."""
+    cell [p, q] holds edge_ids[b, q] for the last line b through p and q,
+    then -1 wherever p and q share other than one line, and on the
+    diagonal."""
     v = s.n_points
-    line = np.full((v, v), -1, dtype=np.int32)
+    edge = np.full((v, v), -1, dtype=np.int32)
     count = np.zeros((v, v), dtype=np.int32)
     for b, pts in enumerate(s.points_of_line):
-        cell = np.ix_(pts, pts)
-        line[cell] = b
-        count[cell] += 1
-    np.fill_diagonal(line, -1)
+        edge[np.ix_(pts, pts)] = s.edge_ids[b, list(pts)]
+        count[np.ix_(pts, pts)] += 1
     np.fill_diagonal(count, 0)
+    edge[count != 1] = -1
     bad = np.argwhere(np.triu(count != 1, 1))
-    return line, count, tuple(int(x) for x in bad[0]) if len(bad) else None
+    return edge, tuple(int(x) for x in bad[0]) if len(bad) else None
 
 
 def naive_padded_lists(member, length, pad):

@@ -699,6 +699,22 @@ _BAD_INPUT = {
     "timeout-nan": ({}, ["isocheck", "ag2:2", "ag2:2", "--timeout", "nan"]),
     "timeout-negative": ({}, ["isocheck", "ag2:2", "ag2:2", "--timeout", "-1"]),
     "timeout-infinite": ({}, ["isocheck", "ag2:2", "ag2:2", "--timeout", "inf"]),
+    # a file given as text is written as it is: JSON nested past the
+    # parser's recursion limit, at each place a JSON file is read
+    "deep-structure": ({"s.json": "[" * 100000}, ["verify", "s.json", "--as", "gq"]),
+    "deep-search-base": ({"s.json": "[" * 100000},
+                         ["search", "--base", "s.json", "--group", "z:2"]),
+    "deep-gains": ({"g.json": "[" * 100000}, ["build", "ag2", "2", "--gains", "g.json"]),
+    "deep-checkpoint": ({"ck.json": "[" * 100000},
+                        ["search", "--base", "ag2:2", "--group", "z:2",
+                         "--checkpoint", "ck.json"]),
+    # build takes exactly one gain source
+    "gains-with-and-identity": ({}, ["build", "ag2", "3", "--with-gains", "--identity-gains",
+                                     "--group", "z:3"]),
+    "gains-file-and-with": ({"g.json": _ag22_gains({"kind": "GFpn", "p": 2, "n": 1}, [0])},
+                            ["build", "ag2", "2", "--gains", "g.json", "--with-gains"]),
+    "gains-group-without-identity": ({}, ["build", "ag2", "2", "--with-gains",
+                                          "--group", "z:2"]),
 }
 
 
@@ -706,7 +722,7 @@ _BAD_INPUT = {
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, doc in files.items():
-        (tmp_path / name).write_text(json.dumps(doc))
+        (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert run(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

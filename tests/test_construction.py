@@ -508,20 +508,20 @@ def test_criterion_peak_memory_at_q16():
 
 
 def test_kernel_tables_hold_one_block_of_indices_at_a_time():
-    # 5.0 MB above what the kernel keeps at q = 23 with v^2 index tables
-    # at once; one block's intp indices are at most 2 MB.  It keeps the
-    # point-pair edge table and little else: 5.5 MB with a stored pair
-    # list and a transposed copy of that table.
+    # The kernel reads the base's point-pair edge table and builds no
+    # v^2 table of its own: on a base whose tables are built it holds
+    # under 1 MB at q = 23, and one block's intp indices are at most 2 MB.
     plane = affine_plane(field_from_order(23))
     base = plane.structure
-    base.edge_ids, base.line_table()
+    base.edge_ids, base.edge_table()
     tracemalloc.start()
     try:
         kernel = DetourKernel(base, AdditiveGroup(plane.field))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kernel.b2p.nbytes <= held <= kernel.b2p.nbytes + 2 ** 20
+    assert kernel.b2p is base.edge_table()
+    assert held <= 2 ** 20
     assert peak - held <= 3 * 2 ** 20
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -209,13 +210,15 @@ def test_linear_space_matches_naive_oracle():
 
 def test_common_line():
     s = affine_plane(GF(3)).structure
-    table = s.line_table()
+    table = s.edge_table()
     for p in range(s.n_points):
         for q in range(s.n_points):
             if p != q:
                 b = s.common_line(p, q)
                 assert p in s.points_of_line[b] and q in s.points_of_line[b]
-                assert table[p, q] == b
+                assert table[p, q] == s.edge_ids[b, q]
+            else:
+                assert table[p, q] == -1
     with pytest.raises(ValueError, match="lie on 0 common lines"):
         s.common_line(4, 4)
     # points 2 and 0 share no line; points 0 and 1 share two
@@ -227,7 +230,7 @@ def test_common_line():
         s.common_line(0, 1)
     assert s.common_line(2, 1) == 2
     with pytest.raises(ValueError, match="points 0,1 lie on 2 common lines"):
-        s.line_table()
+        s.edge_table()
 
 
 def _common_line_subjects():
@@ -253,19 +256,40 @@ def test_common_lines_match_the_loop_oracle(block_cells, monkeypatch):
     subjects = _common_line_subjects()
     subjects += [random_structure(rng, max_points=7, max_lines=7) for _ in range(40)]
     for s in subjects:
-        line, count, bad = s._common_lines
-        want_line, want_count, want_bad = naive_common_lines(s)
-        assert line.dtype == count.dtype == np.int32
-        # which of several common lines a cell holds is left open: numpy
-        # leaves repeated fancy-index writes unspecified, and no reader asks
-        one = count == 1
-        assert np.array_equal(line[one], want_line[one])
-        assert np.array_equal(line < 0, count == 0)
-        assert np.array_equal(count, want_count) and bad == want_bad
-    w3, two, isolated = subjects[9:12]
-    assert w3._common_lines[2] is not None
-    assert two._common_lines[1][0, 1] == 2
-    assert not isolated._common_lines[1][4].any() and isolated._common_lines[2] == (0, 4)
+        edge, bad = s._common_lines
+        want_edge, want_bad = naive_common_lines(s)
+        assert edge.dtype == np.int32 and edge.flags.c_contiguous
+        assert np.array_equal(edge, want_edge) and bad == want_bad
+
+
+# Pinned witnesses and messages of the three subjects that are no linear
+# space: the error paths count common lines at the failing pair alone.
+_NOT_ONE_LINE = {
+    "w3": (("points-on-no-common-line", 0, 9), "points 0,9 lie on 0 common lines",
+           {(0, 1): 0, (0, 4): 2, (2, 3): "points 2,3 lie on 0 common lines"}),
+    "two": (("points-on-multiple-lines", 0, 1, (0, 1)), "points 0,1 lie on 2 common lines",
+            {(1, 0): "points 1,0 lie on 2 common lines", (1, 2): 1,
+             (0, 4): "points 0,4 lie on 0 common lines"}),
+    "isolated": (("points-on-no-common-line", 0, 4), "points 0,4 lie on 0 common lines",
+                 {(2, 3): 3, (4, 0): "points 4,0 lie on 0 common lines",
+                  (0, 0): "points 0,0 lie on 0 common lines",
+                  (-1, 0): "points -1,0 lie on 0 common lines"}),
+}
+
+
+@pytest.mark.parametrize("name", list(_NOT_ONE_LINE))
+def test_witnesses_and_messages_of_points_not_on_one_line(name):
+    s = dict(zip(_NOT_ONE_LINE, _common_line_subjects()[9:]))[name]
+    witness, message, calls = _NOT_ONE_LINE[name]
+    assert is_linear_space(s) == (False, witness)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        s.edge_table()
+    for (p, q), want in calls.items():
+        if isinstance(want, int):
+            assert s.common_line(p, q) == want
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                s.common_line(p, q)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.intp])
