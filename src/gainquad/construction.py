@@ -155,13 +155,13 @@ BLOCK_ENTRIES = 1 << 18
 class DetourKernel:
     """Every detour table of a linear space at once, for arrays of gains.
 
-    Edges are numbered in sorted (line, point) order, and a batch of B
-    assignments is an edge-major (edges, B) array of group codes, one
-    column per assignment as GainGraph.codes, so that every gather
-    copies whole contiguous rows of B codes instead of single bytes.
-    Non-incident pairs (b, p) are numbered line-major, as
-    np.argwhere(edge_ids < 0) lists them, from each line's ``first``;
-    only those on a line of |group| points, ``full``, can be bijective.
+    Edges are numbered line-major, as pairs[line_order] lists them, and
+    ``edges`` holds those (line, point) rows, line b's from ``start[b]``.
+    A batch of B assignments is an edge-major (edges, B) array of codes,
+    one column per assignment as GainGraph.codes, so every gather copies
+    whole contiguous rows of B codes.  Non-incident pairs (b, p) are
+    numbered line-major too, from each line's ``first``; only those on
+    a line of |group| points, ``full``, can be bijective.
     The factor gain(b'p) gain(b'q)^-1 of a detour depends only on the
     point pair (p, q), b' being the line through p and q.  So each call
     composes one table D of them, flat at q*v + p so that a block's
@@ -182,12 +182,12 @@ class DetourKernel:
         if not (group.finite and group.regular):
             raise ValueError(f"detour tables need a finite group acting regularly, "
                              f"not {group!r}")
-        self.eid = eid = base.edge_ids
         k, v = group.order, base.n_points
         self.group = group
         self.dtype = code_dtype(k)
-        self.edges = np.argwhere(eid >= 0)
-        self.n_pairs = eid.size - len(self.edges)
+        self.edges = base.pairs[base.line_order, ::-1]
+        self.n_pairs = v * base.n_lines - len(self.edges)
+        self.start = np.cumsum(base.sizes) - base.sizes
         self.first = np.cumsum(v - base.sizes) - (v - base.sizes)
         self.full = np.flatnonzero(base.sizes == k)
         self.block_lines = max(1, BLOCK_ENTRIES // max(1, k * (v - k)))
@@ -203,7 +203,7 @@ class DetourKernel:
         blocks of at most BLOCK_ENTRIES entries, or of one row, as take
         makes an intp copy of an int32 index table; a table that fits in
         one block is built in one step."""
-        b2p, v = self.b2p, self.eid.shape[1]
+        b2p, v = self.b2p, len(self.b2p)
         step = max(1, BLOCK_ENTRIES // v)
         if v <= step:
             d = combine(np.take(x, b2p, axis=0), np.take(y, b2p.T, axis=0))
@@ -222,16 +222,17 @@ class DetourKernel:
         ...) entries combine(D[p, q_i], x[b q_i]) of their tables, with
         D = combine(x[b2p], y[b2p.T]).  The last block's index tables are
         kept, so a kernel whose lines fit in one block builds them once."""
-        k, v = self.group.order, self.eid.shape[1]
+        k, v = self.group.order, len(self.b2p)
         d = self._pair_table(x, y, combine)
         for start in range(0, len(self.full), self.block_lines):
             if self._kept[0] != start:
                 lines = self.full[start:start + self.block_lines]
-                rows = self.eid[lines]
-                on = np.nonzero(rows >= 0)[1].astype(np.int32).reshape(-1, k)
-                off = np.nonzero(rows < 0)[1].astype(np.int32).reshape(-1, v - k)
+                edges = (self.start[lines, None] + np.arange(k)).T
+                off = np.ones((len(lines), v), dtype=bool)
+                off[np.arange(len(lines)), self.edges[edges, 1]] = False
+                off = np.nonzero(off)[1].astype(np.int32).reshape(-1, v - k)
                 self._kept = (start, (self.first[lines, None] + np.arange(v - k)).ravel(),
-                              on.T[:, :, None] * v + off, rows[rows >= 0].reshape(-1, k).T)
+                              self.edges[edges, 1, None] * v + off, edges)
             _, pairs, at, edges = self._kept
             yield pairs, combine(np.take(d, at, axis=0), np.take(x, edges, axis=0)[:, :, None])
 
@@ -277,7 +278,8 @@ def gq_criterion(gains):
         # pair n is point n - first[b] off b, the last line with first[b] <= n
         n = int(np.argmin(ok))
         b = int(np.searchsorted(kernel.first, n, side="right")) - 1
-        p = int(np.flatnonzero(kernel.eid[b] < 0)[n - kernel.first[b]])
+        on = kernel.edges[kernel.start[b]:kernel.start[b] + base.sizes[b], 1]
+        p = int(np.delete(np.arange(base.n_points), on)[n - kernel.first[b]])
         return Verdict(False, (b, p))
     # A passing criterion forces equal line sizes on the base; this is a
     # consequence, not an input assumption, so fail loudly if violated.

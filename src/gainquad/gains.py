@@ -18,11 +18,11 @@ from .storage import is_int
 class GainGraph:
     """An incidence structure plus one gain per edge over a finite group,
     held as ``codes``: a read-only array of one group code (see
-    GroupAction.code) per edge, edges numbered as base.edge_ids numbers
-    them.  ``gains``, the view {(line, point): element} in sorted
-    (point, line) order, is built on first use; such a mapping is also
-    accepted in place of the codes.  ValueError unless every edge
-    carries exactly one element (code) of the group.
+    GroupAction.code) per edge, edges numbered line-major, as
+    base.pairs[base.line_order] lists them.  ``gains``, the view {(line,
+    point): element} in sorted (point, line) order, is built on first
+    use; such a mapping is also accepted in place of the codes.
+    ValueError unless every edge carries exactly one element of the group.
     """
 
     def __init__(self, base, group, gains):
@@ -142,11 +142,14 @@ def spanning_tree_gauge_codes(base, group, codes):
     # f(p) phi f(b)^-1 on each edge (b, p).
     f = np.empty((base.n_elements, codes.shape[1]), dtype=codes.dtype)
     f[base.line_eid(0)] = group.code(group.identity())
-    for u, v, b, p in _tree_walk(base):
-        # new gain f(p) phi f(b)^-1 = id  =>  f(p) = f(b) phi^-1, f(b) = f(p) phi
-        phi = codes[base.edge_ids[b, p]]
-        f[v] = group.compose_codes(f[u], group.inverse_codes(phi) if v == p else phi)
     p, b = base.pairs[base.line_order].T
+    walk = np.array(list(_tree_walk(base)), dtype=np.int64)
+    # each tree edge's number: where its key b*v + p falls among the edges' keys
+    at = np.searchsorted(b.astype(np.int64) * base.n_points + p,
+                         walk[:, 2] * base.n_points + walk[:, 3])
+    for (u, v, _, point), phi in zip(walk.tolist(), codes[at]):
+        # new gain f(p) phi f(b)^-1 = id  =>  f(p) = f(b) phi^-1, f(b) = f(p) phi
+        f[v] = group.compose_codes(f[u], group.inverse_codes(phi) if v == point else phi)
     fb = group.inverse_codes(f[base.n_points + b])
     return group.compose_codes(f[p], group.compose_codes(codes, fb))
 

@@ -115,28 +115,23 @@ class IncidenceStructure:
         return _cut(self.neighbours(), np.concatenate([self.degrees, self.sizes]))
 
     @cached_property
-    def edge_ids(self):
-        """(lines, points) int32 table: the index of edge (b, p) among all
-        edges in sorted (line, point) order, -1 where p is off b."""
-        p, b = self.pairs[self.line_order].T
-        table = np.full((self.n_lines, self.n_points), -1, dtype=np.int32)
-        table[b, p] = np.arange(len(p), dtype=np.int32)
-        return table
-
-    @cached_property
     def _common_lines(self):
         """(edge, bad).  edge is the (points, points) int32 table of the
-        edge (b, q), numbered as in edge_ids, at [p, q], b the one line
-        through p and q; -1 on the diagonal and where p and q share no
-        line or several.  bad is the first pair p < q with cell -1, or None.
+        edge (b, q) at [p, q], b the one line through p and q, edges
+        numbered line-major, as pairs[line_order] lists them; -1 on the
+        diagonal and where p and q share no line or several.  bad is the
+        first pair p < q with cell -1, or None.
 
         Row p lists, for each line through p, that line's points.  Rows
         go in blocks of at most _COMMON_BLOCK_CELLS such entries and
         table cells, or of one row, with int32 cell indices relative to
         the block, which fills a contiguous stretch of the table with
         each line's edges, listed as ``on`` lists its points.  A bincount
-        clears the cells not hit once.  Lines of unequal sizes are padded
-        with point v, an extra column that is cut off at the end.
+        clears the diagonal and the cells not hit once.  Lines of unequal
+        sizes are padded with point v, an extra column that is cut off at
+        the end.  The first row with a cleared cell off the diagonal has
+        every such cell right of it, as the table is symmetric, so the
+        first block that clears one names bad.
         """
         v = self.n_points
         w = v + int(self.sizes.min() != self.sizes.max())
@@ -146,7 +141,7 @@ class IncidenceStructure:
         p, b = self.pairs.T
         first = np.concatenate(([0], np.cumsum(self.degrees)))  # each row's first pair
         reach = first[1:] * on.shape[1]  # entries in the rows up to each row
-        p0 = 0
+        p0, bad = 0, None
         while p0 < v:
             p1 = int(np.searchsorted(reach, first[p0] * on.shape[1] + _COMMON_BLOCK_CELLS,
                                      "right"))
@@ -155,22 +150,26 @@ class IncidenceStructure:
             cells = ((p[rows] - p0) * w)[:, None] + on[b[rows]]
             block = edge[p0 * w:p1 * w]
             block[cells] = at[b[rows]]
-            hits = np.bincount(cells.ravel(), minlength=(p1 - p0) * w)
-            hits[np.arange(p1 - p0) * (w + 1) + p0] = 0  # the diagonal
-            block[hits != 1] = -1
+            miss = np.bincount(cells.ravel(), minlength=(p1 - p0) * w) != 1
+            diagonal = np.arange(p1 - p0) * (w + 1) + p0
+            miss[diagonal] = False
+            block[miss] = -1
+            block[diagonal] = -1
+            miss = miss.reshape(-1, w)[:, :v]
+            if bad is None and np.count_nonzero(miss):
+                row, q = np.unravel_index(np.argmax(miss), miss.shape)
+                bad = (p0 + int(row), int(q))
             p0 = p1
-        edge = np.ascontiguousarray(edge.reshape(v, w)[:, :v])
-        bad = np.argwhere(np.triu(edge < 0, 1))
-        return edge, tuple(int(x) for x in bad[0]) if len(bad) else None
+        return np.ascontiguousarray(edge.reshape(v, w)[:, :v]), bad
 
     def _lines_through(self, p, q):
         """The lines through both points p and q, ascending."""
         return tuple(sorted(set(self.lines_of_point[p]) & set(self.lines_of_point[q])))
 
     def edge_table(self):
-        """(points, points) int32 table of the edge (b, q), numbered as in
-        edge_ids, at [p, q], b the common line of two distinct points; -1
-        on the diagonal (cached).
+        """(points, points) int32 table of the edge (b, q) at [p, q], b
+        the common line of two distinct points, edges numbered line-major,
+        as pairs[line_order] lists them; -1 on the diagonal (cached).
 
         Raises ValueError unless every two distinct points lie on exactly
         one common line.

@@ -28,6 +28,8 @@ failing one fails the same pair.
 """
 
 import json
+import math
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -226,6 +228,14 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     free = [all_edges[i] for i in free_rows]
     radix = group.order
     total = radix ** len(free)
+    # A scan space too large for Python to print could be scanned but
+    # never reported: refuse it before the first batch.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and total >= 10 ** limit:
+        digits = int(len(free) * math.log10(radix))  # floor(log10(total)), or one off
+        digits += 1 + (total >= 10 ** (digits + 1)) - (total < 10 ** digits)
+        raise ValueError(f"the scan space of {radix}^{len(free)} assignments has {digits} "
+                         f"digits, past Python's limit of {limit} digits for printing an integer")
     identity = group.code(group.identity())
     n_pairs = kernel.n_pairs
     width = max(1, BATCH_VALUES // max(1, n_pairs * radix))

@@ -139,16 +139,30 @@ def naive_linear_space(s):
     return True, None
 
 
+def edge_id_table(s):
+    """(lines, points) int32 table, by a loop over the lines: the index of
+    edge (b, p) among all edges in sorted (line, point) order, -1 where p
+    is off b."""
+    table = np.full((s.n_lines, s.n_points), -1, dtype=np.int32)
+    e = 0
+    for b, pts in enumerate(s.points_of_line):
+        for p in pts:
+            table[b, p] = e
+            e += 1
+    return table
+
+
 def naive_common_lines(s):
     """IncidenceStructure._common_lines by one table assignment per line:
-    cell [p, q] holds edge_ids[b, q] for the last line b through p and q,
-    then -1 wherever p and q share other than one line, and on the
-    diagonal."""
+    cell [p, q] holds edge_id_table(s)[b, q] for the last line b through
+    p and q, then -1 wherever p and q share other than one line, and on
+    the diagonal."""
     v = s.n_points
     edge = np.full((v, v), -1, dtype=np.int32)
     count = np.zeros((v, v), dtype=np.int32)
+    ids = edge_id_table(s)
     for b, pts in enumerate(s.points_of_line):
-        edge[np.ix_(pts, pts)] = s.edge_ids[b, list(pts)]
+        edge[np.ix_(pts, pts)] = ids[b, list(pts)]
         count[np.ix_(pts, pts)] += 1
     np.fill_diagonal(count, 0)
     edge[count != 1] = -1

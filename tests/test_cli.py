@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import sys
 
 import pytest
 
@@ -520,6 +521,25 @@ def test_gf_q_and_gf_p_n_name_the_same_group(tmp_path):
 def test_search_budget_exit_code(tmp_path):
     assert run("search", "--base", "ag2:2", "--group", "z:2",
                "--budget", "3", "--report", tmp_path / "r.json") == 3
+
+
+def test_search_refuses_a_scan_space_it_cannot_print(tmp_path, capsys):
+    # 16^3825 has 4,606 digits, past Python's default limit of 4,300 for
+    # printing an int; 13^2016 has 2,246 and scans as usual
+    report = tmp_path / "r.json"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 2246 <= limit < 4606:
+        pytest.skip(f"this Python's limit for printing an int is {limit}")
+    assert run("search", "--base", "ag2:16", "--group", "gf:16", "--budget", "1",
+               "--report", report) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the scan space of 16^3825 assignments has 4606 digits, "
+                            f"past Python's limit of {limit} digits for printing an integer\n")
+    assert list(tmp_path.iterdir()) == []
+    assert run("search", "--base", "ag2:13", "--group", "z:13", "--budget", "1",
+               "--report", report) == 3
+    assert read_json(report)["total_space"] == 13 ** 2016
 
 
 SCAN_COUNTERS = (r"scan: (\d+) scanned, (\d+) evaluated, (\d+) survivors, (\d+) classes "

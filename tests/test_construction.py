@@ -17,8 +17,8 @@ from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, IncidenceStruct
 import gainquad.construction as construction
 from gainquad.construction import DetourKernel
 from helpers import (Rationals, count_shortest_chains, detour_formula, distance,
-                     eid_index, is_chain, label_sweep, lift_chain, reference_expansion,
-                     tiny_base, walk_gain)
+                     edge_id_table, eid_index, is_chain, label_sweep, lift_chain,
+                     reference_expansion, tiny_base, walk_gain)
 
 
 def test_tiny_expansion_cardinalities():
@@ -264,21 +264,39 @@ def test_criterion_fails_identity_gains(plane2):
 
 
 def test_kernel_pair_tables_are_int32(monkeypatch):
-    # the point-pair edge table, also built in blocks of one row each, and
-    # the pair count; on the near-pencil only the lines of two points have
-    # |Z2| points
+    # the point-pair edge table, also built in blocks of one row each, the
+    # pair count, and each block's tables against the dense edge-id
+    # oracle: a block's pair numbers are rows of np.argwhere(oracle < 0),
+    # and entry i of pair (b, p) reads D at q_i * v + p and the edge
+    # (b, q_i), q_i the i-th point of b.  On the near-pencil only the
+    # lines of two points have |Z2| points.
     plane = affine_plane(field_from_order(4))
     near_pencil = IncidenceStructure(range(5), range(5), [(p, 0) for p in range(4)]
                                      + [(p, 1 + p) for p in range(4)]
                                      + [(4, b) for b in range(1, 5)])
     cases = [(plane.structure, AdditiveGroup(plane.field)), (near_pencil, CyclicGroup(2))]
-    for block_entries in (construction.BLOCK_ENTRIES, 1):
+    for block_entries in (construction.BLOCK_ENTRIES, 1, 4, 100):
         monkeypatch.setattr(construction, "BLOCK_ENTRIES", block_entries)
         for base, group in cases:
             kernel = DetourKernel(base, group)
-            pairs = np.argwhere(base.edge_ids < 0)
+            ids = edge_id_table(base)
+            pairs = np.argwhere(ids < 0)
             assert kernel.b2p.dtype == np.int32
             assert kernel.n_pairs == len(pairs)
+            assert np.array_equal(kernel.edges, np.argwhere(ids >= 0))
+            v, k = base.n_points, group.order
+            x = np.arange(len(kernel.edges))
+            seen = []
+            for numbers, _ in kernel._entries(x, x, np.maximum):
+                _, _, at, edges = kernel._kept
+                assert at.dtype == np.int32
+                b, p = pairs[numbers].T.reshape(2, -1, v - k)
+                q = at // v
+                assert (at % v == p).all() and (np.diff(q, axis=0) > 0).all()
+                assert np.array_equal(ids[b, q], np.broadcast_to(edges[:, :, None], q.shape))
+                seen += numbers.tolist()
+            assert seen == sorted(seen)
+            assert set(seen) == {n for n, (b, _) in enumerate(pairs) if base.sizes[b] == k}
     gains = dict(affine_gains(plane).gains)
     gains[(0, 0)] = plane.field.one
     verdict = gq_criterion(GainGraph(plane.structure, AdditiveGroup(plane.field), gains))
@@ -287,7 +305,7 @@ def test_kernel_pair_tables_are_int32(monkeypatch):
 
 def test_criterion_decodes_the_first_failing_pair(monkeypatch):
     # pairs are numbered, not stored: the witness is the first failing row
-    # of np.argwhere(edge_ids < 0), whatever the blocks.  The pencil's
+    # of np.argwhere(edge_id_table(base) < 0), whatever the blocks.  The pencil's
     # line of four points, whose pairs always fail over Z2, comes last,
     # after its lines of two points.
     rng = random.Random(26)
@@ -305,7 +323,8 @@ def test_criterion_decodes_the_first_failing_pair(monkeypatch):
     expect = []
     for g in graphs:
         column = [ok for _, ok in _oracle_pairs(g)]
-        expect.append(tuple(np.argwhere(g.base.edge_ids < 0)[column.index(False)].tolist()))
+        expect.append(tuple(np.argwhere(edge_id_table(g.base) < 0)[column.index(False)]
+                            .tolist()))
     assert len(set(expect)) >= 8
     for block_entries in (construction.BLOCK_ENTRIES, 4, 100):
         monkeypatch.setattr(construction, "BLOCK_ENTRIES", block_entries)
@@ -414,7 +433,7 @@ def test_kernel_matches_scalar_oracle():
                                       key=lambda g: (id(g.base), id(g.group))):
         cases = list(cases)
         kernel = DetourKernel(cases[0].base, cases[0].group)
-        pairs = list(map(tuple, np.argwhere(kernel.eid < 0).tolist()))
+        pairs = list(map(tuple, np.argwhere(edge_id_table(cases[0].base) < 0).tolist()))
         # a batch has one column per assignment, and every column answers
         # as its own assignment does alone
         batch = kernel.bijective(np.stack([g.codes for g in cases], axis=-1))
@@ -454,7 +473,7 @@ def test_kernel_matches_scalar_oracle_at_large_k(q):
     # time and as the columns of one batch
     cases = _shipped_family(q, random.Random(q))
     kernel = DetourKernel(cases[0].base, cases[0].group)
-    pairs = list(map(tuple, np.argwhere(kernel.eid < 0).tolist()))
+    pairs = list(map(tuple, np.argwhere(edge_id_table(cases[0].base) < 0).tolist()))
     batch = kernel.bijective(np.stack([g.codes for g in cases], axis=-1))
     for g, column, passes in zip(cases, batch.T.tolist(), (True, True, False)):
         oracle = _oracle_pairs(g)
@@ -507,13 +526,26 @@ def test_criterion_peak_memory_at_q16():
     assert peak <= 16 * 2 ** 20
 
 
+def test_criterion_holds_little_more_than_the_edge_table_on_a_fresh_base():
+    # AG(2,32): the point-pair edge table is 4.0 MB; a dense (lines,
+    # points) edge-id table cached on the base added 4.1 MB more
+    g = affine_gains(affine_plane(field_from_order(32)))
+    tracemalloc.start()
+    try:
+        assert gq_criterion(g).ok
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 5 * 2 ** 20
+
+
 def test_kernel_tables_hold_one_block_of_indices_at_a_time():
     # The kernel reads the base's point-pair edge table and builds no
-    # v^2 table of its own: on a base whose tables are built it holds
+    # v^2 table of its own: on a base whose edge table is built it holds
     # under 1 MB at q = 23, and one block's intp indices are at most 2 MB.
     plane = affine_plane(field_from_order(23))
     base = plane.structure
-    base.edge_ids, base.edge_table()
+    base.edge_table()
     tracemalloc.start()
     try:
         kernel = DetourKernel(base, AdditiveGroup(plane.field))

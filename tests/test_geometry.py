@@ -15,8 +15,8 @@ from gainquad import (GF, CyclicGroup, GainGraph, IncidenceStructure, affine_gai
                       steiner_parameters, structure_from_json, structure_to_json,
                       symplectic_quadrangle)
 from helpers import (assert_quadrangle_witness, block_loop_quadrangle, count_shortest_chains,
-                     distance, enumerate_chains, grid_quadrangle, is_chain,
-                     naive_common_lines, naive_incidence, naive_linear_space,
+                     distance, edge_id_table, enumerate_chains, grid_quadrangle,
+                     is_chain, naive_common_lines, naive_incidence, naive_linear_space,
                      naive_padded_lists, naive_shortest_count, quadrilateral,
                      random_structure, swapped_lines, tiny_base)
 
@@ -210,13 +210,13 @@ def test_linear_space_matches_naive_oracle():
 
 def test_common_line():
     s = affine_plane(GF(3)).structure
-    table = s.edge_table()
+    table, ids = s.edge_table(), edge_id_table(s)
     for p in range(s.n_points):
         for q in range(s.n_points):
             if p != q:
                 b = s.common_line(p, q)
                 assert p in s.points_of_line[b] and q in s.points_of_line[b]
-                assert table[p, q] == s.edge_ids[b, q]
+                assert table[p, q] == ids[b, q]
             else:
                 assert table[p, q] == -1
     with pytest.raises(ValueError, match="lie on 0 common lines"):
@@ -260,6 +260,20 @@ def test_common_lines_match_the_loop_oracle(block_cells, monkeypatch):
         want_edge, want_bad = naive_common_lines(s)
         assert edge.dtype == np.int32 and edge.flags.c_contiguous
         assert np.array_equal(edge, want_edge) and bad == want_bad
+
+
+def test_edge_table_peak_memory_on_a_fresh_plane():
+    # AG(2,49): the table itself is 22.0 MB, and the blocks find the first
+    # failing pair, so no (points, points) bool temporaries are made
+    # (41.3 MB peak with two of them; 30.0 MB without)
+    s = affine_plane(field_from_order(49)).structure
+    tracemalloc.start()
+    try:
+        s.edge_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20
 
 
 # Pinned witnesses and messages of the three subjects that are no linear
