@@ -114,6 +114,16 @@ def _note(args, message):
         print(message, file=sys.stderr)
 
 
+def _read_base(args, spec):
+    """realize_base(spec), with one -v line of its size and wall seconds."""
+    start = time.perf_counter()
+    base = realize_base(spec)
+    s = base["structure"]
+    _note(args, f"base {base['name']}: {s.n_points} points, {s.n_lines} lines, "
+                f"{len(s.pairs)} incidences in {time.perf_counter() - start:.3f} s")
+    return base
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -130,11 +140,8 @@ def cmd_build(args):
             or (args.group is not None and not args.identity_gains)):
         raise ValueError("give one gain source: a gains file, --with-gains, "
                          "or --identity-gains with an optional --group")
-    start = time.perf_counter()
-    base = realize_base(":".join(tokens))
+    base = _read_base(args, ":".join(tokens))
     s = base["structure"]
-    _note(args, f"base {base['name']}: {s.n_points} points, {s.n_lines} lines "
-                f"in {time.perf_counter() - start:.3f} s")
     start = time.perf_counter()
     if gains_path is not None:
         g = gains_from_json(s, read_json(gains_path))
@@ -171,7 +178,9 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
-    base = realize_base(args.structure)
+    """With -v, one stderr line for reading the structure and one for the
+    check, each with its wall seconds."""
+    base = _read_base(args, args.structure)
     s, tags = base["structure"], base["tags"]
     report = {"config": _config(args, "verify"), "input": base["name"],
               "check": args.check}
@@ -219,10 +228,11 @@ def cmd_verify(args):
 
 
 def cmd_isocheck(args):
-    """With -v, one stderr line of counters and wall seconds per search it
-    ran, also when the --timeout budget ends it."""
-    s1 = realize_base(args.first)["structure"]
-    s2 = realize_base(args.second)["structure"]
+    """With -v, one stderr line of wall seconds per structure read, and one
+    of counters and wall seconds per search it ran, also when the
+    --timeout budget ends it."""
+    s1 = _read_base(args, args.first)["structure"]
+    s2 = _read_base(args, args.second)["structure"]
     stats = []
     try:
         iso = are_isomorphic(s1, s2, deadline=_deadline(args.timeout), stats=stats)

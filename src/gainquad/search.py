@@ -216,26 +216,29 @@ def run_search(base, group, budget=None, unreduced=False, near_miss=True,
     A batch is edge-major, an (edges, B) array of codes with one column
     per assignment, so the kernel's gathers copy whole rows of B codes.
     """
+    # The gauge-fixed scan keeps the edges of a spanning tree at the
+    # identity: one edge fewer than the elements of the incidence graph,
+    # connected in every base the kernel accepts.  A scan space too large
+    # for Python to print could be scanned but never reported: refuse it
+    # before the kernel is built.
+    radix = group.order
+    n_free = len(base.pairs) - (0 if unreduced else base.n_elements - 1)
+    total = radix ** n_free
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and total >= 10 ** limit:
+        digits = int(n_free * math.log10(radix))  # floor(log10(total)), or one off
+        digits += 1 + (total >= 10 ** (digits + 1)) - (total < 10 ** digits)
+        raise ValueError(f"the scan space of {radix}^{n_free} assignments has {digits} "
+                         f"digits, past Python's limit of {limit} digits for printing an integer")
     kernel = DetourKernel(base, group)
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, not {budget}")
 
-    # Batch rows are the kernel's edges, numbered as in GainGraph.codes;
-    # the gauge-fixed scan keeps tree edges at the identity.
+    # Batch rows are the kernel's edges, numbered as in GainGraph.codes.
     all_edges = list(map(tuple, kernel.edges.tolist()))
     tree = set(spanning_tree_edges(base))
     free_rows = [i for i, e in enumerate(all_edges) if unreduced or e not in tree]
     free = [all_edges[i] for i in free_rows]
-    radix = group.order
-    total = radix ** len(free)
-    # A scan space too large for Python to print could be scanned but
-    # never reported: refuse it before the first batch.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and total >= 10 ** limit:
-        digits = int(len(free) * math.log10(radix))  # floor(log10(total)), or one off
-        digits += 1 + (total >= 10 ** (digits + 1)) - (total < 10 ** digits)
-        raise ValueError(f"the scan space of {radix}^{len(free)} assignments has {digits} "
-                         f"digits, past Python's limit of {limit} digits for printing an integer")
     identity = group.code(group.identity())
     n_pairs = kernel.n_pairs
     width = max(1, BATCH_VALUES // max(1, n_pairs * radix))

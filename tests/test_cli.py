@@ -10,6 +10,7 @@ import pytest
 import gainquad.cli as cli
 import gainquad.geometry as geometry
 import gainquad.iso as iso
+import gainquad.search as search_module
 from gainquad import (GF, CyclicGroup, Isomorphism, Verdict, affine_gains, affine_plane, dual,
                       expand, field_from_order, gq_criterion, is_generalized_ngon,
                       payne_derivation, quadrangle_order, structure_from_json,
@@ -113,7 +114,7 @@ def test_failing_verify_names_its_witness_without_the_census(tmp_path, monkeypat
     assert_quadrangle_witness(s, read_json(report)["witness"])
 
 
-BUILD_STAGES = (r"base ag2:3: 9 points, 12 lines in \d+\.\d{3} s\n"
+BUILD_STAGES = (r"base ag2:3: 9 points, 12 lines, 36 incidences in \d+\.\d{3} s\n"
                 r"gains: 36 edges in \d+\.\d{3} s\n"
                 r"expansion: 45 points, 27 lines in \d+\.\d{3} s\n"
                 r"document written to (.+) in \d+\.\d{3} s\n")
@@ -229,8 +230,28 @@ def test_verify_verbose_times_the_check_outside_the_report(tmp_path, capsys):
     report = tmp_path / "r.json"
     assert run("-v", "verify", "w:2", "--as", "gq", "--report", report) == 0
     err = capsys.readouterr().err
-    assert re.fullmatch(r"gq: 30 elements in \d+\.\d{3} s\n", err)
+    assert re.fullmatch(r"base w:2: 15 points, 15 lines, 45 incidences in \d+\.\d{3} s\n"
+                        r"gq: 30 elements in \d+\.\d{3} s\n", err)
     assert set(read_json(report)) == {"config", "input", "check", "s", "t", "ok"}
+
+
+def test_verbose_times_reading_each_structure_file_outside_the_output(tmp_path, capsys):
+    m = tmp_path / "m3.json"
+    assert run("build", "ag2", "3", "--with-gains", "-o", m) == 0
+    read = rf"base {re.escape(str(m))}: 45 points, 27 lines, 135 incidences in \d+\.\d{{3}} s"
+    outputs = []
+    for flags in ((), ("-v",)):
+        capsys.readouterr()
+        report, witness = tmp_path / f"verify{len(flags)}.json", tmp_path / f"iso{len(flags)}.json"
+        assert run(*flags, "verify", m, "--as", "gq", "--report", report) == 0
+        assert run(*flags, "isocheck", m, m, "--witness", witness) == 0
+        err = capsys.readouterr().err.splitlines()
+        # verify: the read and the check; isocheck: two reads and two searches
+        reads = [err[0], *err[2:4]] if flags else []
+        assert len(err) == 6 * len(flags) and all(re.fullmatch(read, line) for line in reads)
+        outputs.append([re.sub(rb'"config":\{[^}]*\},?', b"", path.read_bytes())
+                        for path in (report, witness)])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("spec, order", [("w:16", (16, 16)), ("payne-dual:16", (17, 15))])
@@ -442,7 +463,10 @@ def test_verbose_prints_search_counters(command, capsys):
     # the closed form, one per side built and one for the map, each
     # ending with its wall seconds
     if command[0] == "isocheck":
-        assert len(lines) == 2 and all(re.fullmatch(SEARCH_COUNTERS, line) for line in lines)
+        assert len(lines) == 4 and all(re.fullmatch(SEARCH_COUNTERS, line)
+                                       for line in lines[2:])
+        assert all(re.fullmatch(r"base payne-dual:2: 16 points, 8 lines, 32 incidences "
+                                r"in \d+\.\d{3} s", line) for line in lines[:2])
     else:
         assert len(lines) == 3 and all(re.fullmatch(BUILT, line) for line in lines[:2])
         assert re.fullmatch(MAPPED, lines[2])
@@ -523,15 +547,22 @@ def test_search_budget_exit_code(tmp_path):
                "--budget", "3", "--report", tmp_path / "r.json") == 3
 
 
-def test_search_refuses_a_scan_space_it_cannot_print(tmp_path, capsys):
+def test_search_refuses_a_scan_space_it_cannot_print(tmp_path, monkeypatch, capsys):
     # 16^3825 has 4,606 digits, past Python's default limit of 4,300 for
     # printing an int; 13^2016 has 2,246 and scans as usual
     report = tmp_path / "r.json"
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not 2246 <= limit < 4606:
         pytest.skip(f"this Python's limit for printing an int is {limit}")
-    assert run("search", "--base", "ag2:16", "--group", "gf:16", "--budget", "1",
-               "--report", report) == 2
+
+    def no_kernel(base, group):
+        raise AssertionError("the kernel is built before the refusal")
+
+    # the refusal comes before the detour kernel is built
+    with monkeypatch.context() as patch:
+        patch.setattr(search_module, "DetourKernel", no_kernel)
+        assert run("search", "--base", "ag2:16", "--group", "gf:16", "--budget", "1",
+                   "--report", report) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: the scan space of 16^3825 assignments has 4606 digits, "

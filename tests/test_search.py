@@ -13,6 +13,7 @@ from gainquad import (GF, AdditiveGroup, CyclicGroup, GainGraph, affine_gains,
                       affine_plane, canonical_form, detour_gains, expand, field_from_order,
                       gq_criterion, run_search, spanning_tree_edges, switch)
 from gainquad.construction import DetourKernel
+from gainquad.geometry import IncidenceStructure
 from gainquad.search import BATCH_VALUES, _config_digest, _unrank, _unrank_batch
 from gainquad.storage import json_text
 from helpers import label_sweep, pair_depths, relabeled, tiny_base
@@ -245,6 +246,11 @@ def test_verdict_is_switching_invariant(plane2):
 def test_search_rejects_non_linear_space():
     with pytest.raises(ValueError):
         run_search(tiny_base(), CyclicGroup(2))
+    # two lines with no point in common: a disconnected incidence graph has
+    # no spanning tree, and the kernel's message comes first
+    two = IncidenceStructure([0, 1, 2, 3], [0, 1], [(0, 0), (1, 0), (2, 1), (3, 1)])
+    with pytest.raises(ValueError, match="^base is not a linear space: "):
+        run_search(two, CyclicGroup(2))
 
 
 def _scalar_good_pairs(g):
